@@ -6,8 +6,8 @@ chi-square with h degrees of freedom, so every estimator and every risk formula
 is a function of (h, t) plus the prior guess interval (beta1, beta2).
 
 Modules:
-    model       -- validated value types (samples, intervals, configs, reports)
-    specfun     -- log-gamma, gamma ratios, regularized lower incomplete gamma
+    model       -- validated value types and the one copy of each input rule
+    specfun     -- log-gamma, regularized lower incomplete gamma
     estimators  -- point estimators of the shape parameter
     risk        -- exact relative bias / relative MSE / efficiency formulas
     montecarlo  -- seeded simulation: empirical risk, calibration constants

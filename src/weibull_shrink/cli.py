@@ -9,17 +9,16 @@ estimation). Global per-subcommand flags: --format {csv,json,text}, --seed,
 Exit codes: 0 success, 1 failed verification check, 2 data or flag problems
 (with file:line for parse failures), 3 inadmissible or degenerate shrinkage
 parameters, 4 missing pivotal constant for an unknown design, 5 unwritable
-output path. Data goes to stdout (or --out); diagnostics go to stderr. Output
-depends only on flags and seed, never on wall clock, so reruns are
-byte-identical.
+output path. `main` is the only place that maps exceptions to exit codes; the
+subcommands let the package's own checks raise. A numerical overflow on
+extreme inputs is a data problem too, and exits 2. Data goes to stdout (or
+--out); diagnostics go to stderr. Output depends only on flags and seed, never
+on wall clock, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 
@@ -59,47 +58,24 @@ def _f4(value) -> str:
     return str(value)
 
 
-def _full(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def _kv_text(pairs) -> str:
-    return "\n".join(f"{k} = {_f4(v)}" for k, v in pairs) + "\n"
-
-
-def _rows_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_full(v) for v in row])
-    return buf.getvalue()
-
-
-def _kv_csv(pairs) -> str:
-    return _rows_csv([k for k, _ in pairs], [[v for _, v in pairs]])
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-
-
 def _emit_kv(fmt: str, pairs) -> str:
     if fmt == "text":
-        return _kv_text(pairs)
+        return "\n".join(f"{k} = {_f4(v)}" for k, v in pairs) + "\n"
     if fmt == "csv":
-        return _kv_csv(pairs)
-    return _json(dict(pairs))
+        return tables.rows_to_csv([k for k, _ in pairs], [[v for _, v in pairs]])
+    return tables.to_json(dict(pairs))
 
 
-def _span(r: risk.DominanceRange):
-    return [] if r.is_empty else [r.lo, r.hi]
+def _resolve_delta(args) -> tuple[float, bool]:
+    """The midpoint departure from --delta or --delta1/--delta2, and whether
+    the pair was given."""
+    have_pair = args.delta1 is not None or args.delta2 is not None
+    if have_pair and (args.delta1 is None or args.delta2 is None):
+        raise _CliError(2, "--delta1 and --delta2 go together")
+    if args.delta is None and not have_pair:
+        raise _CliError(2, "give --delta or --delta1/--delta2")
+    delta = args.delta if args.delta is not None else 0.5 * (args.delta1 + args.delta2)
+    return delta, have_pair
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +120,9 @@ def _m_for_h(n: int, h: float) -> int:
     for (nn, mm), hh in BUILTIN_H.items():
         if nn == n and abs(hh - h) <= 1e-4:
             return mm
-    return 2
+    raise _CliError(
+        2, f"--t with h={h!r} matches no built-in design for n={n}; give --m"
+    )
 
 
 def cmd_estimate(args) -> tuple:
@@ -163,11 +141,7 @@ def cmd_estimate(args) -> tuple:
         if args.n is None:
             raise _CliError(2, "--data needs --n (number of units on test)")
         n = args.n
-        times = _read_failure_times(args.data)
-        try:
-            sample = CensoredSample(n=n, observations=tuple(times))
-        except ValueError as exc:
-            raise _CliError(2, str(exc)) from exc
+        sample = CensoredSample(n=n, observations=tuple(_read_failure_times(args.data)))
         m = sample.m
         h = args.h if args.h is not None else lookup_h(n, m)
         if args.bain_k is not None:
@@ -180,15 +154,9 @@ def cmd_estimate(args) -> tuple:
             sample, estimators.BainConstants(m=m, n=n, k=bain_k)
         )
         t = h * scale
-    try:
-        ctx = PivotalContext(n=n, m=m, h=h, t=t)
-        interval = GuessInterval(beta1=args.beta1, beta2=args.beta2)
-        cfg = ShrinkageConfig(p=args.p, q=args.q)
-    except ValueError as exc:
-        if isinstance(exc, InadmissibleParameterError):
-            raise
-        raise _CliError(2, str(exc)) from exc
-    estimators.shrink_weight(cfg.p, ctx.h)  # inadmissible p -> exit 3
+    ctx = PivotalContext(n=n, m=m, h=h, t=t)
+    interval = GuessInterval(beta1=args.beta1, beta2=args.beta2)
+    cfg = ShrinkageConfig(p=args.p, q=args.q)
     pairs = [
         ("n", n),
         ("m", m),
@@ -212,37 +180,25 @@ def cmd_estimate(args) -> tuple:
 
 
 def cmd_risk(args) -> tuple:
-    have_pair = args.delta1 is not None or args.delta2 is not None
-    if have_pair and (args.delta1 is None or args.delta2 is None):
-        raise _CliError(2, "--delta1 and --delta2 go together")
-    if args.delta is None and not have_pair:
-        raise _CliError(2, "give --delta or --delta1/--delta2")
+    delta, have_pair = _resolve_delta(args)
     if args.modified and not have_pair:
         raise _CliError(2, "--modified needs --delta1 and --delta2")
-    delta = args.delta if args.delta is not None else 0.5 * (args.delta1 + args.delta2)
-    try:
-        reports = [
-            risk.report_unbiased(args.h),
-            risk.report_mmse(args.h),
-            risk.report_shrink(args.h, args.p, args.q, delta),
-        ]
-        if args.modified:
-            reports.append(
-                risk.report_modified(args.h, args.p, args.q, args.delta1, args.delta2)
-            )
-    except ValueError as exc:
-        if isinstance(exc, InadmissibleParameterError):
-            raise
-        raise _CliError(2, str(exc)) from exc
+    reports = [
+        risk.report_unbiased(args.h),
+        risk.report_mmse(args.h),
+        risk.report_shrink(args.h, args.p, args.q, delta),
+    ]
+    if args.modified:
+        reports.append(risk.report_modified(args.h, args.p, args.q, args.delta1, args.delta2))
     header = ["estimator", "bias", "arb", "rmse", "pre"]
     rows = [
         [r.estimator_id, r.bias_over_beta, r.arb, r.rmse, r.pre_vs_mmse]
         for r in reports
     ]
     if args.format == "csv":
-        return _rows_csv(header, rows), 0
+        return tables.rows_to_csv(header, rows), 0
     if args.format == "json":
-        return _json([r.to_dict() for r in reports]), 0
+        return tables.to_json([r.to_dict() for r in reports]), 0
     lines = [
         f"{'estimator':<20} {'bias':>10} {'arb':>10} {'rmse':>10} {'pre':>12}"
     ]
@@ -264,13 +220,10 @@ def cmd_dominance(args) -> tuple:
     r_best = risk.best_range(args.h, args.p, args.q)
     named = [("mse_range", r_mse), ("arb_range", r_arb), ("best", r_best)]
     if args.format == "csv":
-        rows = [
-            [name, None if r.is_empty else r.lo, None if r.is_empty else r.hi]
-            for name, r in named
-        ]
-        return _rows_csv(["range", "lo", "hi"], rows), 0
+        rows = [[name, *tables.span_ends(r)] for name, r in named]
+        return tables.rows_to_csv(["range", "lo", "hi"], rows), 0
     if args.format == "json":
-        return _json({name: _span(r) for name, r in named}), 0
+        return tables.to_json({name: tables.span(r) for name, r in named}), 0
     lines = []
     for name, r in named:
         body = "empty" if r.is_empty else f"({r.lo:.4f}, {r.hi:.4f})"
@@ -345,20 +298,11 @@ def cmd_mc_estimate_h(args) -> tuple:
 def cmd_mc_verify(args) -> tuple:
     if args.reps < 1000:
         raise _CliError(2, "verification needs --reps >= 1000")
-    have_pair = args.delta1 is not None or args.delta2 is not None
-    if have_pair and (args.delta1 is None or args.delta2 is None):
-        raise _CliError(2, "--delta1 and --delta2 go together")
-    if args.delta is None and not have_pair:
-        raise _CliError(2, "give --delta or --delta1/--delta2")
+    delta, have_pair = _resolve_delta(args)
     h = args.h
-    delta = args.delta if args.delta is not None else 0.5 * (args.delta1 + args.delta2)
-    try:
-        cfg = ShrinkageConfig(p=args.p, q=args.q)
-    except ValueError as exc:
-        if isinstance(exc, InadmissibleParameterError):
-            raise
-        raise _CliError(2, str(exc)) from exc
-    estimators.shrink_weight(cfg.p, h)  # inadmissible p -> exit 3
+    cfg = ShrinkageConfig(p=args.p, q=args.q)
+    # an inadmissible p exits 3 before the design, seed and departures are checked
+    estimators.shrink_weight(cfg.p, h)
     # risks are scale-free, so verify at true shape 1 with the guessed
     # interval placed to realize the requested departures
     plan = montecarlo.SimulationPlan(
@@ -389,48 +333,35 @@ def cmd_mc_verify(args) -> tuple:
                 risk.mse_modified(h, cfg.p, cfg.q, args.delta1, args.delta2),
             )
         )
+    # Besides 3 SE, each check allows 3/R times the size of the closed form:
+    # an event rarer than 3/R is likely unseen in R replicates (the rule of
+    # three). A truncated estimator clamped on every replicate has an SE of
+    # exactly 0, while its closed form still counts the unclamped region.
+    unseen = 3.0 / plan.replicates
     results = []
     for name, estimator, analytic_bias, analytic_mse in checks:
         emp = montecarlo.empirical_risk(plan, estimator, h=h)
-        results.append(
-            (name, "bias", emp.bias, analytic_bias, 3.0 * emp.se_mean)
-        )
-        results.append((name, "mse", emp.mse, analytic_mse, 3.0 * emp.se_mse))
-    failed = [
-        (n, metric) for n, metric, emp, ana, tol in results if abs(emp - ana) > tol
-    ]
+        for metric, got, ana, tol in (
+            ("bias", emp.bias, analytic_bias, 3.0 * emp.se_mean),
+            ("mse", emp.mse, analytic_mse, 3.0 * emp.se_mse),
+        ):
+            ok = abs(got - ana) <= tol + unseen * max(1.0, abs(ana))
+            results.append((name, metric, got, ana, tol, "PASS" if ok else "FAIL"))
+    failed = sum(r[-1] == "FAIL" for r in results)
     code = 1 if failed else 0
+    header = ("estimator", "metric", "empirical", "analytic", "three_se", "status")
     if args.format == "csv":
-        rows = [
-            [n, metric, emp, ana, tol, "PASS" if abs(emp - ana) <= tol else "FAIL"]
-            for n, metric, emp, ana, tol in results
-        ]
-        return _rows_csv(
-            ["estimator", "metric", "empirical", "analytic", "three_se", "status"],
-            rows,
-        ), code
+        return tables.rows_to_csv(header, results), code
     if args.format == "json":
-        payload = [
-            {
-                "estimator": n,
-                "metric": metric,
-                "empirical": emp,
-                "analytic": ana,
-                "three_se": tol,
-                "status": "PASS" if abs(emp - ana) <= tol else "FAIL",
-            }
-            for n, metric, emp, ana, tol in results
-        ]
-        return _json(payload), code
+        return tables.to_json([dict(zip(header, r)) for r in results]), code
     lines = []
-    for n, metric, emp, ana, tol in results:
-        status = "PASS" if abs(emp - ana) <= tol else "FAIL"
+    for n, metric, emp, ana, tol, status in results:
         lines.append(
             f"{status} {n} {metric}: empirical {emp:.6f} vs analytic {ana:.6f} "
             f"(3se {tol:.6f})"
         )
     lines.append(
-        f"summary: {len(results) - len(failed)}/{len(results)} checks passed"
+        f"summary: {len(results) - failed}/{len(results)} checks passed"
     )
     return "\n".join(lines) + "\n", code
 
@@ -474,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="estimate the shape from data or a forced pivotal value")
     p_est.add_argument("--data", help="file with one failure time per line")
     p_est.add_argument("--n", type=int, help="number of units on test")
-    p_est.add_argument("--m", type=int, help="number of observed failures (with --t)")
+    p_est.add_argument("--m", type=int,
+                       help="number of observed failures (with --t; needed when h is not built in)")
     p_est.add_argument("--t", type=float, help="pivotal statistic, bypassing --data")
     p_est.add_argument("--h", type=float, help="pivotal degrees of freedom")
     p_est.add_argument("--bain-k", type=float, help="unbiasing constant for the design")
@@ -577,6 +509,9 @@ def main(argv=None) -> int:
         return 4
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"inputs out of floating-point range: {exc}", file=sys.stderr)
         return 2
     if args.out:
         try:

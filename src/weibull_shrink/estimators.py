@@ -18,6 +18,9 @@ from weibull_shrink.model import (
     InadmissibleParameterError,
     PivotalContext,
     ShrinkageConfig,
+    _require_design,
+    _require_h,
+    _require_positive,
 )
 from weibull_shrink.specfun import ln_gamma
 
@@ -41,14 +44,10 @@ class BainConstants:
     k: float
 
     def __post_init__(self) -> None:
-        if int(self.m) != self.m or self.m < 2:
-            raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
-        if int(self.n) != self.n or self.n < self.m:
-            raise ValueError(f"n must be an integer >= m, got {self.n!r}")
-        if not math.isfinite(self.k) or self.k <= 0.0:
-            raise ValueError(f"k must be finite and > 0, got {self.k!r}")
-        object.__setattr__(self, "m", int(self.m))
-        object.__setattr__(self, "n", int(self.n))
+        n, m = _require_design(self.n, self.m)
+        _require_positive("k", self.k)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
 
 def bain_scale_estimate(sample: CensoredSample, constants: BainConstants) -> float:
@@ -86,9 +85,7 @@ def shrink_weight(p: float, h: float) -> float:
     inadmissible p.
     """
     p = float(p)
-    h = float(h)
-    if not math.isfinite(h) or h <= 2.0:
-        raise ValueError(f"h must be finite and > 2, got {h!r}")
+    h = _require_h(h, 2.0)
     if not math.isfinite(p) or p == 0.0:
         raise InadmissibleParameterError(f"p must be a nonzero real, got {p!r}")
     if h / 2.0 + p <= 0.0 or h / 2.0 + 2.0 * p <= 0.0:
@@ -106,16 +103,12 @@ def shrink_weight(p: float, h: float) -> float:
 
 
 def beta_unbiased(ctx: PivotalContext) -> float:
-    """Unbiased shape estimate (h - 2)/t. Requires h > 2."""
-    if ctx.h <= 2.0:
-        raise ValueError(f"unbiased estimate needs h > 2, got h={ctx.h!r}")
+    """Unbiased shape estimate (h - 2)/t."""
     return (ctx.h - 2.0) / ctx.t
 
 
 def beta_mmse(ctx: PivotalContext) -> float:
-    """Minimum-MSE shape estimate (h - 4)/t. Requires h > 4."""
-    if ctx.h <= 4.0:
-        raise ValueError(f"minimum-MSE estimate needs h > 4, got h={ctx.h!r}")
+    """Minimum-MSE shape estimate (h - 4)/t."""
     return (ctx.h - 4.0) / ctx.t
 
 

@@ -1,9 +1,12 @@
-"""Value types shared across the package.
+"""Value types shared across the package, and the one copy of each input rule.
 
-Everything here is a small frozen dataclass with eager validation: a constructed
-object is always internally consistent, so the numerical modules never re-check
-their inputs. All types serialize to plain dicts (``to_dict``/``from_dict``) for
-the CLI's JSON interchange.
+Input is checked once, where it enters the package: a value type's
+constructor, the entry of a public function, the table grid
+(``tables.GridSpec``), or the CLI's data-file parser. Every rule that more
+than one entry point applies lives here (``_require_*``), written once. Code
+past an entry point trusts what it receives; only checks on computed results
+(a report's moments, a range's endpoints, a table cell) run again downstream,
+because they catch numerical faults rather than bad input.
 """
 
 from __future__ import annotations
@@ -57,6 +60,35 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _require_h(h: float, minimum: float) -> float:
+    """Degrees of freedom above `minimum`: 2 for a finite mean, 4 for a finite MSE."""
+    h = float(h)
+    if not math.isfinite(h) or h <= minimum:
+        raise ValueError(f"h must be finite and > {minimum:g}, got {h!r}")
+    return h
+
+
+def _require_design(n: int, m: int, min_m: int = 2) -> tuple[int, int]:
+    """A censoring design: integers m >= min_m failures out of n >= m units."""
+    if int(m) != m or m < min_m:
+        raise ValueError(f"m must be an integer >= {min_m}, got {m!r}")
+    if int(n) != n or n < m:
+        raise ValueError(f"n must be an integer >= m, got n={n!r}, m={m!r}")
+    return int(n), int(m)
+
+
+def _require_replicates(replicates: int) -> int:
+    if int(replicates) != replicates or replicates < 2:
+        raise ValueError(f"replicates must be an integer >= 2, got {replicates!r}")
+    return int(replicates)
+
+
+def _require_seed(seed: int) -> int:
+    if int(seed) != seed or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True)
 class WeibullParams:
     """Scale alpha and shape beta of a two-parameter Weibull law."""
@@ -67,13 +99,6 @@ class WeibullParams:
     def __post_init__(self) -> None:
         _require_positive("alpha", self.alpha)
         _require_positive("beta", self.beta)
-
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WeibullParams":
-        return cls(alpha=float(d["alpha"]), beta=float(d["beta"]))
 
 
 @dataclass(frozen=True)
@@ -99,8 +124,7 @@ class CensoredSample:
             )
         prev = 0.0
         for i, x in enumerate(obs):
-            if not math.isfinite(x) or x <= 0.0:
-                raise ValueError(f"observation {i + 1} must be finite and > 0, got {x!r}")
+            _require_positive(f"observation {i + 1}", x)
             if x < prev:
                 raise ValueError(
                     f"observations must be nondecreasing; value {x!r} at position "
@@ -112,13 +136,6 @@ class CensoredSample:
     @property
     def m(self) -> int:
         return len(self.observations)
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "observations": list(self.observations)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CensoredSample":
-        return cls(n=int(d["n"]), observations=tuple(d["observations"]))
 
 
 @dataclass(frozen=True)
@@ -135,22 +152,11 @@ class PivotalContext:
     t: float
 
     def __post_init__(self) -> None:
-        if int(self.m) != self.m or self.m < 2:
-            raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
-        if int(self.n) != self.n or self.n < self.m:
-            raise ValueError(f"n must be an integer >= m, got n={self.n!r}, m={self.m!r}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
-        if _require_finite("h", self.h) <= 4.0:
-            raise ValueError(f"h must be > 4, got {self.h!r}")
+        n, m = _require_design(self.n, self.m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        _require_h(self.h, 4.0)
         _require_positive("t", self.t)
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "m": self.m, "h": self.h, "t": self.t}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PivotalContext":
-        return cls(n=int(d["n"]), m=int(d["m"]), h=float(d["h"]), t=float(d["t"]))
 
 
 @dataclass(frozen=True)
@@ -172,13 +178,6 @@ class GuessInterval:
     def midpoint(self) -> float:
         return 0.5 * (self.beta1 + self.beta2)
 
-    def to_dict(self) -> dict:
-        return {"beta1": self.beta1, "beta2": self.beta2}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GuessInterval":
-        return cls(beta1=float(d["beta1"]), beta2=float(d["beta2"]))
-
 
 @dataclass(frozen=True)
 class ShrinkageConfig:
@@ -196,13 +195,6 @@ class ShrinkageConfig:
         q = _require_positive("q", self.q)
         if q > 1.0:
             raise ValueError(f"q must lie in (0, 1], got {q!r}")
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "q": self.q}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShrinkageConfig":
-        return cls(p=float(d["p"]), q=float(d["q"]))
 
 
 #: Identifiers for the estimators a RiskReport can describe.
@@ -252,16 +244,6 @@ class RiskReport:
             "rmse": self.rmse,
             "pre_vs_mmse": self.pre_vs_mmse,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RiskReport":
-        return cls(
-            estimator_id=str(d["estimator_id"]),
-            bias_over_beta=float(d["bias_over_beta"]),
-            arb=float(d["arb"]),
-            rmse=float(d["rmse"]),
-            pre_vs_mmse=float(d["pre_vs_mmse"]),
-        )
 
 
 class Departures(NamedTuple):

@@ -17,9 +17,13 @@ import numpy as np
 
 from weibull_shrink.model import (
     GuessInterval,
-    PivotalContext,
     ShrinkageConfig,
     WeibullParams,
+    _require_design,
+    _require_finite,
+    _require_positive,
+    _require_replicates,
+    _require_seed,
     lookup_h,
 )
 
@@ -38,18 +42,13 @@ class SimulationPlan:
     m: int
 
     def __post_init__(self) -> None:
-        if int(self.replicates) != self.replicates or self.replicates < 2:
-            raise ValueError(f"replicates must be an integer >= 2, got {self.replicates!r}")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if int(self.m) != self.m or self.m < 2:
-            raise ValueError(f"m must be an integer >= 2, got {self.m!r}")
-        if int(self.n) != self.n or self.n < self.m:
-            raise ValueError(f"n must be an integer >= m, got {self.n!r}")
-        object.__setattr__(self, "replicates", int(self.replicates))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "m", int(self.m))
+        replicates = _require_replicates(self.replicates)
+        seed = _require_seed(self.seed)
+        n, m = _require_design(self.n, self.m)
+        object.__setattr__(self, "replicates", replicates)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True)
@@ -70,11 +69,9 @@ class EmpiricalRisk:
     replicates: int
 
     def __post_init__(self) -> None:
-        if int(self.replicates) != self.replicates or self.replicates < 2:
-            raise ValueError(f"replicates must be an integer >= 2, got {self.replicates!r}")
+        replicates = _require_replicates(self.replicates)
         for name in ("mean", "bias", "mse", "se_mean", "se_mse"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            _require_finite(name, getattr(self, name))
         if self.mse < 0.0 or self.se_mean < 0.0 or self.se_mse < 0.0:
             raise ValueError("mse and standard errors cannot be negative")
         # second moment dominates squared first moment, up to fp roundoff
@@ -82,17 +79,7 @@ class EmpiricalRisk:
             raise ValueError(
                 f"inconsistent moments: mse={self.mse!r} < bias^2={self.bias ** 2!r}"
             )
-        object.__setattr__(self, "replicates", int(self.replicates))
-
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "bias": self.bias,
-            "mse": self.mse,
-            "se_mean": self.se_mean,
-            "se_mse": self.se_mse,
-            "replicates": self.replicates,
-        }
+        object.__setattr__(self, "replicates", replicates)
 
 
 def sample_weibull(
@@ -103,24 +90,19 @@ def sample_weibull(
     Uses x = alpha * (-ln U)^(1/beta) so the draw is an explicit monotone map
     of the uniforms (one uniform per unit, sorted afterwards).
     """
-    if int(m) != m or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    if int(n) != n or n < m:
-        raise ValueError(f"n must be an integer >= m, got {n!r}")
-    u = rng.random(int(n))
+    n, m = _require_design(n, m, min_m=1)
+    u = rng.random(n)
     x = params.alpha * (-np.log(u)) ** (1.0 / params.beta)
     x.sort()
-    return x[: int(m)]
+    return x[:m]
 
 
 def sample_t(
     h: float, beta: float, rng: np.random.Generator, size: int | None = None
 ):
     """Draws of the pivotal statistic: Gamma(h/2) scaled by 2/beta."""
-    if not math.isfinite(h) or h <= 0.0:
-        raise ValueError(f"h must be finite and > 0, got {h!r}")
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise ValueError(f"beta must be finite and > 0, got {beta!r}")
+    h = _require_positive("h", h)
+    beta = _require_positive("beta", beta)
     return rng.standard_gamma(h / 2.0, size=size) * (2.0 / beta)
 
 
@@ -171,26 +153,6 @@ def truncated_estimator(
         return np.where(t > hi_t, interval.beta1, np.where(t < lo_t, interval.beta2, plain(t)))
 
     return estimate
-
-
-def estimator_for(
-    estimator_id: str,
-    h: float,
-    interval: GuessInterval | None = None,
-    cfg: ShrinkageConfig | None = None,
-) -> Estimator:
-    """Vectorized estimator by identifier, matching the scalar functions."""
-    if estimator_id == "UNBIASED":
-        return unbiased_estimator(h)
-    if estimator_id == "MMSE":
-        return mmse_estimator(h)
-    if estimator_id in ("SHRINK_PQ", "SHRINK_PQ_MODIFIED"):
-        if interval is None or cfg is None:
-            raise ValueError(f"{estimator_id} needs a guess interval and a (p, q) config")
-        if estimator_id == "SHRINK_PQ":
-            return shrink_estimator(h, interval, cfg)
-        return truncated_estimator(h, interval, cfg)
-    raise ValueError(f"unknown estimator id {estimator_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +219,9 @@ def _sev_spacing_sums(m: int, n: int, replicates: int, seed: int) -> np.ndarray:
     v = ln(-ln U) has the smallest-extreme-value law, the distribution of
     ln x when x is Weibull with alpha = beta = 1.
     """
-    if int(m) != m or m < 2:
-        raise ValueError(f"m must be an integer >= 2, got {m!r}")
-    if int(n) != n or n < m:
-        raise ValueError(f"n must be an integer >= m, got {n!r}")
-    if int(replicates) != replicates or replicates < 2:
-        raise ValueError(f"replicates must be an integer >= 2, got {replicates!r}")
-    m, n, replicates = int(m), int(n), int(replicates)
+    n, m = _require_design(n, m)
+    replicates = _require_replicates(replicates)
+    seed = _require_seed(seed)
     n_chunks = (replicates + _ROW_CHUNK - 1) // _ROW_CHUNK
     seeds = _chunk_seeds(seed, n_chunks)
     parts = []
@@ -307,11 +265,3 @@ def estimate_degrees_of_freedom(
     se_v = math.sqrt(max(0.0, fourth - v * v) / r)
     return 2.0 / v, 2.0 * se_v / (v * v)
 
-
-def pivotal_context_from_sample(
-    sample_t_value: float, n: int, m: int, *, h: float | None = None
-) -> PivotalContext:
-    """Convenience constructor resolving h from the built-in table."""
-    if h is None:
-        h = lookup_h(n, m)
-    return PivotalContext(n=n, m=m, h=h, t=sample_t_value)

@@ -6,9 +6,14 @@ minimum-MSE multiple (h - 4)/t at 100 * mse_mmse / mse. The risks of the
 shrinkage estimators depend on the unknown shape only through the departure
 ratios delta1 = beta1/beta, delta2 = beta2/beta and their mean delta.
 
-The `_given_w` helpers carry the actual formulas with the weight as an
-argument; the public functions resolve w(p) and validate. The split exists for
-the printed-table audit, which needs to re-evaluate cells under the source's
+Each public function is an entry point: it checks its raw arguments once,
+with the rules in `model` and in the order h, q, departures, then the
+admissibility of p, and computes w(p) once. The formulas themselves are the
+`_given_w` kernels, which take the weight as an argument and trust their
+inputs. Composite functions (`pre_modified`, `best_range`, `report_shrink`,
+`report_modified`) call the kernels rather than other public functions, so
+nothing is checked or computed twice. The table builders and the
+printed-table audit call the kernels too, the audit under the source's
 rounded weights.
 """
 
@@ -19,11 +24,10 @@ from dataclasses import dataclass
 
 from weibull_shrink.estimators import shrink_weight
 from weibull_shrink.model import (
-    GuessInterval,
     InadmissibleParameterError,
     RiskReport,
-    ShrinkageConfig,
-    departures,
+    _require_h,
+    _require_positive,
 )
 from weibull_shrink.specfun import reg_lower_inc_gamma
 
@@ -68,20 +72,6 @@ class DominanceRange:
         return DominanceRange.empty()
 
 
-def _require_h(h: float, minimum: float) -> float:
-    h = float(h)
-    if not math.isfinite(h) or h <= minimum:
-        raise ValueError(f"h must be finite and > {minimum:g}, got {h!r}")
-    return h
-
-
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    return value
-
-
 def admissible_p(p: float, h: float) -> bool:
     """True when p yields a usable shrinkage weight for this h."""
     try:
@@ -89,11 +79,6 @@ def admissible_p(p: float, h: float) -> bool:
     except InadmissibleParameterError:
         return False
     return True
-
-
-def require_admissible_p(p: float, h: float) -> float:
-    """Return w(p), raising InadmissibleParameterError otherwise."""
-    return shrink_weight(p, h)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +122,20 @@ def _pre_shrink_given_w(h: float, q: float, delta: float, w: float) -> float:
     return 100.0 * 2.0 * (h - 4.0) / denom
 
 
-def bias_shrink(h: float, p: float, q: float, delta: float) -> float:
-    """Signed relative bias (q * delta - 1) * (1 - w)."""
-    h = _require_h(h, 2.0)
+def _shrink_point(
+    h: float, p: float, q: float, delta: float, h_min: float = 4.0
+) -> tuple[float, float, float, float]:
+    """Check a plain-shrinkage point once; return it with its weight w(p)."""
+    h = _require_h(h, h_min)
     q = _require_positive("q", q)
     delta = _require_positive("delta", delta)
-    return _bias_shrink_given_w(q, delta, shrink_weight(p, h))
+    return h, q, delta, shrink_weight(p, h)
+
+
+def bias_shrink(h: float, p: float, q: float, delta: float) -> float:
+    """Signed relative bias (q * delta - 1) * (1 - w)."""
+    h, q, delta, w = _shrink_point(h, p, q, delta, h_min=2.0)
+    return _bias_shrink_given_w(q, delta, w)
 
 
 def arb_shrink(h: float, p: float, q: float, delta: float) -> float:
@@ -151,10 +144,7 @@ def arb_shrink(h: float, p: float, q: float, delta: float) -> float:
 
 def rmse_shrink(h: float, p: float, q: float, delta: float) -> float:
     """Relative MSE (q*delta - 1)^2 (1 - w)^2 + 2 w^2 / (h - 4)."""
-    h = _require_h(h, 4.0)
-    q = _require_positive("q", q)
-    delta = _require_positive("delta", delta)
-    return _rmse_shrink_given_w(h, q, delta, shrink_weight(p, h))
+    return _rmse_shrink_given_w(*_shrink_point(h, p, q, delta))
 
 
 def pre_shrink(h: float, p: float, q: float, delta: float) -> float:
@@ -163,10 +153,7 @@ def pre_shrink(h: float, p: float, q: float, delta: float) -> float:
     Closed form; it agrees with 100 * rmse_mmse(h) / rmse_shrink(h, ...) to
     rounding, and tests keep both routes honest.
     """
-    h = _require_h(h, 4.0)
-    q = _require_positive("q", q)
-    delta = _require_positive("delta", delta)
-    return _pre_shrink_given_w(h, q, delta, shrink_weight(p, h))
+    return _pre_shrink_given_w(*_shrink_point(h, p, q, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +183,13 @@ def _arb_range_given_w(h: float, q: float, w: float) -> DominanceRange:
     return DominanceRange(max(0.0, 1.0 / q - half), 1.0 / q + half)
 
 
+def _ranges_given_w(h: float, q: float, w: float) -> dict:
+    """The MSE, ARB and best ranges, keyed "mse", "arb" and "best"."""
+    r_mse = _mse_range_given_w(h, q, w)
+    r_arb = _arb_range_given_w(h, q, w)
+    return {"mse": r_mse, "arb": r_arb, "best": r_mse.intersect(r_arb)}
+
+
 def mse_dominance_range(h: float, p: float, q: float) -> DominanceRange:
     """Departure interval on which the shrinkage MSE beats the MMSE multiple.
 
@@ -223,7 +217,9 @@ def arb_dominance_range(h: float, p: float, q: float) -> DominanceRange:
 
 def best_range(h: float, p: float, q: float) -> DominanceRange:
     """Departures where the shrinkage estimator wins on both MSE and ARB."""
-    return mse_dominance_range(h, p, q).intersect(arb_dominance_range(h, p, q))
+    h = _require_h(h, 4.0)
+    q = _require_positive("q", q)
+    return _ranges_given_w(h, q, _nondegenerate_w(p, h))["best"]
 
 
 # ---------------------------------------------------------------------------
@@ -277,38 +273,49 @@ def _mse_modified_given_w(
     )
 
 
-def _check_interval_args(q: float, delta1: float, delta2: float) -> tuple[float, float, float]:
+def _pre_from_mse(h: float, mse: float) -> float:
+    """Efficiency in percent of an estimator with relative MSE `mse`."""
+    return 100.0 * (2.0 / (h - 2.0)) / mse
+
+
+def _pre_modified_given_w(
+    h: float, q: float, delta1: float, delta2: float, w: float
+) -> float:
+    return _pre_from_mse(h, _mse_modified_given_w(h, q, delta1, delta2, w))
+
+
+def _modified_point(
+    h: float, p: float, q: float, delta1: float, delta2: float, h_min: float = 4.0
+) -> tuple[float, float, float, float, float]:
+    """Check a truncated-shrinkage point once; return it with its weight w(p)."""
+    h = _require_h(h, h_min)
     q = _require_positive("q", q)
     delta1 = _require_positive("delta1", delta1)
     delta2 = _require_positive("delta2", delta2)
     if delta2 < delta1:
         raise ValueError(f"need delta1 <= delta2, got {delta1!r} > {delta2!r}")
-    return q, delta1, delta2
+    return h, q, delta1, delta2, shrink_weight(p, h)
 
 
 def bias_modified(
     h: float, p: float, q: float, delta1: float, delta2: float
 ) -> float:
     """Signed relative bias of the truncated shrinkage estimator."""
-    h = _require_h(h, 2.0)
-    q, delta1, delta2 = _check_interval_args(q, delta1, delta2)
-    return _bias_modified_given_w(h, q, delta1, delta2, shrink_weight(p, h))
+    return _bias_modified_given_w(*_modified_point(h, p, q, delta1, delta2, h_min=2.0))
 
 
 def mse_modified(
     h: float, p: float, q: float, delta1: float, delta2: float
 ) -> float:
     """Relative MSE of the truncated shrinkage estimator."""
-    h = _require_h(h, 4.0)
-    q, delta1, delta2 = _check_interval_args(q, delta1, delta2)
-    return _mse_modified_given_w(h, q, delta1, delta2, shrink_weight(p, h))
+    return _mse_modified_given_w(*_modified_point(h, p, q, delta1, delta2))
 
 
 def pre_modified(
     h: float, p: float, q: float, delta1: float, delta2: float
 ) -> float:
     """Efficiency of the truncated estimator relative to (h - 4)/t, percent."""
-    return 100.0 * rmse_mmse(h) / mse_modified(h, p, q, delta1, delta2)
+    return _pre_modified_given_w(*_modified_point(h, p, q, delta1, delta2))
 
 
 # ---------------------------------------------------------------------------
@@ -326,47 +333,38 @@ def report_unbiased(h: float) -> RiskReport:
 
 
 def report_mmse(h: float) -> RiskReport:
+    value = rmse_mmse(h)  # the ARB of (h - 4)/t is 2/(h - 2) as well
     return RiskReport(
         estimator_id="MMSE",
-        bias_over_beta=-arb_mmse(h),
-        arb=arb_mmse(h),
-        rmse=rmse_mmse(h),
+        bias_over_beta=-value,
+        arb=value,
+        rmse=value,
         pre_vs_mmse=100.0,
     )
 
 
 def report_shrink(h: float, p: float, q: float, delta: float) -> RiskReport:
-    bias = bias_shrink(h, p, q, delta)
+    h, q, delta, w = _shrink_point(h, p, q, delta)
+    bias = _bias_shrink_given_w(q, delta, w)
     return RiskReport(
         estimator_id="SHRINK_PQ",
         bias_over_beta=bias,
         arb=abs(bias),
-        rmse=rmse_shrink(h, p, q, delta),
-        pre_vs_mmse=pre_shrink(h, p, q, delta),
+        rmse=_rmse_shrink_given_w(h, q, delta, w),
+        pre_vs_mmse=_pre_shrink_given_w(h, q, delta, w),
     )
 
 
 def report_modified(
     h: float, p: float, q: float, delta1: float, delta2: float
 ) -> RiskReport:
-    bias = bias_modified(h, p, q, delta1, delta2)
+    h, q, delta1, delta2, w = _modified_point(h, p, q, delta1, delta2)
+    bias = _bias_modified_given_w(h, q, delta1, delta2, w)
+    mse = _mse_modified_given_w(h, q, delta1, delta2, w)
     return RiskReport(
         estimator_id="SHRINK_PQ_MODIFIED",
         bias_over_beta=bias,
         arb=abs(bias),
-        rmse=mse_modified(h, p, q, delta1, delta2),
-        pre_vs_mmse=pre_modified(h, p, q, delta1, delta2),
-    )
-
-
-def all_reports(
-    h: float, cfg: ShrinkageConfig, interval: GuessInterval, beta: float
-) -> tuple[RiskReport, RiskReport, RiskReport, RiskReport]:
-    """Risk summaries of all four estimators at a hypothetical true shape."""
-    dep = departures(interval, beta)
-    return (
-        report_unbiased(h),
-        report_mmse(h),
-        report_shrink(h, cfg.p, cfg.q, dep.delta),
-        report_modified(h, cfg.p, cfg.q, dep.delta1, dep.delta2),
+        rmse=mse,
+        pre_vs_mmse=_pre_from_mse(h, mse),
     )

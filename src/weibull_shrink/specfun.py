@@ -1,8 +1,7 @@
 """Special functions needed by the exact risk formulas.
 
-Only three primitives are required: the log-gamma function, ratios of gamma
-functions evaluated in log space, and the regularized lower incomplete gamma
-function
+Only two primitives are required: the log-gamma function and the regularized
+lower incomplete gamma function
 
     P(omega, eta) = (1 / Gamma(omega)) * integral_0^eta u^(omega-1) e^(-u) du.
 
@@ -15,34 +14,12 @@ used here (the test suite checks against adaptive quadrature).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _MACHEP = 1.11022302462515654042e-16
 _BIG = 4.503599627370496e15
 _BIGINV = 2.22044604925031308085e-16
 # exp() underflows to 0 below roughly -745.13; treat anything smaller as 0/1.
 _MIN_LOG = -745.0
-
-
-@dataclass(frozen=True)
-class RegIncGammaArgs:
-    """Validated argument pair for the regularized lower incomplete gamma.
-
-    eta is the upper integration limit (>= 0), omega the shape (> 0).
-    """
-
-    eta: float
-    omega: float
-
-    def __post_init__(self) -> None:
-        eta = float(self.eta)
-        omega = float(self.omega)
-        if not math.isfinite(eta) or eta < 0.0:
-            raise ValueError(f"eta must be finite and >= 0, got {self.eta!r}")
-        if not math.isfinite(omega) or omega <= 0.0:
-            raise ValueError(f"omega must be finite and > 0, got {self.omega!r}")
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "omega", omega)
 
 
 def ln_gamma(x: float) -> float:
@@ -53,22 +30,18 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a) / Gamma(b) for positive a, b, computed in log space.
-
-    Stable for arguments whose individual gamma values would overflow.
-    """
-    return math.exp(ln_gamma(a) - ln_gamma(b))
-
-
 def reg_lower_inc_gamma(eta: float, omega: float) -> float:
     """Regularized lower incomplete gamma P(omega, eta) on [0, 1].
 
     Increasing in eta, decreasing in omega; P(omega, 0) = 0 and
     P(omega, inf) = 1.
     """
-    args = RegIncGammaArgs(eta, omega)
-    eta, omega = args.eta, args.omega
+    eta = float(eta)
+    omega = float(omega)
+    if not math.isfinite(eta) or eta < 0.0:
+        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
+    if not math.isfinite(omega) or omega <= 0.0:
+        raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     if eta == 0.0:
         return 0.0
 

@@ -5,11 +5,18 @@ estimator (efficiency, bias, and the per-block dominance ranges) over nine
 departure rows, and `table_51` evaluates the truncated estimator over seven
 guess intervals. Both take a GridSpec, so arbitrary grids work the same way.
 
+GridSpec is where a grid's input is checked, with every problem reported at
+once; the builders trust it and evaluate the risk kernels directly, with w(p)
+computed once per (p, h).
+
 The audit functions recompute every cell of the embedded printed tables and
 classify disagreements instead of smoothing them over: a cell that reproduces
 only under the source's rounded (sometimes misprinted) weight is an artifact
 of the printing, and anything else outside tolerance is reported as a source
 disagreement with its relative error.
+
+This module also holds the package's one set of CSV and JSON writers, which
+the CLI shares; like the rest of the analytic layer it never imports numpy.
 """
 
 from __future__ import annotations
@@ -21,22 +28,16 @@ import math
 from dataclasses import dataclass
 
 from weibull_shrink import reference_data as ref
+from weibull_shrink.estimators import shrink_weight
 from weibull_shrink.model import BUILTIN_H
 from weibull_shrink.risk import (
     DominanceRange,
-    _arb_range_given_w,
     _bias_shrink_given_w,
-    _mse_modified_given_w,
-    _mse_range_given_w,
+    _nondegenerate_w,
+    _pre_modified_given_w,
     _pre_shrink_given_w,
+    _ranges_given_w,
     admissible_p,
-    arb_dominance_range,
-    arb_shrink,
-    best_range,
-    mse_dominance_range,
-    pre_modified,
-    pre_shrink,
-    rmse_mmse,
 )
 
 DEFAULT_DESIGNS = tuple(sorted((m, h) for (n, m), h in BUILTIN_H.items() if n == 20))
@@ -152,13 +153,6 @@ class TableCell:
             raise ValueError(f"arb must be finite and >= 0, got {self.arb!r}")
 
     def to_dict(self) -> dict:
-        def span(r: DominanceRange | None):
-            if r is None:
-                return None
-            if r.is_empty:
-                return []
-            return [r.lo, r.hi]
-
         return {
             "m": self.m,
             "h": self.h,
@@ -175,6 +169,11 @@ class TableCell:
         }
 
 
+def _weights(spec: GridSpec) -> dict:
+    """w(p) for every (p, h) of a checked grid."""
+    return {(p, h): shrink_weight(p, h) for p in spec.p_values for _, h in spec.h_values}
+
+
 def table_31(spec: GridSpec) -> list:
     """Plain-shrinkage efficiency/bias cells with per-(p,q,m) dominance ranges.
 
@@ -182,6 +181,7 @@ def table_31(spec: GridSpec) -> list:
     mirroring the printed layout; the order is fixed regardless of how cells
     are evaluated.
     """
+    weights = _weights(spec)
     cells = []
     ranges = {}
     for q in spec.q_values:
@@ -191,12 +191,8 @@ def table_31(spec: GridSpec) -> list:
                 for m, h in spec.h_values:
                     key = (p, q, m)
                     if key not in ranges:
-                        ranges[key] = (
-                            mse_dominance_range(h, p, q),
-                            arb_dominance_range(h, p, q),
-                            best_range(h, p, q),
-                        )
-                    r_mse, r_arb, r_best = ranges[key]
+                        ranges[key] = _ranges_given_w(h, q, _nondegenerate_w(p, h))
+                    w = weights[p, h]
                     cells.append(
                         TableCell(
                             m=m,
@@ -206,11 +202,11 @@ def table_31(spec: GridSpec) -> list:
                             delta1=d1,
                             delta2=d2,
                             delta=delta,
-                            pre=pre_shrink(h, p, q, delta),
-                            arb=arb_shrink(h, p, q, delta),
-                            mse_range=r_mse,
-                            arb_range=r_arb,
-                            best=r_best,
+                            pre=_pre_shrink_given_w(h, q, delta, w),
+                            arb=abs(_bias_shrink_given_w(q, delta, w)),
+                            mse_range=ranges[key]["mse"],
+                            arb_range=ranges[key]["arb"],
+                            best=ranges[key]["best"],
                         )
                     )
     return cells
@@ -218,6 +214,7 @@ def table_31(spec: GridSpec) -> list:
 
 def table_51(spec: GridSpec) -> list:
     """Truncated-shrinkage efficiency cells; no bias column, no ranges."""
+    weights = _weights(spec)
     cells = []
     for q in spec.q_values:
         for d1, d2 in spec.delta_rows:
@@ -232,7 +229,7 @@ def table_51(spec: GridSpec) -> list:
                             delta1=d1,
                             delta2=d2,
                             delta=0.5 * (d1 + d2),
-                            pre=pre_modified(h, p, q, d1, d2),
+                            pre=_pre_modified_given_w(h, q, d1, d2, weights[p, h]),
                         )
                     )
     return cells
@@ -247,40 +244,57 @@ CSV_HEADER = [
 ]
 
 
-def _full(x) -> str:
-    if x is None:
+def _full(value) -> str:
+    """One CSV field: empty for None, true/false, floats to 17 digits."""
+    if value is None:
         return ""
-    if isinstance(x, int):
-        return str(x)
-    return format(x, ".17g")
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
 
 
-def _range_fields(r: DominanceRange | None) -> tuple[str, str]:
-    if r is None or r.is_empty:
-        return "", ""
-    return _full(r.lo), _full(r.hi)
+def rows_to_csv(header, rows) -> str:
+    """RFC-4180 CSV with CRLF line ends, every field at full precision."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_full(v) for v in row])
+    return buf.getvalue()
+
+
+def to_json(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+def span(r: DominanceRange | None):
+    """A range as JSON: None when absent, [] when empty, else [lo, hi]."""
+    if r is None:
+        return None
+    return [] if r.is_empty else [r.lo, r.hi]
+
+
+def span_ends(r: DominanceRange | None) -> tuple:
+    """(lo, hi) of a range, or (None, None) when it is absent or empty."""
+    return (None, None) if r is None or r.is_empty else (r.lo, r.hi)
 
 
 def cells_to_csv(cells) -> str:
     """RFC-4180 CSV at full precision; range_lo/range_hi hold the MSE range."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(CSV_HEADER)
-    for c in cells:
-        lo, hi = _range_fields(c.mse_range)
-        blo, bhi = _range_fields(c.best)
-        writer.writerow(
-            [
-                _full(c.m), _full(c.h), _full(c.p), _full(c.q),
-                _full(c.delta1), _full(c.delta2), _full(c.delta),
-                _full(c.pre), _full(c.arb), lo, hi, blo, bhi,
-            ]
-        )
-    return buf.getvalue()
+    return rows_to_csv(
+        CSV_HEADER,
+        (
+            [c.m, c.h, c.p, c.q, c.delta1, c.delta2, c.delta, c.pre, c.arb,
+             *span_ends(c.mse_range), *span_ends(c.best)]
+            for c in cells
+        ),
+    )
 
 
 def cells_to_json(cells) -> str:
-    return json.dumps([c.to_dict() for c in cells], indent=2, allow_nan=False) + "\n"
+    return to_json([c.to_dict() for c in cells])
 
 
 def cells_to_text(cells) -> str:
@@ -293,10 +307,8 @@ def cells_to_text(cells) -> str:
 
     rows = [header]
     for c in cells:
-        lo, hi = (None, None) if c.mse_range is None or c.mse_range.is_empty else (
-            c.mse_range.lo, c.mse_range.hi)
-        blo, bhi = (None, None) if c.best is None or c.best.is_empty else (
-            c.best.lo, c.best.hi)
+        lo, hi = span_ends(c.mse_range)
+        blo, bhi = span_ends(c.best)
         rows.append([str(c.m), f"{c.h:.4f}", f"{c.p:g}", f"{c.q:g}",
                      f"{c.delta1:.4f}", f"{c.delta2:.4f}", f"{c.delta:.4f}",
                      f"{c.pre:.4f}", fmt(c.arb), fmt(lo), fmt(hi), fmt(blo), fmt(bhi)])
@@ -357,8 +369,9 @@ def audit_table_31() -> list:
                 for m in ref.GRID_M:
                     h = _h_for(m)
                     printed_pre, printed_arb = ref.printed_pre_arb(p, q, i, m)
-                    pre = pre_shrink(h, p, q, delta)
-                    arb = arb_shrink(h, p, q, delta)
+                    w = shrink_weight(p, h)
+                    pre = _pre_shrink_given_w(h, q, delta, w)
+                    arb = abs(_bias_shrink_given_w(q, delta, w))
                     rel = abs(pre - printed_pre) / printed_pre
                     err_arb = abs(arb - printed_arb)
                     if rel <= PRE_RTOL_31 and err_arb <= ARB_ATOL_31:
@@ -402,15 +415,12 @@ def audit_table_51() -> list:
                 for m in ref.GRID_M:
                     h = _h_for(m)
                     printed = ref.TABLE_51[(q, p, m)][i]
-                    pre = pre_modified(h, p, q, d1, d2)
+                    pre = _pre_modified_given_w(h, q, d1, d2, shrink_weight(p, h))
                     rel = abs(pre - printed) / printed
                     if rel <= PRE_RTOL_51:
                         status = PASS
                     else:
-                        w_hdr = ref.W_PRINTED[p][m]
-                        pre_hdr = 100.0 * rmse_mmse(h) / _mse_modified_given_w(
-                            h, q, d1, d2, w_hdr
-                        )
+                        pre_hdr = _pre_modified_given_w(h, q, d1, d2, ref.W_PRINTED[p][m])
                         ok_hdr = abs(pre_hdr - printed) / printed <= PRE_RTOL_51
                         status = ARTIFACT if ok_hdr else DISAGREE
                     audits.append(
@@ -437,12 +447,6 @@ def _endpoint_matches(computed: float, printed: float) -> bool:
     return min(abs(computed - printed), abs(truncated - printed)) <= ENDPOINT_ATOL
 
 
-def _ranges_given_w(h: float, q: float, w: float) -> dict:
-    r_mse = _mse_range_given_w(h, q, w)
-    r_arb = _arb_range_given_w(h, q, w)
-    return {"mse": r_mse, "arb": r_arb, "best": r_mse.intersect(r_arb)}
-
-
 def _range_matches(r: DominanceRange, printed: tuple) -> bool:
     return (not r.is_empty) and _endpoint_matches(r.lo, printed[0]) and _endpoint_matches(
         r.hi, printed[1]
@@ -461,11 +465,7 @@ def audit_ranges_31() -> list:
     for (p, q), rec in sorted(ref.RANGES_31.items()):
         for m in ref.GRID_M:
             h = _h_for(m)
-            computed = {
-                "mse": mse_dominance_range(h, p, q),
-                "arb": arb_dominance_range(h, p, q),
-                "best": best_range(h, p, q),
-            }
+            computed = _ranges_given_w(h, q, _nondegenerate_w(p, h))
             with_header_w = _ranges_given_w(h, q, ref.W_PRINTED[p][m])
             for kind in ("mse", "arb", "best"):
                 printed = rec[kind][m]

@@ -239,13 +239,15 @@ def test_criterion_6_simulation_matches_analytic_risk(criterion_report):
             n=20,
             m=m,
         )
-        ids = ["UNBIASED", "MMSE", "SHRINK_PQ"]
+        estimators = {
+            "UNBIASED": mc.unbiased_estimator(h),
+            "MMSE": mc.mmse_estimator(h),
+            "SHRINK_PQ": mc.shrink_estimator(h, interval, cfg),
+        }
         if d2 > d1:
-            ids.append("SHRINK_PQ_MODIFIED")
-        for estimator_id in ids:
-            emp = mc.empirical_risk(
-                plan, mc.estimator_for(estimator_id, h, interval, cfg), h=h
-            )
+            estimators["SHRINK_PQ_MODIFIED"] = mc.truncated_estimator(h, interval, cfg)
+        for estimator_id, estimator in estimators.items():
+            emp = mc.empirical_risk(plan, estimator, h=h)
             bias_ref, mse_ref = _analytic_risk(estimator_id, h, p, q, d1, d2)
             z_bias = abs(emp.bias - bias_ref) / (emp.se_mean / beta)
             z_mse = abs(emp.mse - mse_ref) / emp.se_mse
@@ -288,7 +290,7 @@ def test_criterion_7_unbiasedness_identities(criterion_report):
         n=20,
         m=6,
     )
-    emp = mc.empirical_risk(plan, mc.estimator_for("UNBIASED", h), h=h)
+    emp = mc.empirical_risk(plan, mc.unbiased_estimator(h), h=h)
     z_unbiased = abs(emp.mean - beta) / emp.se_mean
 
     # E[delta_hat] = midpoint/beta, since E[t] = h/beta

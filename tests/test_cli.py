@@ -128,6 +128,18 @@ def test_estimate_flag_problems_exit_2(capsys, argv):
     assert err != ""
 
 
+def test_estimate_t_needs_m_when_h_is_not_built_in(capsys):
+    args = ("estimate", "--t", "5", "--h", "33.3", "--beta1", "1", "--beta2", "2",
+            "--p", "1", "--q", "0.5", "--format", "json")
+    code, out, err = run(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert "--m" in err
+    code, out, err = run(capsys, *args, "--m", "14")
+    assert code == 0, err
+    assert json.loads(out)["m"] == 14
+
+
 def test_estimate_data_needs_n(tmp_path, capsys):
     f = tmp_path / "times.dat"
     f.write_text("1.0\n2.0\n")
@@ -311,6 +323,24 @@ def test_risk_flag_problems_exit_2(capsys, argv):
     assert code == 2, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("risk", "--h", "20", "--p", "1", "--q", "0.5",
+         "--delta1", "1e-300", "--delta2", "1e300", "--modified"),
+        ("risk", "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1e300"),
+        ("mc", "verify", "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1e300",
+         "--reps", "2000"),
+    ],
+)
+def test_overflow_exits_2_without_traceback(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_risk_inadmissible_p_exits_3(capsys):
     code, _, _ = run(capsys, "risk", "--h", H6, "--p", "0", "--q", "0.5", "--delta", "1")
     assert code == 3
@@ -479,6 +509,23 @@ def test_mc_verify_without_pair_checks_three_estimators(capsys):
     assert all(d["status"] == "PASS" for d in data)
 
 
+def test_mc_verify_passes_when_every_replicate_is_clamped(capsys):
+    # the truncated estimator is clamped on every replicate here, so its SE
+    # is 0 up to rounding; the analytic values still agree to six decimals
+    code, out, err = run(
+        capsys, "mc", "verify", "--h", "20.8442", "--p", "0.9019", "--q", "0.391",
+        "--delta1", "0.2361", "--delta2", "0.274", "--m", "10", "--seed", "3",
+        "--reps", "1000", "--format", "json",
+    )
+    assert code == 0, (out, err)
+    rows = {(d["estimator"], d["metric"]): d for d in json.loads(out)}
+    for metric in ("bias", "mse"):
+        row = rows["SHRINK_PQ_MODIFIED", metric]
+        assert row["three_se"] < 1e-8
+        assert row["status"] == "PASS"
+        assert row["empirical"] == pytest.approx(row["analytic"], abs=1e-6)
+
+
 def test_mc_verify_small_reps_exit_2(capsys):
     code, _, err = run(
         capsys, "mc", "verify", "--h", H6, "--p", "1", "--q", "0.5",
@@ -509,3 +556,116 @@ def test_mc_verify_bad_q_exit_2_bad_p_exit_3(capsys):
         "--delta", "2.0", "--reps", "2000",
     )
     assert code == 3
+
+
+# --- bad input: every rejection has a fixed exit code and prints nothing ------
+
+_EST = ("--beta1", "1", "--beta2", "2")
+_VER = ("mc", "verify", "--reps", "2000")
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        # risk: each bad flag alone, then bad flags paired with p = 0
+        (2, ("risk", "--h", "4", "--p", "1", "--q", "0.5", "--delta", "1")),
+        (2, ("risk", "--h", "nan", "--p", "1", "--q", "0.5", "--delta", "1")),
+        (3, ("risk", "--h", H6, "--p", "nan", "--q", "0.5", "--delta", "1")),
+        (3, ("risk", "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "1")),
+        (2, ("risk", "--h", H6, "--p", "1", "--q", "0", "--delta", "1")),
+        (2, ("risk", "--h", H6, "--p", "1", "--q", "inf", "--delta", "1")),
+        (2, ("risk", "--h", H6, "--p", "1", "--q", "0.5", "--delta", "-1")),
+        (2, ("risk", "--h", H6, "--p", "1", "--q", "0.5",
+             "--delta1", "0", "--delta2", "1", "--modified")),
+        (2, ("risk", "--h", H6, "--p", "1", "--q", "0.5",
+             "--delta1", "1.2", "--delta2", "0.8", "--modified")),
+        (2, ("risk", "--h", H6, "--p", "1", "--q", "0.5", "--delta2", "0.8")),
+        (2, ("risk", "--h", "3", "--p", "0", "--q", "0.5", "--delta", "1")),
+        (2, ("risk", "--h", "3", "--p", "-6", "--q", "0.5", "--delta", "1")),
+        (2, ("risk", "--h", H6, "--p", "0", "--q", "0", "--delta", "1")),
+        (2, ("risk", "--h", H6, "--p", "-6", "--q", "0", "--delta", "1")),
+        (2, ("risk", "--h", H6, "--p", "0", "--q", "0.5", "--delta", "-1")),
+        (3, ("risk", "--h", H6, "--p", "0", "--q", "0.5",
+             "--delta1", "1.2", "--delta2", "0.8", "--modified")),
+        # dominance
+        (2, ("dominance", "--h", "4", "--p", "1", "--q", "0.5")),
+        (2, ("dominance", "--h", "inf", "--p", "1", "--q", "0.5")),
+        (3, ("dominance", "--h", H6, "--p", "-3", "--q", "0.5")),
+        (3, ("dominance", "--h", H6, "--p", "1e-300", "--q", "0.5")),
+        (2, ("dominance", "--h", H6, "--p", "1", "--q", "-0.5")),
+        (2, ("dominance", "--h", "3", "--p", "0", "--q", "0.5")),
+        (2, ("dominance", "--h", "3", "--p", "-6", "--q", "0.5")),
+        (2, ("dominance", "--h", H6, "--p", "0", "--q", "0")),
+        (2, ("dominance", "--h", H6, "--p", "-6", "--q", "0")),
+        # table
+        (3, ("table", "31", "--design", "6:nan")),
+        (3, ("table", "51", "--design", "6:5")),
+        (3, ("table", "31", "--rows", "1.2:0.8")),
+        (3, ("table", "51", "--rows", "0:1")),
+        (3, ("table", "31", "--m", "7")),
+        (3, ("table", "31", "--p", "0")),
+        (3, ("table", "51", "--q", "2")),
+        (2, ("table", "31", "--design", "x")),
+        (2, ("table", "41")),
+        # estimate --t
+        (2, ("estimate", "--t", "0", "--h", H6, *_EST, "--p", "1", "--q", "0.5")),
+        (2, ("estimate", "--t", "nan", "--h", H6, *_EST, "--p", "1", "--q", "0.5")),
+        (2, ("estimate", "--t", "5", "--h", "nan", *_EST, "--p", "1", "--q", "0.5")),
+        (2, ("estimate", "--t", "5", "--h", H6, "--m", "1", *_EST, "--p", "1", "--q", "0.5")),
+        (2, ("estimate", "--t", "5", "--h", H6, "--m", "21", *_EST, "--p", "1", "--q", "0.5")),
+        (2, ("estimate", "--t", "5", "--h", H6, "--n", "0", "--m", "6", *_EST,
+             "--p", "1", "--q", "0.5")),
+        (2, ("estimate", "--t", "5", "--h", H6, "--beta1", "-1", "--beta2", "2",
+             "--p", "1", "--q", "0.5")),
+        (2, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "nan", "--q", "0.5")),
+        (3, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "-6", "--q", "0.5")),
+        (2, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "1", "--q", "0")),
+        (2, ("estimate", "--t", "5", "--h", "3", "--m", "6", *_EST, "--p", "0", "--q", "0.5")),
+        (2, ("estimate", "--t", "0", "--h", H6, *_EST, "--p", "0", "--q", "0.5")),
+        (2, ("estimate", "--t", "0", "--h", H6, *_EST, "--p", "-6", "--q", "0.5")),
+        (2, ("estimate", "--t", "5", "--h", H6, "--beta1", "-1", "--beta2", "2",
+             "--p", "0", "--q", "0.5")),
+        (2, ("estimate", "--t", "5", "--h", H6, "--beta1", "-1", "--beta2", "2",
+             "--p", "-6", "--q", "0.5")),
+        (2, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "-6", "--q", "0")),
+        (3, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "0", "--q", "1.5")),
+        # mc verify
+        (2, (*_VER, "--h", "3", "--p", "1", "--q", "0.5", "--delta", "1")),
+        (2, (*_VER, "--h", "2", "--p", "1", "--q", "0.5", "--delta", "1")),
+        (2, (*_VER, "--h", H6, "--p", "nan", "--q", "0.5", "--delta", "1")),
+        (3, (*_VER, "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "1")),
+        (2, (*_VER, "--h", H6, "--p", "1", "--q", "0", "--delta", "1")),
+        (2, (*_VER, "--h", H6, "--p", "1", "--q", "0.5", "--delta", "0")),
+        (2, (*_VER, "--h", H6, "--p", "1", "--q", "0.5", "--delta1", "1.2", "--delta2", "0.8")),
+        (2, (*_VER, "--h", H6, "--p", "1", "--q", "0.5", "--delta1", "0.8")),
+        (2, (*_VER, "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1", "--m", "1")),
+        (2, (*_VER, "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1", "--m", "21")),
+        (2, (*_VER, "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1", "--seed", "-1")),
+        (2, ("mc", "verify", "--h", H6, "--p", "0", "--q", "0.5", "--delta", "1",
+             "--reps", "500")),
+        (3, (*_VER, "--h", "3", "--p", "0", "--q", "0.5", "--delta", "1")),
+        (3, (*_VER, "--h", "3", "--p", "-3", "--q", "0.5", "--delta", "1")),
+        (2, (*_VER, "--h", "2", "--p", "-0.1", "--q", "0.5", "--delta", "1")),
+        (3, (*_VER, "--h", H6, "--p", "0", "--q", "0", "--delta", "1")),
+        (3, (*_VER, "--h", H6, "--p", "0", "--q", "0.5", "--delta", "0")),
+        (3, (*_VER, "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "0")),
+        (3, (*_VER, "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "1", "--m", "1")),
+        (3, (*_VER, "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "1", "--seed", "-1")),
+        # mc estimate-k / estimate-h
+        (2, ("mc", "estimate-k", "--n", "20", "--m", "1", "--reps", "1000")),
+        (2, ("mc", "estimate-k", "--n", "5", "--m", "6", "--reps", "1000")),
+        (2, ("mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "1")),
+        (2, ("mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "1000", "--seed", "-1")),
+        (2, ("mc", "estimate-h", "--n", "20", "--m", "1", "--reps", "1000")),
+        (2, ("mc", "estimate-h", "--n", "5", "--m", "6", "--reps", "1000")),
+        (2, ("mc", "estimate-h", "--n", "20", "--m", "6", "--reps", "0")),
+        (2, ("mc", "estimate-h", "--n", "20", "--m", "6", "--reps", "1000", "--seed", "-1")),
+        (2, ("mc", "estimate-h", "--n", "5", "--m", "1", "--reps", "1")),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
+)
+def test_bad_input_exit_code(capsys, code, argv):
+    got, out, err = run(capsys, *argv)
+    assert got == code, err
+    assert out == ""
+    assert err != ""

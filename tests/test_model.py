@@ -1,6 +1,5 @@
 """Validation and serialization behaviour of the shared value types."""
 
-import json
 import math
 
 import pytest
@@ -243,30 +242,6 @@ def test_departures_rejects_bad_beta():
         departures(GuessInterval(1.0, 2.0), beta=0.0)
     with pytest.raises(ValueError):
         departures(GuessInterval(1.0, 2.0), beta=-3.0)
-
-
-@pytest.mark.parametrize(
-    "obj",
-    [
-        WeibullParams(alpha=1.5, beta=0.8),
-        CensoredSample(n=20, observations=(0.5, 1.0, 2.5)),
-        PivotalContext(n=20, m=6, h=10.8519, t=8.8519),
-        GuessInterval(3.8, 4.2),
-        ShrinkageConfig(p=-1.0, q=0.25),
-        RiskReport(
-            estimator_id="MMSE",
-            bias_over_beta=-0.2259,
-            arb=0.2259,
-            rmse=0.2259,
-            pre_vs_mmse=100.0,
-        ),
-    ],
-)
-def test_dict_round_trip(obj):
-    d = obj.to_dict()
-    # must survive JSON, since the CLI serializes these
-    d2 = json.loads(json.dumps(d))
-    assert type(obj).from_dict(d2) == obj
 
 
 def test_frozen():

@@ -28,9 +28,7 @@ from weibull_shrink.montecarlo import (
     empirical_risk,
     estimate_bain_constant,
     estimate_degrees_of_freedom,
-    estimator_for,
     mmse_estimator,
-    pivotal_context_from_sample,
     sample_t,
     sample_weibull,
     shrink_estimator,
@@ -71,7 +69,7 @@ def test_empirical_risk_validation():
     with pytest.raises(ValueError):
         EmpiricalRisk(mean=math.nan, bias=0.0, mse=0.1, se_mean=0.01, se_mse=0.01, replicates=100)
     r = EmpiricalRisk(mean=1.0, bias=0.0, mse=0.1, se_mean=0.01, se_mse=0.01, replicates=100)
-    assert r.to_dict()["replicates"] == 100
+    assert r.replicates == 100
 
 
 # --- determinism ------------------------------------------------------------
@@ -212,23 +210,6 @@ def test_vectorized_truncation_ties_match_scalar():
         assert got == pytest.approx(want, rel=1e-14)
 
 
-def test_estimator_for_dispatch():
-    t = np.array([5.0, 9.0])
-    assert np.array_equal(estimator_for("UNBIASED", H6)(t), unbiased_estimator(H6)(t))
-    assert np.array_equal(estimator_for("MMSE", H6)(t), mmse_estimator(H6)(t))
-    assert np.array_equal(
-        estimator_for("SHRINK_PQ", H6, IV, CFG)(t), shrink_estimator(H6, IV, CFG)(t)
-    )
-    assert np.array_equal(
-        estimator_for("SHRINK_PQ_MODIFIED", H6, IV, CFG)(t),
-        truncated_estimator(H6, IV, CFG)(t),
-    )
-    with pytest.raises(ValueError):
-        estimator_for("SHRINK_PQ", H6)  # missing interval and config
-    with pytest.raises(ValueError):
-        estimator_for("JAMES_STEIN", H6)
-
-
 # --- design constants by simulation -----------------------------------------
 
 
@@ -257,10 +238,3 @@ def test_degrees_of_freedom_tracks_builtin_table():
         assert abs(h - builtin) < 4.0 * se, (m, h, builtin, se)
     # more failures observed -> more information -> larger h
     assert got[6] < got[8] < got[10] < got[12]
-
-
-def test_pivotal_context_from_sample():
-    ctx = pivotal_context_from_sample(8.8519, 20, 6)
-    assert ctx.h == H6
-    ctx = pivotal_context_from_sample(5.0, 25, 6, h=9.7)
-    assert ctx.h == 9.7

@@ -255,8 +255,6 @@ def test_admissible_p_helper():
     assert not risk.admissible_p(0.0, H6)
     assert not risk.admissible_p(-0.1, H6)
     assert not risk.admissible_p(-3.0, H6)
-    with pytest.raises(InadmissibleParameterError):
-        risk.require_admissible_p(0.0, H6)
 
 
 # --- truncated estimator risks ----------------------------------------------
@@ -374,17 +372,24 @@ def test_report_builders():
     assert r.rmse == pytest.approx(0.041122780155689265, rel=1e-12)
 
 
-def test_all_reports():
-    reports = risk.all_reports(
-        H6, ShrinkageConfig(p=-1.0, q=0.25), GuessInterval(3.8, 4.2), beta=1.0
-    )
-    assert [r.estimator_id for r in reports] == [
-        "UNBIASED",
-        "MMSE",
-        "SHRINK_PQ",
-        "SHRINK_PQ_MODIFIED",
-    ]
-    # shrink report evaluated at delta = midpoint / beta = 4
-    assert reports[2].pre_vs_mmse == pytest.approx(
-        risk.pre_shrink(H6, -1.0, 0.25, 4.0), rel=1e-14
-    )
+def test_composite_risks_evaluate_once(monkeypatch):
+    calls = {"P": 0, "w": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(risk, "reg_lower_inc_gamma", counted("P", risk.reg_lower_inc_gamma))
+    monkeypatch.setattr(risk, "shrink_weight", counted("w", risk.shrink_weight))
+    for fn, args, want in (
+        (risk.report_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 10, "w": 1}),
+        (risk.pre_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 6, "w": 1}),
+        (risk.report_shrink, (H6, -1.0, 0.25, 4.0), {"P": 0, "w": 1}),
+        (risk.best_range, (H6, -2.0, 0.25), {"P": 0, "w": 1}),
+    ):
+        calls.update(P=0, w=0)
+        fn(*args)
+        assert calls == want, fn.__name__

@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from weibull_shrink.specfun import (
-    RegIncGammaArgs,
-    gamma_ratio,
     ln_gamma,
     reg_lower_inc_gamma,
 )
@@ -138,11 +136,13 @@ def test_reg_lower_inc_gamma_in_unit_interval(eta, omega):
 
 def test_reg_inc_gamma_args_validation():
     with pytest.raises(ValueError):
-        RegIncGammaArgs(eta=-0.1, omega=1.0)
+        reg_lower_inc_gamma(-0.1, 1.0)
     with pytest.raises(ValueError):
-        RegIncGammaArgs(eta=1.0, omega=0.0)
+        reg_lower_inc_gamma(1.0, 0.0)
     with pytest.raises(ValueError):
-        RegIncGammaArgs(eta=float("nan"), omega=1.0)
+        reg_lower_inc_gamma(float("nan"), 1.0)
+    with pytest.raises(ValueError):
+        reg_lower_inc_gamma(1.0, float("inf"))
     with pytest.raises(ValueError):
         reg_lower_inc_gamma(-1.0, 2.0)
     with pytest.raises(ValueError):
@@ -176,34 +176,3 @@ def test_ln_gamma_domain():
     for bad in (0.0, -1.0, -0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ln_gamma(bad)
-
-
-def test_gamma_ratio_identities():
-    assert gamma_ratio(3.7, 3.7) == 1.0
-    # Gamma(x+1)/Gamma(x) = x
-    x = 5.42595
-    assert gamma_ratio(x + 1.0, x) == pytest.approx(x, rel=1e-14)
-    # Gamma(3.42595)/Gamma(1.42595) = 2.42595 * 1.42595
-    assert gamma_ratio(3.42595, 1.42595) == pytest.approx(3.4592834025, rel=1e-13)
-
-
-def test_gamma_ratio_large_arguments():
-    # Individual gamma values overflow well before 500; the ratio must not.
-    assert gamma_ratio(500.3, 500.1) == pytest.approx(3.4653083400440101, rel=1e-12)
-
-
-@given(
-    a=st.floats(min_value=0.2, max_value=60.0),
-    b=st.floats(min_value=0.2, max_value=60.0),
-)
-@settings(max_examples=100, deadline=None)
-def test_gamma_ratio_reciprocal(a, b):
-    prod = gamma_ratio(a, b) * gamma_ratio(b, a)
-    assert abs(prod - 1.0) <= 1e-12
-
-
-def test_gamma_ratio_domain():
-    with pytest.raises(ValueError):
-        gamma_ratio(0.0, 1.0)
-    with pytest.raises(ValueError):
-        gamma_ratio(1.0, -2.0)

@@ -9,7 +9,11 @@ in these numbers means either the formulas or the embedded data moved.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -370,3 +374,17 @@ def test_diff_report_without_ranges(a51):
     report = format_diff_report(a51)
     assert "range summary" not in report
     assert "106 source disagreements; 70 flagged cells off by more than 5%" in report
+
+
+def test_analytic_layer_does_not_import_numpy():
+    # the analytic layer must stay usable, and cheap to import, without numpy
+    code = (
+        "import sys\n"
+        "import weibull_shrink.model, weibull_shrink.specfun, weibull_shrink.estimators\n"
+        "import weibull_shrink.risk, weibull_shrink.reference_data, weibull_shrink.tables\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
+    )
+    src = Path(tables.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

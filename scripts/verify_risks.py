@@ -10,23 +10,8 @@ import argparse
 import sys
 
 from weibull_shrink import cli
+from weibull_shrink.reference_data import MC_POINTS
 from weibull_shrink.tables import DEFAULT_DESIGNS
-
-# (m, p, q, delta1, delta2) -- same points the acceptance suite freezes
-POINTS = (
-    (6, -2.0, 0.25, 0.15, 0.15),
-    (8, -1.0, 0.25, 1.0, 1.0),
-    (10, 1.0, 0.5, 2.0, 2.0),
-    (12, 2.0, 0.75, 2.5, 2.5),
-    (6, 1.0, 0.5, 4.0, 4.0),
-    (8, 2.0, 0.25, 0.5, 0.5),
-    (6, -2.0, 0.25, 0.2, 0.3),
-    (8, -1.0, 0.5, 0.8, 1.2),
-    (10, 1.0, 0.5, 1.0, 1.5),
-    (12, 2.0, 0.75, 1.0, 1.5),
-    (6, -1.0, 0.25, 0.4, 0.6),
-    (10, -2.0, 0.75, 1.5, 2.0),
-)
 
 
 def main(argv=None) -> int:
@@ -37,7 +22,7 @@ def main(argv=None) -> int:
 
     designs = dict(DEFAULT_DESIGNS)
     failed = 0
-    for m, p, q, d1, d2 in POINTS:
+    for m, p, q, d1, d2 in MC_POINTS:
         call = [
             "mc",
             "verify",
@@ -58,7 +43,7 @@ def main(argv=None) -> int:
             call += ["--delta1", repr(d1), "--delta2", repr(d2)]
         print(f"== m={m} p={p:g} q={q:g} rows ({d1:g}, {d2:g})")
         failed += cli.main(call) != 0
-    print(f"{len(POINTS) - failed}/{len(POINTS)} points passed")
+    print(f"{len(MC_POINTS) - failed}/{len(MC_POINTS)} points passed")
     return 1 if failed else 0
 
 

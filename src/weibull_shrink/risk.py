@@ -12,9 +12,16 @@ admissibility of p, and computes w(p) once. The formulas themselves are the
 `_given_w` kernels, which take the weight as an argument and trust their
 inputs. Composite functions (`pre_modified`, `best_range`, `report_shrink`,
 `report_modified`) call the kernels rather than other public functions, so
-nothing is checked or computed twice. The table builders and the
-printed-table audit call the kernels too, the audit under the source's
-rounded weights.
+nothing is checked or computed twice.
+
+The truncated estimator's risks are split in two. `_interval_terms` evaluates
+the incomplete-gamma values P(h/2 - j, (h/2 - 1)/delta_i), j = 0, 1, 2, which
+depend only on (h, delta1, delta2) and carry nearly all of the cost. The
+`_given_terms` kernels are the cheap polynomials in q and w that take those
+values as an argument. A caller evaluates the terms once per guess interval
+and design: `report_modified` shares them between bias and MSE, and the table
+builders and the printed-table audit (the latter also under the source's
+rounded weights) key them by (h, delta1, delta2) before their cell loops.
 """
 
 from __future__ import annotations
@@ -231,16 +238,25 @@ def best_range(h: float, p: float, q: float) -> DominanceRange:
 # power of 1/t under the expectation.
 
 
-def _bias_modified_given_w(
-    h: float, q: float, delta1: float, delta2: float, w: float
-) -> float:
-    delta = 0.5 * (delta1 + delta2)
+def _interval_terms(h: float, delta1: float, delta2: float, depth: int = 3) -> tuple:
+    """P(h/2 - j, eta_i) for j < depth, as (i1_full, i2_full, i1_down, i2_down,
+    i1_dd, i2_dd) cut to 2 * depth entries.
+
+    These depend only on (h, delta1, delta2); the bias needs depth 2 and the
+    MSE depth 3, whose last shape argument h/2 - 2 needs h > 4.
+    """
     eta1 = (h / 2.0 - 1.0) / delta1
     eta2 = (h / 2.0 - 1.0) / delta2
-    i1_full = reg_lower_inc_gamma(eta1, h / 2.0)
-    i2_full = reg_lower_inc_gamma(eta2, h / 2.0)
-    i1_down = reg_lower_inc_gamma(eta1, h / 2.0 - 1.0)
-    i2_down = reg_lower_inc_gamma(eta2, h / 2.0 - 1.0)
+    return tuple(
+        reg_lower_inc_gamma(eta, h / 2.0 - j) for j in range(depth) for eta in (eta1, eta2)
+    )
+
+
+def _bias_modified_given_terms(
+    q: float, delta1: float, delta2: float, w: float, terms: tuple
+) -> float:
+    delta = 0.5 * (delta1 + delta2)
+    i1_full, i2_full, i1_down, i2_down = terms[:4]
     return (
         delta1 * (1.0 - i1_full)
         + w * (i1_down - i2_down)
@@ -250,19 +266,12 @@ def _bias_modified_given_w(
     )
 
 
-def _mse_modified_given_w(
-    h: float, q: float, delta1: float, delta2: float, w: float
+def _mse_modified_given_terms(
+    h: float, q: float, delta1: float, delta2: float, w: float, terms: tuple
 ) -> float:
     delta = 0.5 * (delta1 + delta2)
     pull = q * delta * (1.0 - w)
-    eta1 = (h / 2.0 - 1.0) / delta1
-    eta2 = (h / 2.0 - 1.0) / delta2
-    i1_full = reg_lower_inc_gamma(eta1, h / 2.0)
-    i2_full = reg_lower_inc_gamma(eta2, h / 2.0)
-    i1_down = reg_lower_inc_gamma(eta1, h / 2.0 - 1.0)
-    i2_down = reg_lower_inc_gamma(eta2, h / 2.0 - 1.0)
-    i1_dd = reg_lower_inc_gamma(eta1, h / 2.0 - 2.0)
-    i2_dd = reg_lower_inc_gamma(eta2, h / 2.0 - 2.0)
+    i1_full, i2_full, i1_down, i2_down, i1_dd, i2_dd = terms
     return (
         (delta1 - 1.0) ** 2
         - delta1 * (delta1 - 2.0) * i1_full
@@ -278,10 +287,10 @@ def _pre_from_mse(h: float, mse: float) -> float:
     return 100.0 * (2.0 / (h - 2.0)) / mse
 
 
-def _pre_modified_given_w(
-    h: float, q: float, delta1: float, delta2: float, w: float
+def _pre_modified_given_terms(
+    h: float, q: float, delta1: float, delta2: float, w: float, terms: tuple
 ) -> float:
-    return _pre_from_mse(h, _mse_modified_given_w(h, q, delta1, delta2, w))
+    return _pre_from_mse(h, _mse_modified_given_terms(h, q, delta1, delta2, w, terms))
 
 
 def _modified_point(
@@ -301,21 +310,25 @@ def bias_modified(
     h: float, p: float, q: float, delta1: float, delta2: float
 ) -> float:
     """Signed relative bias of the truncated shrinkage estimator."""
-    return _bias_modified_given_w(*_modified_point(h, p, q, delta1, delta2, h_min=2.0))
+    h, q, delta1, delta2, w = _modified_point(h, p, q, delta1, delta2, h_min=2.0)
+    terms = _interval_terms(h, delta1, delta2, depth=2)
+    return _bias_modified_given_terms(q, delta1, delta2, w, terms)
 
 
 def mse_modified(
     h: float, p: float, q: float, delta1: float, delta2: float
 ) -> float:
     """Relative MSE of the truncated shrinkage estimator."""
-    return _mse_modified_given_w(*_modified_point(h, p, q, delta1, delta2))
+    h, q, delta1, delta2, w = _modified_point(h, p, q, delta1, delta2)
+    return _mse_modified_given_terms(h, q, delta1, delta2, w, _interval_terms(h, delta1, delta2))
 
 
 def pre_modified(
     h: float, p: float, q: float, delta1: float, delta2: float
 ) -> float:
     """Efficiency of the truncated estimator relative to (h - 4)/t, percent."""
-    return _pre_modified_given_w(*_modified_point(h, p, q, delta1, delta2))
+    h, q, delta1, delta2, w = _modified_point(h, p, q, delta1, delta2)
+    return _pre_modified_given_terms(h, q, delta1, delta2, w, _interval_terms(h, delta1, delta2))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +372,9 @@ def report_modified(
     h: float, p: float, q: float, delta1: float, delta2: float
 ) -> RiskReport:
     h, q, delta1, delta2, w = _modified_point(h, p, q, delta1, delta2)
-    bias = _bias_modified_given_w(h, q, delta1, delta2, w)
-    mse = _mse_modified_given_w(h, q, delta1, delta2, w)
+    terms = _interval_terms(h, delta1, delta2)
+    bias = _bias_modified_given_terms(q, delta1, delta2, w, terms)
+    mse = _mse_modified_given_terms(h, q, delta1, delta2, w, terms)
     return RiskReport(
         estimator_id="SHRINK_PQ_MODIFIED",
         bias_over_beta=bias,

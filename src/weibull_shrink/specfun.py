@@ -7,8 +7,14 @@ lower incomplete gamma function
 
 ``P`` is evaluated with the classical split: a power series around eta = 0 for
 eta < omega + 1, and a Lentz-style continued fraction for the complementary
-function otherwise. Both converge to machine precision on the parameter ranges
-used here (the test suite checks against adaptive quadrature).
+function otherwise. The prefactor exp(omega ln eta - eta - lnGamma(omega))
+loses digits to cancellation as omega grows, and both loops need more terms,
+so ``P`` accepts omega only up to ``OMEGA_MAX`` = 1e4. Measured against a
+40-digit mpmath series at 600 points with eta within 15 standard deviations
+of omega, the absolute error is at most 6.3e-13 for omega <= 2000 and 4.5e-12
+for omega <= 1e4. Beyond the bound it grows about in proportion to omega
+(5e-11 near 1e5, relative 1e-9 at 1e6), and near omega = 5e15 the series runs
+for more than 20 s. The test suite also checks against adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ _BIG = 4.503599627370496e15
 _BIGINV = 2.22044604925031308085e-16
 # exp() underflows to 0 below roughly -745.13; treat anything smaller as 0/1.
 _MIN_LOG = -745.0
+# Largest omega accepted by reg_lower_inc_gamma: its absolute error stays
+# within 5e-12 up to here (see the module docstring).
+OMEGA_MAX = 1e4
 
 
 def ln_gamma(x: float) -> float:
@@ -34,7 +43,7 @@ def reg_lower_inc_gamma(eta: float, omega: float) -> float:
     """Regularized lower incomplete gamma P(omega, eta) on [0, 1].
 
     Increasing in eta, decreasing in omega; P(omega, 0) = 0 and
-    P(omega, inf) = 1.
+    P(omega, inf) = 1. Requires 0 < omega <= OMEGA_MAX.
     """
     eta = float(eta)
     omega = float(omega)
@@ -42,6 +51,11 @@ def reg_lower_inc_gamma(eta: float, omega: float) -> float:
         raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
     if not math.isfinite(omega) or omega <= 0.0:
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
+    if omega > OMEGA_MAX:
+        raise ValueError(
+            f"omega must be <= {OMEGA_MAX:g}, the accuracy bound of P(omega, eta), "
+            f"got {omega!r}"
+        )
     if eta == 0.0:
         return 0.0
 

@@ -7,7 +7,8 @@ guess intervals. Both take a GridSpec, so arbitrary grids work the same way.
 
 GridSpec is where a grid's input is checked, with every problem reported at
 once; the builders trust it and evaluate the risk kernels directly, with w(p)
-computed once per (p, h).
+computed once per (p, h) and the truncated estimator's incomplete-gamma terms
+once per (h, delta1, delta2).
 
 The audit functions recompute every cell of the embedded printed tables and
 classify disagreements instead of smoothing them over: a cell that reproduces
@@ -33,8 +34,9 @@ from weibull_shrink.model import BUILTIN_H
 from weibull_shrink.risk import (
     DominanceRange,
     _bias_shrink_given_w,
+    _interval_terms,
     _nondegenerate_w,
-    _pre_modified_given_w,
+    _pre_modified_given_terms,
     _pre_shrink_given_w,
     _ranges_given_w,
     admissible_p,
@@ -174,8 +176,13 @@ def _weights(spec: GridSpec) -> dict:
     return {(p, h): shrink_weight(p, h) for p in spec.p_values for _, h in spec.h_values}
 
 
+def _terms(designs, rows) -> dict:
+    """The truncated estimator's incomplete-gamma terms for every (h, delta1, delta2)."""
+    return {(h, d1, d2): _interval_terms(h, d1, d2) for _, h in designs for d1, d2 in rows}
+
+
 def table_31(spec: GridSpec) -> list:
-    """Plain-shrinkage efficiency/bias cells with per-(p,q,m) dominance ranges.
+    """Plain-shrinkage efficiency/bias cells with per-(p,q,h) dominance ranges.
 
     Iteration order is q outermost, then departure row, then p, then design,
     mirroring the printed layout; the order is fixed regardless of how cells
@@ -189,7 +196,7 @@ def table_31(spec: GridSpec) -> list:
             delta = 0.5 * (d1 + d2)
             for p in spec.p_values:
                 for m, h in spec.h_values:
-                    key = (p, q, m)
+                    key = (p, q, h)
                     if key not in ranges:
                         ranges[key] = _ranges_given_w(h, q, _nondegenerate_w(p, h))
                     w = weights[p, h]
@@ -215,6 +222,7 @@ def table_31(spec: GridSpec) -> list:
 def table_51(spec: GridSpec) -> list:
     """Truncated-shrinkage efficiency cells; no bias column, no ranges."""
     weights = _weights(spec)
+    terms = _terms(spec.h_values, spec.delta_rows)
     cells = []
     for q in spec.q_values:
         for d1, d2 in spec.delta_rows:
@@ -229,7 +237,9 @@ def table_51(spec: GridSpec) -> list:
                             delta1=d1,
                             delta2=d2,
                             delta=0.5 * (d1 + d2),
-                            pre=_pre_modified_given_w(h, q, d1, d2, weights[p, h]),
+                            pre=_pre_modified_given_terms(
+                                h, q, d1, d2, weights[p, h], terms[h, d1, d2]
+                            ),
                         )
                     )
     return cells
@@ -408,6 +418,7 @@ def audit_table_31() -> list:
 
 def audit_table_51() -> list:
     """Classify every printed efficiency cell of the truncated-estimator table."""
+    terms = _terms(DEFAULT_DESIGNS, ref.TABLE_51_INTERVALS)
     audits = []
     for q in ref.GRID_Q:
         for i, (d1, d2) in enumerate(ref.TABLE_51_INTERVALS):
@@ -415,12 +426,15 @@ def audit_table_51() -> list:
                 for m in ref.GRID_M:
                     h = _h_for(m)
                     printed = ref.TABLE_51[(q, p, m)][i]
-                    pre = _pre_modified_given_w(h, q, d1, d2, shrink_weight(p, h))
+                    cell_terms = terms[h, d1, d2]
+                    pre = _pre_modified_given_terms(h, q, d1, d2, shrink_weight(p, h), cell_terms)
                     rel = abs(pre - printed) / printed
                     if rel <= PRE_RTOL_51:
                         status = PASS
                     else:
-                        pre_hdr = _pre_modified_given_w(h, q, d1, d2, ref.W_PRINTED[p][m])
+                        pre_hdr = _pre_modified_given_terms(
+                            h, q, d1, d2, ref.W_PRINTED[p][m], cell_terms
+                        )
                         ok_hdr = abs(pre_hdr - printed) / printed <= PRE_RTOL_51
                         status = ARTIFACT if ok_hdr else DISAGREE
                     audits.append(

@@ -28,6 +28,7 @@ from weibull_shrink.model import (
     ShrinkageConfig,
     WeibullParams,
 )
+from weibull_shrink.reference_data import MC_POINTS
 from weibull_shrink.specfun import reg_lower_inc_gamma
 
 H = dict(tables.DEFAULT_DESIGNS)
@@ -35,22 +36,6 @@ H = dict(tables.DEFAULT_DESIGNS)
 # simulation design shared by criteria 6 and 7
 MC_REPS = 1_000_000
 MC_SEED = 7
-# (m, p, q, delta1, delta2); degenerate pairs exercise the point-guess rows,
-# proper intervals add the truncated estimator
-MC_POINTS = (
-    (6, -2.0, 0.25, 0.15, 0.15),
-    (8, -1.0, 0.25, 1.0, 1.0),
-    (10, 1.0, 0.5, 2.0, 2.0),
-    (12, 2.0, 0.75, 2.5, 2.5),
-    (6, 1.0, 0.5, 4.0, 4.0),
-    (8, 2.0, 0.25, 0.5, 0.5),
-    (6, -2.0, 0.25, 0.2, 0.3),
-    (8, -1.0, 0.5, 0.8, 1.2),
-    (10, 1.0, 0.5, 1.0, 1.5),
-    (12, 2.0, 0.75, 1.0, 1.5),
-    (6, -1.0, 0.25, 0.4, 0.6),
-    (10, -2.0, 0.75, 1.5, 2.0),
-)
 
 
 def _find(audits, m, p, q, d1, d2):

@@ -415,6 +415,18 @@ def test_table_custom_design_and_rows(capsys):
     assert len(rows) == 12  # 3 q * 4 p * 1 design * 1 row
 
 
+def test_table_31_ranges_follow_h_not_m(capsys):
+    # two designs with the same m but different h keep their own ranges
+    tail = ("--rows", "1:1", "--q", "0.5", "--p", "1", "--format", "csv")
+    _, both, _ = run(capsys, "table", "31", "--design", "6:10.8519",
+                     "--design", "6:26.4026", *tail)
+    _, alone, _ = run(capsys, "table", "31", "--design", "6:26.4026", *tail)
+    second = both.split("\r\n")[2]
+    assert second == alone.split("\r\n")[1]
+    lo, hi = (float(x) for x in second.split(",")[9:11])
+    assert (round(lo, 4), round(hi, 4)) == (0.2004, 3.7996)
+
+
 def test_table_invalid_design_exits_3(capsys):
     code, _, err = run(capsys, "table", "31", "--design", "6:3.5")
     assert code == 3
@@ -587,6 +599,11 @@ _VER = ("mc", "verify", "--reps", "2000")
         (2, ("risk", "--h", H6, "--p", "0", "--q", "0.5", "--delta", "-1")),
         (3, ("risk", "--h", H6, "--p", "0", "--q", "0.5",
              "--delta1", "1.2", "--delta2", "0.8", "--modified")),
+        # h/2 above the accuracy bound of the incomplete gamma function
+        (2, ("risk", "--h", "1e16", "--p", "1", "--q", "0.5",
+             "--delta1", "1", "--delta2", "1.0001", "--modified")),
+        (2, ("risk", "--h", "1e300", "--p", "1", "--q", "0.5",
+             "--delta1", "1", "--delta2", "1.0001", "--modified")),
         # dominance
         (2, ("dominance", "--h", "4", "--p", "1", "--q", "0.5")),
         (2, ("dominance", "--h", "inf", "--p", "1", "--q", "0.5")),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weibull_shrink import risk
+from weibull_shrink import risk, tables
 from weibull_shrink.model import (
     GuessInterval,
     InadmissibleParameterError,
@@ -385,11 +385,30 @@ def test_composite_risks_evaluate_once(monkeypatch):
     monkeypatch.setattr(risk, "reg_lower_inc_gamma", counted("P", risk.reg_lower_inc_gamma))
     monkeypatch.setattr(risk, "shrink_weight", counted("w", risk.shrink_weight))
     for fn, args, want in (
-        (risk.report_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 10, "w": 1}),
+        (risk.report_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 6, "w": 1}),
         (risk.pre_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 6, "w": 1}),
+        (risk.bias_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 4, "w": 1}),
         (risk.report_shrink, (H6, -1.0, 0.25, 4.0), {"P": 0, "w": 1}),
         (risk.best_range, (H6, -2.0, 0.25), {"P": 0, "w": 1}),
     ):
         calls.update(P=0, w=0)
         fn(*args)
         assert calls == want, fn.__name__
+    # six P values per (h, delta1, delta2): 4 designs x 7 intervals, once per
+    # table build and once per audit, whatever the number of p and q values
+    for fn, args in (
+        (tables.table_51, (tables.GridSpec.default_51(),)),
+        (tables.audit_table_51, ()),
+    ):
+        calls.update(P=0)
+        fn(*args)
+        assert calls["P"] == 6 * 4 * 7, fn.__name__
+
+
+def test_bias_modified_below_h_4():
+    # the bias needs only P(h/2) and P(h/2 - 1), so it is defined for every h > 2
+    assert risk.bias_modified(3.5, 1.0, 0.5, 0.8, 1.2) == pytest.approx(
+        -0.14767898404288116, rel=1e-14
+    )
+    with pytest.raises(ValueError):
+        risk.mse_modified(3.5, 1.0, 0.5, 0.8, 1.2)

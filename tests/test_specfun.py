@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from weibull_shrink.specfun import (
+    OMEGA_MAX,
     ln_gamma,
     reg_lower_inc_gamma,
 )
@@ -147,6 +148,16 @@ def test_reg_inc_gamma_args_validation():
         reg_lower_inc_gamma(-1.0, 2.0)
     with pytest.raises(ValueError):
         reg_lower_inc_gamma(1.0, -2.0)
+
+
+def test_reg_lower_inc_gamma_omega_bound():
+    # accepted, and accurate to the documented 5e-12, up to OMEGA_MAX
+    for eta in (OMEGA_MAX - 300.0, OMEGA_MAX, OMEGA_MAX + 150.0):
+        want = mpmath.gammainc(OMEGA_MAX, 0, eta, regularized=True)
+        assert abs(reg_lower_inc_gamma(eta, OMEGA_MAX) - float(want)) <= 5e-12
+    for omega in (math.nextafter(OMEGA_MAX, math.inf), 5e15, 5e299):
+        with pytest.raises(ValueError, match="omega must be <="):
+            reg_lower_inc_gamma(omega, omega)
 
 
 def test_ln_gamma_exact_points():

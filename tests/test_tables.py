@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -137,6 +138,33 @@ def test_cells_match_risk_functions(cells31):
     assert (c.mse_range.lo, c.mse_range.hi) == (r.lo, r.hi)
 
 
+def _fresh_spec(seed):
+    """A seeded grid with large designs (h/2 up to 1000) and random intervals."""
+    rng = random.Random(seed)
+    designs = [(6, H6), (101, rng.uniform(30.0, 80.0)), (102, rng.uniform(200.0, 500.0)),
+               (103, rng.uniform(1800.0, 2000.0))]
+    ps = []
+    while len(ps) < 3:
+        p = rng.uniform(-2.5, 3.0)
+        if all(risk.admissible_p(p, h) for _, h in designs):
+            ps.append(p)
+    rows = []
+    for _ in range(4):
+        d1 = rng.uniform(0.5, 1.5)
+        rows.append((d1, d1 * rng.uniform(1.0, 1.5)))
+    return GridSpec(designs, ps, [rng.uniform(0.2, 1.0) for _ in range(2)], rows)
+
+
+def test_table51_hoisted_terms_match_per_point_route(cells51, a51):
+    # table_51 and the audit share incomplete-gamma terms across cells; each
+    # value must equal the one pre_modified computes for its point alone
+    for c in cells51 + table_51(_fresh_spec(0)) + table_51(_fresh_spec(1)):
+        assert c.pre == risk.pre_modified(c.h, c.p, c.q, c.delta1, c.delta2), c
+    for a in a51:
+        h = dict(tables.DEFAULT_DESIGNS)[a.m]
+        assert a.computed_pre == risk.pre_modified(h, a.p, a.q, a.delta1, a.delta2), a
+
+
 def test_table31_cells_carry_ranges(cells31):
     assert all(c.mse_range is not None for c in cells31)
     assert all(c.arb_range is not None for c in cells31)
@@ -148,11 +176,6 @@ def test_table51_cells_are_pre_only(cells51):
     assert all(c.arb is None for c in cells51)
     assert all(c.mse_range is None for c in cells51)
     assert all(c.best is None for c in cells51)
-    spot = [
-        c for c in cells51
-        if c.q == 0.25 and (c.delta1, c.delta2) == (0.8, 1.2) and c.p == -1.0 and c.m == 6
-    ]
-    assert spot[0].pre == risk.pre_modified(H6, -1.0, 0.25, 0.8, 1.2)
 
 
 def test_half_weight_block_symmetry(cells31):

@@ -2,23 +2,26 @@
 
 Subcommands: estimate (from data or a forced pivotal value), risk (analytic
 risk at a parameter point), dominance (departure ranges), table (grid
-reproduction with optional audit), mc (simulation verification and constant
-estimation). Global per-subcommand flags: --format {csv,json,text}, --seed,
---out.
+reproduction; --diff adds the audit of the printed cells selected, in the
+chosen format), mc (simulation verification and constant estimation). The
+global flags --format {csv,json,text}, --seed and --out follow any subcommand.
 
 Exit codes: 0 success, 1 failed verification check, 2 data or flag problems
 (with file:line for parse failures), 3 inadmissible or degenerate shrinkage
 parameters, 4 missing pivotal constant for an unknown design, 5 unwritable
 output path. `main` is the only place that maps exceptions to exit codes; the
-subcommands let the package's own checks raise. A numerical overflow on
-extreme inputs is a data problem too, and exits 2. Data goes to stdout (or
---out); diagnostics go to stderr. Output depends only on flags and seed, never
-on wall clock, so reruns are byte-identical.
+subcommands let the package's own checks raise. `risk`, `dominance` and
+`mc verify` check h, q, the departures, then p (a non-finite p exits 2),
+then the simulation flags. A numerical overflow, or an efficiency left
+unbounded by a zero MSE, is a data problem too, and exits 2. Data goes to
+stdout (or --out); diagnostics go to stderr. Output depends only on flags and
+seed, never on wall clock, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -179,17 +182,30 @@ def cmd_estimate(args) -> tuple:
 # risk
 
 
-def cmd_risk(args) -> tuple:
-    delta, have_pair = _resolve_delta(args)
-    if args.modified and not have_pair:
-        raise _CliError(2, "--modified needs --delta1 and --delta2")
+def _point_reports(args, delta: float, pair: bool) -> list:
+    """The closed-form risk reports at --h/--p/--q and departure delta, with
+    the truncated estimator's at --delta1/--delta2 when `pair`. Each checks
+    its arguments in the order h, q, departures, then p."""
     reports = [
         risk.report_unbiased(args.h),
         risk.report_mmse(args.h),
         risk.report_shrink(args.h, args.p, args.q, delta),
     ]
-    if args.modified:
+    if pair:
         reports.append(risk.report_modified(args.h, args.p, args.q, args.delta1, args.delta2))
+    return reports
+
+
+def cmd_risk(args) -> tuple:
+    delta, have_pair = _resolve_delta(args)
+    if args.modified and not have_pair:
+        raise _CliError(2, "--modified needs --delta1 and --delta2")
+    reports = _point_reports(args, delta, args.modified)
+    if math.isinf(reports[-1].pre_vs_mmse):
+        raise ValueError(
+            f"the truncated estimator has MSE 0 on the interval "
+            f"({args.delta1!r}, {args.delta2!r}), so its efficiency is unbounded"
+        )
     header = ["estimator", "bias", "arb", "rmse", "pre"]
     rows = [
         [r.estimator_id, r.bias_over_beta, r.arb, r.rmse, r.pre_vs_mmse]
@@ -199,14 +215,12 @@ def cmd_risk(args) -> tuple:
         return tables.rows_to_csv(header, rows), 0
     if args.format == "json":
         return tables.to_json([r.to_dict() for r in reports]), 0
-    lines = [
-        f"{'estimator':<20} {'bias':>10} {'arb':>10} {'rmse':>10} {'pre':>12}"
+    lines = [f"{'estimator':<20} {'bias':>10} {'arb':>10} {'rmse':>10} {'pre':>12}"]
+    lines += [
+        f"{r.estimator_id:<20} {r.bias_over_beta:>10.4f} {r.arb:>10.4f} "
+        f"{r.rmse:>10.4f} {r.pre_vs_mmse:>12.4f}"
+        for r in reports
     ]
-    for r in reports:
-        lines.append(
-            f"{r.estimator_id:<20} {r.bias_over_beta:>10.4f} {r.arb:>10.4f} "
-            f"{r.rmse:>10.4f} {r.pre_vs_mmse:>12.4f}"
-        )
     return "\n".join(lines) + "\n", 0
 
 
@@ -245,6 +259,24 @@ def _parse_row(text: str):
     return float(a), float(b)
 
 
+def _printed_audit(which: str, cells) -> tuple:
+    """Audit records for the printed cells among `cells`, those at their m's
+    built-in h: the cell records, and for table 3.1 the range records of their
+    (p, q, m) blocks (None for table 5.1)."""
+    stock_h = dict(tables.DEFAULT_DESIGNS)
+    printed = {
+        (c.m, c.p, c.q, c.delta1, c.delta2) for c in cells if stock_h.get(c.m) == c.h
+    }
+    blocks = {(p, q, m) for m, p, q, _, _ in printed}
+    if which == "31":
+        audits, ranges = tables.audit_table_31(), tables.audit_ranges_31()
+        ranges = [r for r in ranges if (r.p, r.q, r.m) in blocks]
+    else:
+        audits, ranges = tables.audit_table_51(), None
+    audits = [a for a in audits if (a.m, a.p, a.q, a.delta1, a.delta2) in printed]
+    return audits, ranges
+
+
 def cmd_table(args) -> tuple:
     default = tables.GridSpec.default_31 if args.which == "31" else tables.GridSpec.default_51
     spec = default()
@@ -253,21 +285,28 @@ def cmd_table(args) -> tuple:
     spec = tables.GridSpec(h_values, spec.p_values, spec.q_values, delta_rows)
     spec = spec.subset(m=args.m, p=args.p, q=args.q)
     cells = tables.table_31(spec) if args.which == "31" else tables.table_51(spec)
+    if not args.diff:
+        writer = {"csv": tables.cells_to_csv, "json": tables.cells_to_json,
+                  "text": tables.cells_to_text}[args.format]
+        return writer(cells), 0
+    audits, ranges = _printed_audit(args.which, cells)
     if args.format == "csv":
-        out = tables.cells_to_csv(cells)
-    elif args.format == "json":
-        out = tables.cells_to_json(cells)
-    else:
-        out = tables.cells_to_text(cells)
-    if args.diff:
-        if args.which == "31":
-            report = tables.format_diff_report(
-                tables.audit_table_31(), tables.audit_ranges_31()
-            )
-        else:
-            report = tables.format_diff_report(tables.audit_table_51())
-        out = out + "\n" + report
-    return out, 0
+        header = [f.name for f in dataclasses.fields(tables.CellAudit)]
+        return tables.rows_to_csv(header, (vars(a).values() for a in audits)), 0
+    if args.format == "json":
+        doc = {
+            "cells": [c.to_dict() for c in cells],
+            "audit": [vars(a) for a in audits],
+        }
+        if ranges is not None:
+            # an empty computed range is a NaN pair; write it as [] like `span`
+            doc["ranges"] = [
+                {**vars(r),
+                 "computed": [] if math.isnan(r.computed[0]) else list(r.computed)}
+                for r in ranges
+            ]
+        return tables.to_json(doc), 0
+    return tables.cells_to_text(cells) + "\n" + tables.format_diff_report(audits, ranges), 0
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +324,9 @@ def cmd_mc_estimate_h(args) -> tuple:
     h, se = montecarlo.estimate_degrees_of_freedom(args.m, args.n, args.reps, args.seed)
     pairs = [("h", h), ("se", se), ("m", args.m), ("n", args.n),
              ("replicates", args.reps), ("seed", args.seed)]
-    try:
-        builtin = lookup_h(args.n, args.m)
-    except MissingConstantError:
-        builtin = None
+    builtin = BUILTIN_H.get((args.n, args.m))
     if builtin is not None:
-        pairs.append(("builtin_h", builtin))
-        pairs.append(("deviation", h - builtin))
+        pairs += [("builtin_h", builtin), ("deviation", h - builtin)]
     return _emit_kv(args.format, pairs), 0
 
 
@@ -299,54 +334,38 @@ def cmd_mc_verify(args) -> tuple:
     if args.reps < 1000:
         raise _CliError(2, "verification needs --reps >= 1000")
     delta, have_pair = _resolve_delta(args)
-    h = args.h
+    reports = _point_reports(args, delta, have_pair)
     cfg = ShrinkageConfig(p=args.p, q=args.q)
-    # an inadmissible p exits 3 before the design, seed and departures are checked
-    estimators.shrink_weight(cfg.p, h)
     # risks are scale-free, so verify at true shape 1 with the guessed
     # interval placed to realize the requested departures
     plan = montecarlo.SimulationPlan(
-        replicates=args.reps,
-        seed=args.seed,
-        params=WeibullParams(alpha=1.0, beta=1.0),
-        n=args.n,
-        m=args.m,
+        replicates=args.reps, seed=args.seed, params=WeibullParams(alpha=1.0, beta=1.0),
+        n=args.n, m=args.m,
     )
-    mid = GuessInterval(beta1=delta, beta2=delta)
-    checks = [
-        ("UNBIASED", montecarlo.unbiased_estimator(h), 0.0, risk.rmse_unbiased(h)),
-        ("MMSE", montecarlo.mmse_estimator(h), -risk.arb_mmse(h), risk.rmse_mmse(h)),
-        (
-            "SHRINK_PQ",
-            montecarlo.shrink_estimator(h, mid, cfg),
-            risk.bias_shrink(h, cfg.p, cfg.q, delta),
-            risk.rmse_shrink(h, cfg.p, cfg.q, delta),
-        ),
+    simulated = [
+        montecarlo.unbiased_estimator(args.h),
+        montecarlo.mmse_estimator(args.h),
+        montecarlo.shrink_estimator(args.h, GuessInterval(beta1=delta, beta2=delta), cfg),
     ]
     if have_pair:
         pair = GuessInterval(beta1=args.delta1, beta2=args.delta2)
-        checks.append(
-            (
-                "SHRINK_PQ_MODIFIED",
-                montecarlo.truncated_estimator(h, pair, cfg),
-                risk.bias_modified(h, cfg.p, cfg.q, args.delta1, args.delta2),
-                risk.mse_modified(h, cfg.p, cfg.q, args.delta1, args.delta2),
-            )
-        )
+        simulated.append(montecarlo.truncated_estimator(args.h, pair, cfg))
     # Besides 3 SE, each check allows 3/R times the size of the closed form:
     # an event rarer than 3/R is likely unseen in R replicates (the rule of
     # three). A truncated estimator clamped on every replicate has an SE of
     # exactly 0, while its closed form still counts the unclamped region.
     unseen = 3.0 / plan.replicates
     results = []
-    for name, estimator, analytic_bias, analytic_mse in checks:
-        emp = montecarlo.empirical_risk(plan, estimator, h=h)
+    for report, estimator in zip(reports, simulated):
+        emp = montecarlo.empirical_risk(plan, estimator, h=args.h)
         for metric, got, ana, tol in (
-            ("bias", emp.bias, analytic_bias, 3.0 * emp.se_mean),
-            ("mse", emp.mse, analytic_mse, 3.0 * emp.se_mse),
+            ("bias", emp.bias, report.bias_over_beta, 3.0 * emp.se_mean),
+            ("mse", emp.mse, report.rmse, 3.0 * emp.se_mse),
         ):
             ok = abs(got - ana) <= tol + unseen * max(1.0, abs(ana))
-            results.append((name, metric, got, ana, tol, "PASS" if ok else "FAIL"))
+            results.append(
+                (report.estimator_id, metric, got, ana, tol, "PASS" if ok else "FAIL")
+            )
     failed = sum(r[-1] == "FAIL" for r in results)
     code = 1 if failed else 0
     header = ("estimator", "metric", "empirical", "analytic", "three_se", "status")
@@ -354,15 +373,12 @@ def cmd_mc_verify(args) -> tuple:
         return tables.rows_to_csv(header, results), code
     if args.format == "json":
         return tables.to_json([dict(zip(header, r)) for r in results]), code
-    lines = []
-    for n, metric, emp, ana, tol, status in results:
-        lines.append(
-            f"{status} {n} {metric}: empirical {emp:.6f} vs analytic {ana:.6f} "
-            f"(3se {tol:.6f})"
-        )
-    lines.append(
-        f"summary: {len(results) - failed}/{len(results)} checks passed"
-    )
+    lines = [
+        f"{status} {name} {metric}: empirical {emp:.6f} vs analytic {ana:.6f} "
+        f"(3se {tol:.6f})"
+        for name, metric, emp, ana, tol, status in results
+    ]
+    lines.append(f"summary: {len(results) - failed}/{len(results)} checks passed")
     return "\n".join(lines) + "\n", code
 
 
@@ -371,34 +387,29 @@ def cmd_mc_verify(args) -> tuple:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # The parent leaves an absent global flag unset (SUPPRESS), so a leaf
+    # under `mc` never clobbers one given at the `mc` level; the defaults
+    # are set once, on the top-level parser.
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("csv", "json", "text"), default="text",
-        help="output format (default text, 4 decimals; csv/json carry full precision)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--out", help="write output to this path instead of stdout")
-
-    # Parsers nested under `mc` must not re-apply defaults, or a flag given at
-    # the `mc` level would be silently clobbered when the sub-namespace is
-    # copied back; the `mc` parser itself supplies the defaults.
-    common_nested = argparse.ArgumentParser(add_help=False)
-    common_nested.add_argument(
-        "--format", choices=("csv", "json", "text"), default=argparse.SUPPRESS,
-        help="output format (default text, 4 decimals; csv/json carry full precision)",
-    )
-    common_nested.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="RNG seed (default 0)"
-    )
-    common_nested.add_argument(
-        "--out", default=argparse.SUPPRESS,
-        help="write output to this path instead of stdout",
-    )
+    common.add_argument("--format", choices=("csv", "json", "text"), default=argparse.SUPPRESS,
+                        help="output format (default text, 4 decimals; "
+                             "csv/json carry full precision)")
+    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help="RNG seed (default 0)")
+    common.add_argument("--out", default=argparse.SUPPRESS,
+                        help="write output to this path instead of stdout")
+    point = argparse.ArgumentParser(add_help=False)
+    for flag in ("--h", "--p", "--q"):
+        point.add_argument(flag, type=float, required=True)
+    departure = argparse.ArgumentParser(add_help=False)
+    for flag in ("--delta", "--delta1", "--delta2"):
+        departure.add_argument(flag, type=float)
 
     parser = argparse.ArgumentParser(
         prog="weibull-shrink",
         description="Shrinkage estimation of the Weibull shape under failure censoring",
     )
+    parser.set_defaults(format="text", seed=0, out=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_est = sub.add_parser("estimate", parents=[common],
@@ -416,29 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--q", type=float, required=True)
     p_est.set_defaults(func=cmd_estimate)
 
-    p_risk = sub.add_parser("risk", parents=[common],
+    p_risk = sub.add_parser("risk", parents=[common, point, departure],
                             help="analytic risk at a parameter point")
-    p_risk.add_argument("--h", type=float, required=True)
-    p_risk.add_argument("--p", type=float, required=True)
-    p_risk.add_argument("--q", type=float, required=True)
-    p_risk.add_argument("--delta", type=float)
-    p_risk.add_argument("--delta1", type=float)
-    p_risk.add_argument("--delta2", type=float)
     p_risk.add_argument("--modified", action="store_true",
                         help="include the truncated estimator (needs --delta1/--delta2)")
     p_risk.set_defaults(func=cmd_risk)
 
-    p_dom = sub.add_parser("dominance", parents=[common],
+    p_dom = sub.add_parser("dominance", parents=[common, point],
                            help="departure ranges where shrinkage beats the MMSE multiple")
-    p_dom.add_argument("--h", type=float, required=True)
-    p_dom.add_argument("--p", type=float, required=True)
-    p_dom.add_argument("--q", type=float, required=True)
     p_dom.set_defaults(func=cmd_dominance)
 
     p_tab = sub.add_parser("table", parents=[common], help="reproduce an efficiency table")
     p_tab.add_argument("which", choices=("31", "51"))
     p_tab.add_argument("--diff", action="store_true",
-                       help="append the audit against the embedded printed values")
+                       help="add the audit of the selected cells against the printed values")
     p_tab.add_argument("--m", action="append", type=int, help="restrict to these m")
     p_tab.add_argument("--p", action="append", type=float, help="restrict to these p")
     p_tab.add_argument("--q", action="append", type=float, help="restrict to these q")
@@ -451,27 +453,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", parents=[common], help="Monte Carlo utilities")
     mc_sub = p_mc.add_subparsers(dest="mc_command", required=True)
 
-    p_ver = mc_sub.add_parser("verify", parents=[common_nested],
+    p_ver = mc_sub.add_parser("verify", parents=[common, point, departure],
                               help="check analytic risks against simulation")
-    p_ver.add_argument("--h", type=float, required=True)
-    p_ver.add_argument("--p", type=float, required=True)
-    p_ver.add_argument("--q", type=float, required=True)
-    p_ver.add_argument("--delta", type=float)
-    p_ver.add_argument("--delta1", type=float)
-    p_ver.add_argument("--delta2", type=float)
     p_ver.add_argument("--reps", type=int, default=1_000_000)
     p_ver.add_argument("--n", type=int, default=20)
     p_ver.add_argument("--m", type=int, default=6)
     p_ver.set_defaults(func=cmd_mc_verify)
 
-    p_k = mc_sub.add_parser("estimate-k", parents=[common_nested],
+    p_k = mc_sub.add_parser("estimate-k", parents=[common],
                             help="simulate the unbiasing constant for a design")
     p_k.add_argument("--n", type=int, required=True)
     p_k.add_argument("--m", type=int, required=True)
     p_k.add_argument("--reps", type=int, default=100_000)
     p_k.set_defaults(func=cmd_mc_estimate_k)
 
-    p_h = mc_sub.add_parser("estimate-h", parents=[common_nested],
+    p_h = mc_sub.add_parser("estimate-h", parents=[common],
                             help="simulate the variance-matching pivotal constant")
     p_h.add_argument("--n", type=int, required=True)
     p_h.add_argument("--m", type=int, required=True)
@@ -494,10 +490,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except InadmissibleParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 3
-    except tables.GridValidationError as exc:
+    except (InadmissibleParameterError, tables.GridValidationError) as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except MissingConstantError as exc:

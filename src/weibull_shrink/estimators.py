@@ -19,6 +19,7 @@ from weibull_shrink.model import (
     PivotalContext,
     ShrinkageConfig,
     _require_design,
+    _require_finite,
     _require_h,
     _require_positive,
 )
@@ -79,14 +80,14 @@ def bain_scale_estimate(sample: CensoredSample, constants: BainConstants) -> flo
 def shrink_weight(p: float, h: float) -> float:
     """Shrinkage weight w(p) = ((h-2)/2)^p * Gamma(h/2+p) / Gamma(h/2+2p).
 
-    Admissible p are nonzero, keep both gamma arguments positive (effectively
-    p > -h/4), and give 0 < w <= 1. Note the weight exceeds 1 on a small band
-    of negative p near zero, which is rejected here like any other
-    inadmissible p.
+    A non-finite p is bad input (ValueError). Admissible p are nonzero, keep
+    both gamma arguments positive (effectively p > -h/4), and give
+    0 < w <= 1. Note the weight exceeds 1 on a small band of negative p near
+    zero, which is rejected here like any other inadmissible p.
     """
-    p = float(p)
     h = _require_h(h, 2.0)
-    if not math.isfinite(p) or p == 0.0:
+    p = _require_finite("p", p)
+    if p == 0.0:
         raise InadmissibleParameterError(f"p must be a nonzero real, got {p!r}")
     if h / 2.0 + p <= 0.0 or h / 2.0 + 2.0 * p <= 0.0:
         raise InadmissibleParameterError(

@@ -12,7 +12,7 @@ because they catch numerical faults rather than bad input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 
@@ -209,7 +209,8 @@ class RiskReport:
     arb:            absolute relative bias.
     rmse:           relative mean squared error, E(est - beta)^2 / beta^2.
     pre_vs_mmse:    percent relative efficiency against the minimum-MSE
-                    multiple of the pivot (100 = same MSE).
+                    multiple of the pivot (100 = same MSE); +inf only
+                    when rmse is 0.
     """
 
     estimator_id: str
@@ -233,17 +234,13 @@ class RiskReport:
             )
         if _require_finite("rmse", self.rmse) < 0.0:
             raise ValueError(f"rmse must be >= 0, got {self.rmse!r}")
+        if self.pre_vs_mmse == math.inf and self.rmse == 0.0:
+            return
         if _require_finite("pre_vs_mmse", self.pre_vs_mmse) < 0.0:
             raise ValueError(f"pre_vs_mmse must be >= 0, got {self.pre_vs_mmse!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "estimator_id": self.estimator_id,
-            "bias_over_beta": self.bias_over_beta,
-            "arb": self.arb,
-            "rmse": self.rmse,
-            "pre_vs_mmse": self.pre_vs_mmse,
-        }
+        return asdict(self)
 
 
 class Departures(NamedTuple):

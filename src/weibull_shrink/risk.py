@@ -80,7 +80,7 @@ class DominanceRange:
 
 
 def admissible_p(p: float, h: float) -> bool:
-    """True when p yields a usable shrinkage weight for this h."""
+    """True when a finite p yields a usable shrinkage weight for this h."""
     try:
         shrink_weight(p, h)
     except InadmissibleParameterError:
@@ -282,15 +282,21 @@ def _mse_modified_given_terms(
     )
 
 
-def _pre_from_mse(h: float, mse: float) -> float:
-    """Efficiency in percent of an estimator with relative MSE `mse`."""
+def _pre_from_mse(h: float, mse: float, delta1: float, delta2: float) -> float:
+    """Efficiency in percent of the truncated estimator with relative MSE `mse`."""
+    if mse <= 0.0:  # at delta1 = delta2 = 1 it always returns the true shape
+        raise ValueError(
+            f"the truncated estimator has MSE {mse!r} on the interval "
+            f"({delta1!r}, {delta2!r}), so its efficiency is unbounded"
+        )
     return 100.0 * (2.0 / (h - 2.0)) / mse
 
 
 def _pre_modified_given_terms(
     h: float, q: float, delta1: float, delta2: float, w: float, terms: tuple
 ) -> float:
-    return _pre_from_mse(h, _mse_modified_given_terms(h, q, delta1, delta2, w, terms))
+    mse = _mse_modified_given_terms(h, q, delta1, delta2, w, terms)
+    return _pre_from_mse(h, mse, delta1, delta2)
 
 
 def _modified_point(
@@ -380,5 +386,6 @@ def report_modified(
         bias_over_beta=bias,
         arb=abs(bias),
         rmse=mse,
-        pre_vs_mmse=_pre_from_mse(h, mse),
+        # an estimator that never errs is infinitely efficient
+        pre_vs_mmse=math.inf if mse == 0.0 else _pre_from_mse(h, mse, delta1, delta2),
     )

@@ -77,19 +77,18 @@ class GridSpec:
             "delta_rows",
             tuple((float(a), float(b)) for a, b in self.delta_rows),
         )
-        problems = []
-        if not self.h_values:
-            problems.append("h_values is empty")
-        if not self.p_values:
-            problems.append("p_values is empty")
-        if not self.q_values:
-            problems.append("q_values is empty")
-        if not self.delta_rows:
-            problems.append("delta_rows is empty")
+        problems = [
+            f"{name} is empty"
+            for name in ("h_values", "p_values", "q_values", "delta_rows")
+            if not getattr(self, name)
+        ]
         for m, h in self.h_values:
             if not math.isfinite(h) or h <= 4.0:
                 problems.append(f"design (m={m}, h={h}): need h > 4")
         for p in self.p_values:
+            if not math.isfinite(p):
+                problems.append(f"p={p}: need a finite p")
+                continue
             for m, h in self.h_values:
                 if math.isfinite(h) and h > 4.0 and not admissible_p(p, h):
                     problems.append(f"p={p} is inadmissible at h={h} (m={m})")
@@ -524,12 +523,13 @@ class AuditSummary:
 
     @property
     def pass_rate(self) -> float:
-        return 100.0 * self.passed / self.unambiguous
+        """Percent of unambiguous cells within tolerance; NaN if there are none."""
+        return 100.0 * self.passed / self.unambiguous if self.unambiguous else math.nan
 
 
 def summarize_audit(audits) -> AuditSummary:
     return AuditSummary(
-        table=audits[0].table,
+        table=audits[0].table if audits else "",
         total=len(audits),
         passed=sum(a.status == PASS for a in audits),
         artifacts=sum(a.status == ARTIFACT for a in audits),
@@ -553,9 +553,10 @@ def format_diff_report(audits, range_audits=None) -> str:
             f"rows ({a.delta1:g}, {a.delta2:g}): {detail}"
         )
     s = summarize_audit(audits)
+    rate = f"{s.pass_rate:.1f}%" if s.unambiguous else "n/a"
     lines.append(
         f"summary: {s.passed}/{s.unambiguous} unambiguous cells within tolerance "
-        f"({s.pass_rate:.1f}%); {s.artifacts} cells reproduce only under the "
+        f"({rate}); {s.artifacts} cells reproduce only under the "
         f"printed rounded weight; {s.disagreements} source disagreements; "
         f"{s.large} flagged cells off by more than 5%"
     )

@@ -6,9 +6,14 @@ Everything runs in-process through main(argv) so coverage and capsys work.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weibull_shrink
 from weibull_shrink.cli import main
 
 H6 = "10.8519"
@@ -341,6 +346,22 @@ def test_overflow_exits_2_without_traceback(capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("risk", "--h", H6, "--p", "1", "--q", "0.5",
+         "--delta1", "1", "--delta2", "1", "--modified"),
+        ("table", "51", "--rows", "1:1", "--m", "6", "--p", "1", "--q", "0.5"),
+    ],
+)
+def test_zero_mse_exits_2_naming_the_interval(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "(1.0, 1.0)" in err and "Traceback" not in err
+
+
 def test_risk_inadmissible_p_exits_3(capsys):
     code, _, _ = run(capsys, "risk", "--h", H6, "--p", "0", "--q", "0.5", "--delta", "1")
     assert code == 3
@@ -444,6 +465,54 @@ def test_table_diff_appends_audit(capsys):
     assert "106 source disagreements" in out
 
 
+def test_table_diff_follows_the_selection(capsys):
+    code, out, _ = run(capsys, "table", "31", "--m", "6", "--p", "1", "--q", "0.5", "--diff")
+    assert code == 0
+    assert "summary: 9/9 unambiguous cells within tolerance" in out
+    assert "range summary: 3 pass," in out
+    flagged = [l for l in out.splitlines() if l.startswith("[")]
+    assert all(" m=6 p=1 q=0.5" in l for l in flagged), flagged
+
+    code, out, _ = run(capsys, "table", "51", "--m", "12", "--q", "0.5", "--diff")
+    assert code == 0
+    flagged = [l for l in out.splitlines() if l.startswith("[")]
+    assert flagged
+    assert all(" m=12 " in l and " q=0.5 " in l for l in flagged), flagged
+
+
+@pytest.mark.parametrize(
+    "selection",
+    [
+        ("--m", "12", "--p", "1", "--q", "0.25"),  # every cell is a printed-weight artifact
+        ("--design", "6:26.4026"),  # no printed cell at all
+    ],
+)
+def test_table_diff_without_unambiguous_cells(capsys, selection):
+    code, out, err = run(capsys, "table", "31", *selection, "--diff")
+    assert code == 0, err
+    assert "summary: 0/0 unambiguous cells within tolerance (n/a)" in out
+
+
+@pytest.mark.parametrize("which", ["31", "51"])
+def test_table_diff_respects_format(capsys, which):
+    code, out, _ = run(capsys, "table", which, "--m", "6", "--diff", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert sorted(doc) == (["audit", "cells", "ranges"] if which == "31" else ["audit", "cells"])
+    assert len(doc["audit"]) == len(doc["cells"]) == (108 if which == "31" else 84)
+    assert {a["m"] for a in doc["audit"]} == {6}
+    if which == "31":
+        assert all(r["computed"] == [] or len(r["computed"]) == 2 for r in doc["ranges"])
+
+    code, out, _ = run(capsys, "table", which, "--m", "6", "--diff", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][:3] == ["table", "m", "p"]
+    assert len(rows) == 1 + len(doc["audit"])
+    assert {len(r) for r in rows} == {len(rows[0])}
+    assert {r[1] for r in rows[1:]} == {"6"}
+
+
 def test_table_output_is_byte_stable(capsys):
     _, a, _ = run(capsys, "table", "31", "--format", "csv")
     _, b, _ = run(capsys, "table", "31", "--format", "csv")
@@ -467,13 +536,19 @@ def test_mc_estimate_k_two_by_two(capsys):
 
 
 def test_mc_global_flags_accepted_before_subcommand(capsys):
-    a = ("mc", "--seed", "5", "--format", "json",
-         "estimate-k", "--n", "2", "--m", "2", "--reps", "4000")
-    b = ("mc", "estimate-k", "--n", "2", "--m", "2", "--reps", "4000",
-         "--seed", "5", "--format", "json")
-    _, out_a, _ = run(capsys, *a)
-    _, out_b, _ = run(capsys, *b)
-    assert out_a == out_b
+    leaf = ("estimate-k", "--n", "2", "--m", "2", "--reps", "4000")
+    before = run(capsys, "mc", "--seed", "5", "--format", "json", *leaf)[1]
+    after = run(capsys, "mc", *leaf, "--seed", "5", "--format", "json")[1]
+    split = run(capsys, "mc", "--seed", "5", *leaf, "--format", "json")[1]
+    assert before == after == split
+    # at both levels the leaf's flag wins
+    assert run(capsys, "mc", "--seed", "9", "--format", "csv", *leaf,
+               "--seed", "5", "--format", "json")[1] == before
+    # without any global flag the defaults apply: text, seed 0, stdout
+    default = run(capsys, "mc", *leaf)[1]
+    assert default == run(capsys, "mc", *leaf, "--seed", "0", "--format", "text")[1]
+    assert default.startswith("k = ")
+    assert default != run(capsys, "mc", *leaf, "--seed", "5")[1]
 
 
 def test_mc_estimate_h_reports_builtin_deviation(capsys):
@@ -538,6 +613,17 @@ def test_mc_verify_passes_when_every_replicate_is_clamped(capsys):
         assert row["empirical"] == pytest.approx(row["analytic"], abs=1e-6)
 
 
+def test_mc_verify_passes_at_zero_mse(capsys):
+    # delta1 = delta2 = 1 pins the truncated estimator to the true shape
+    code, out, err = run(
+        capsys, "mc", "verify", "--h", H6, "--p", "1", "--q", "0.5",
+        "--delta1", "1", "--delta2", "1", "--reps", "2000",
+    )
+    assert code == 0, (out, err)
+    assert "summary: 8/8 checks passed" in out
+    assert "PASS SHRINK_PQ_MODIFIED mse: empirical 0.000000 vs analytic 0.000000" in out
+
+
 def test_mc_verify_small_reps_exit_2(capsys):
     code, _, err = run(
         capsys, "mc", "verify", "--h", H6, "--p", "1", "--q", "0.5",
@@ -582,7 +668,7 @@ _VER = ("mc", "verify", "--reps", "2000")
         # risk: each bad flag alone, then bad flags paired with p = 0
         (2, ("risk", "--h", "4", "--p", "1", "--q", "0.5", "--delta", "1")),
         (2, ("risk", "--h", "nan", "--p", "1", "--q", "0.5", "--delta", "1")),
-        (3, ("risk", "--h", H6, "--p", "nan", "--q", "0.5", "--delta", "1")),
+        (2, ("risk", "--h", H6, "--p", "nan", "--q", "0.5", "--delta", "1")),
         (3, ("risk", "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "1")),
         (2, ("risk", "--h", H6, "--p", "1", "--q", "0", "--delta", "1")),
         (2, ("risk", "--h", H6, "--p", "1", "--q", "inf", "--delta", "1")),
@@ -660,12 +746,12 @@ _VER = ("mc", "verify", "--reps", "2000")
         (2, (*_VER, "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1", "--seed", "-1")),
         (2, ("mc", "verify", "--h", H6, "--p", "0", "--q", "0.5", "--delta", "1",
              "--reps", "500")),
-        (3, (*_VER, "--h", "3", "--p", "0", "--q", "0.5", "--delta", "1")),
-        (3, (*_VER, "--h", "3", "--p", "-3", "--q", "0.5", "--delta", "1")),
+        (2, (*_VER, "--h", "3", "--p", "0", "--q", "0.5", "--delta", "1")),
+        (2, (*_VER, "--h", "3", "--p", "-3", "--q", "0.5", "--delta", "1")),
         (2, (*_VER, "--h", "2", "--p", "-0.1", "--q", "0.5", "--delta", "1")),
-        (3, (*_VER, "--h", H6, "--p", "0", "--q", "0", "--delta", "1")),
-        (3, (*_VER, "--h", H6, "--p", "0", "--q", "0.5", "--delta", "0")),
-        (3, (*_VER, "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "0")),
+        (2, (*_VER, "--h", H6, "--p", "0", "--q", "0", "--delta", "1")),
+        (2, (*_VER, "--h", H6, "--p", "0", "--q", "0.5", "--delta", "0")),
+        (2, (*_VER, "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "0")),
         (3, (*_VER, "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "1", "--m", "1")),
         (3, (*_VER, "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "1", "--seed", "-1")),
         # mc estimate-k / estimate-h
@@ -686,3 +772,25 @@ def test_bad_input_exit_code(capsys, code, argv):
     assert got == code, err
     assert out == ""
     assert err != ""
+
+
+# --- scripts ------------------------------------------------------------------
+
+
+def test_reproduce_tables_script(tmp_path, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
+    src = Path(weibull_shrink.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(script), "--outdir", str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    for which in ("31", "51"):
+        _, out, _ = run(capsys, "table", which, "--format", "csv")
+        assert (tmp_path / f"table_{which}.csv").read_bytes() == out.encode("utf-8")
+        _, out, _ = run(capsys, "table", which, "--diff")
+        assert (tmp_path / f"table_{which}_audit.txt").read_bytes() == out.encode("utf-8")
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("table 31: summary: 358/358 unambiguous cells")
+    assert lines[1].startswith("table 31: range summary: 111 pass,")
+    assert lines[2].startswith("table 51: summary: 218/324 unambiguous cells")

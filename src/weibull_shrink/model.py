@@ -60,6 +60,14 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _require_q(q: float) -> float:
+    """A pull weight in (0, 1]; NaN and inf fail the comparison."""
+    q = float(q)
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"q must lie in (0, 1], got {q!r}")
+    return q
+
+
 def _require_h(h: float, minimum: float) -> float:
     """Degrees of freedom above `minimum`: 2 for a finite mean, 4 for a finite MSE."""
     h = float(h)
@@ -192,9 +200,7 @@ class ShrinkageConfig:
             raise InadmissibleParameterError(
                 "p must be nonzero (p = 0 degenerates the weight)"
             )
-        q = _require_positive("q", self.q)
-        if q > 1.0:
-            raise ValueError(f"q must lie in (0, 1], got {q!r}")
+        _require_q(self.q)
 
 
 #: Identifiers for the estimators a RiskReport can describe.

@@ -35,6 +35,7 @@ from weibull_shrink.model import (
     RiskReport,
     _require_h,
     _require_positive,
+    _require_q,
 )
 from weibull_shrink.specfun import reg_lower_inc_gamma
 
@@ -134,7 +135,7 @@ def _shrink_point(
 ) -> tuple[float, float, float, float]:
     """Check a plain-shrinkage point once; return it with its weight w(p)."""
     h = _require_h(h, h_min)
-    q = _require_positive("q", q)
+    q = _require_q(q)
     delta = _require_positive("delta", delta)
     return h, q, delta, shrink_weight(p, h)
 
@@ -206,7 +207,7 @@ def mse_dominance_range(h: float, p: float, q: float) -> DominanceRange:
     since departures are positive.
     """
     h = _require_h(h, 4.0)
-    q = _require_positive("q", q)
+    q = _require_q(q)
     return _mse_range_given_w(h, q, _nondegenerate_w(p, h))
 
 
@@ -218,14 +219,14 @@ def arb_dominance_range(h: float, p: float, q: float) -> DominanceRange:
     clamps to 0 when c >= 1.
     """
     h = _require_h(h, 2.0)
-    q = _require_positive("q", q)
+    q = _require_q(q)
     return _arb_range_given_w(h, q, _nondegenerate_w(p, h))
 
 
 def best_range(h: float, p: float, q: float) -> DominanceRange:
     """Departures where the shrinkage estimator wins on both MSE and ARB."""
     h = _require_h(h, 4.0)
-    q = _require_positive("q", q)
+    q = _require_q(q)
     return _ranges_given_w(h, q, _nondegenerate_w(p, h))["best"]
 
 
@@ -304,7 +305,7 @@ def _modified_point(
 ) -> tuple[float, float, float, float, float]:
     """Check a truncated-shrinkage point once; return it with its weight w(p)."""
     h = _require_h(h, h_min)
-    q = _require_positive("q", q)
+    q = _require_q(q)
     delta1 = _require_positive("delta1", delta1)
     delta2 = _require_positive("delta2", delta2)
     if delta2 < delta1:

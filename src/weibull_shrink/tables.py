@@ -18,6 +18,10 @@ disagreement with its relative error.
 
 This module also holds the package's one set of CSV and JSON writers, which
 the CLI shares; like the rest of the analytic layer it never imports numpy.
+The table-cell writers `cells_to_csv` and `cells_to_json` are specialised to
+TableCell's fixed shape, one format call per cell, and are byte-equal to the
+generic writers (`rows_to_csv`, `to_json` over `TableCell.to_dict`), which
+the oracle test in tests/test_tables.py enforces.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 from weibull_shrink import reference_data as ref
 from weibull_shrink.estimators import shrink_weight
-from weibull_shrink.model import BUILTIN_H
+from weibull_shrink.model import BUILTIN_H, _require_q
 from weibull_shrink.risk import (
     DominanceRange,
     _bias_shrink_given_w,
@@ -93,8 +97,10 @@ class GridSpec:
                 if math.isfinite(h) and h > 4.0 and not admissible_p(p, h):
                     problems.append(f"p={p} is inadmissible at h={h} (m={m})")
         for q in self.q_values:
-            if not math.isfinite(q) or q <= 0.0:
-                problems.append(f"q={q}: need q > 0")
+            try:
+                _require_q(q)
+            except ValueError as exc:
+                problems.append(f"q={q}: {exc}")
         for i, (d1, d2) in enumerate(self.delta_rows):
             if not (math.isfinite(d1) and math.isfinite(d2) and 0.0 < d1 <= d2):
                 problems.append(f"delta row {i}: need 0 < delta1 <= delta2, got ({d1}, {d2})")
@@ -290,20 +296,86 @@ def span_ends(r: DominanceRange | None) -> tuple:
     return (None, None) if r is None or r.is_empty else (r.lo, r.hi)
 
 
+# Each cell is one %-format on a template chosen by which optional fields it
+# carries. "%r" is the float repr json uses, "%.17g" is _full's float format,
+# and "%.0s" consumes a value (None) without printing it.
+
+_CSV_NUM = ",%.17g"
+_CSV_GAP = ",%.0s"
+_CSV_ROWS = {
+    (has_arb, has_mse, has_best): "%.17g"
+    + _CSV_NUM * 7
+    + (_CSV_NUM if has_arb else _CSV_GAP)
+    + (_CSV_NUM if has_mse else _CSV_GAP) * 2
+    + (_CSV_NUM if has_best else _CSV_GAP) * 2
+    + "\r\n"
+    for has_arb in (False, True)
+    for has_mse in (False, True)
+    for has_best in (False, True)
+}
+
+
 def cells_to_csv(cells) -> str:
     """RFC-4180 CSV at full precision; range_lo/range_hi hold the MSE range."""
-    return rows_to_csv(
-        CSV_HEADER,
-        (
-            [c.m, c.h, c.p, c.q, c.delta1, c.delta2, c.delta, c.pre, c.arb,
-             *span_ends(c.mse_range), *span_ends(c.best)]
-            for c in cells
-        ),
-    )
+    rows = [",".join(CSV_HEADER) + "\r\n"]
+    for c in cells:
+        lo, hi = span_ends(c.mse_range)
+        blo, bhi = span_ends(c.best)
+        rows.append(
+            _CSV_ROWS[c.arb is not None, lo is not None, blo is not None]
+            % (c.m, c.h, c.p, c.q, c.delta1, c.delta2, c.delta, c.pre, c.arb,
+               lo, hi, blo, bhi)
+        )
+    return "".join(rows)
+
+
+_JSON_KEYS = ("m", "h", "p", "q", "delta1", "delta2", "delta", "pre")
+# a span is null, [] or [lo, hi]; each form consumes the two values (lo, hi)
+_JSON_SPANS = ("null%.0s%.0s", "[]%.0s%.0s", "[\n      %r,\n      %r\n    ]")
+_JSON_CELLS = {
+    (has_arb, mse, arb, best): "  {\n"
+    + "".join(f'    "{key}": %r,\n' for key in _JSON_KEYS)
+    + ('    "arb": %r,\n' if has_arb else '    "arb": null%.0s,\n')
+    + f'    "mse_range": {_JSON_SPANS[mse]},\n'
+    + f'    "arb_range": {_JSON_SPANS[arb]},\n'
+    + f'    "best": {_JSON_SPANS[best]}\n'
+    + "  }"
+    for has_arb in (False, True)
+    for mse in range(3)
+    for arb in range(3)
+    for best in range(3)
+}
+
+
+def _span_form(r: DominanceRange | None) -> tuple:
+    """(index into _JSON_SPANS, lo, hi) of a range."""
+    if r is None:
+        return 0, None, None
+    if r.is_empty:
+        return 1, None, None
+    return 2, r.lo, r.hi
 
 
 def cells_to_json(cells) -> str:
-    return to_json([c.to_dict() for c in cells])
+    """The JSON list of TableCell.to_dict, indented by two; non-finite floats raise."""
+    items = []
+    for c in cells:
+        mse, mlo, mhi = _span_form(c.mse_range)
+        arb, alo, ahi = _span_form(c.arb_range)
+        best, blo, bhi = _span_form(c.best)
+        items.append(
+            _JSON_CELLS[c.arb is not None, mse, arb, best]
+            % (c.m, c.h, c.p, c.q, c.delta1, c.delta2, c.delta, c.pre, c.arb,
+               mlo, mhi, alo, ahi, blo, bhi)
+        )
+    if not items:
+        return "[]\n"
+    text = "[\n" + ",\n".join(items) + "\n]\n"
+    # no key and no literal of the templates contains "nan" or "inf", so
+    # either one here is a non-finite float, which json rejects the same way
+    if "nan" in text or "inf" in text:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
 
 
 def cells_to_text(cells) -> str:

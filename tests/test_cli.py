@@ -672,6 +672,7 @@ _VER = ("mc", "verify", "--reps", "2000")
         (3, ("risk", "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "1")),
         (2, ("risk", "--h", H6, "--p", "1", "--q", "0", "--delta", "1")),
         (2, ("risk", "--h", H6, "--p", "1", "--q", "inf", "--delta", "1")),
+        (2, ("risk", "--h", H6, "--p", "1", "--q", "1.5", "--delta", "1")),
         (2, ("risk", "--h", H6, "--p", "1", "--q", "0.5", "--delta", "-1")),
         (2, ("risk", "--h", H6, "--p", "1", "--q", "0.5",
              "--delta1", "0", "--delta2", "1", "--modified")),
@@ -696,6 +697,7 @@ _VER = ("mc", "verify", "--reps", "2000")
         (3, ("dominance", "--h", H6, "--p", "-3", "--q", "0.5")),
         (3, ("dominance", "--h", H6, "--p", "1e-300", "--q", "0.5")),
         (2, ("dominance", "--h", H6, "--p", "1", "--q", "-0.5")),
+        (2, ("dominance", "--h", H6, "--p", "1", "--q", "1.5")),
         (2, ("dominance", "--h", "3", "--p", "0", "--q", "0.5")),
         (2, ("dominance", "--h", "3", "--p", "-6", "--q", "0.5")),
         (2, ("dominance", "--h", H6, "--p", "0", "--q", "0")),

@@ -105,6 +105,11 @@ def test_grid_validation_collects_every_problem():
     assert "delta row 0" in msg
 
 
+def test_grid_validation_rejects_q_above_one():
+    with pytest.raises(GridValidationError, match=r"q=1\.5: q must lie in \(0, 1\]"):
+        GridSpec(((6, H6),), (1.0,), (0.5, 1.5), ((0.8, 1.2),))
+
+
 def test_grid_validation_rejects_inadmissible_p():
     # p = -2 needs h > 8; h = 7 is a legal design but not for this exponent
     with pytest.raises(GridValidationError, match="inadmissible"):
@@ -296,6 +301,73 @@ def test_text_output(cells31):
 def test_text_marks_missing_columns(cells51):
     line = cells_to_text(cells51[:1]).splitlines()[1]
     assert line.split()[-1] == "-"
+
+
+def _oracle_csv(cells):
+    rows = (
+        [c.m, c.h, c.p, c.q, c.delta1, c.delta2, c.delta, c.pre, c.arb,
+         *tables.span_ends(c.mse_range), *tables.span_ends(c.best)]
+        for c in cells
+    )
+    return tables.rows_to_csv(CSV_HEADER, rows)
+
+
+def _odd_cell(**kw):
+    base = dict(m=6, h=H6, p=1.0, q=0.5, delta1=1.0, delta2=1.0, delta=1.0, pre=42.0)
+    return TableCell(**{**base, **kw})
+
+
+def _hand_built_cells():
+    empty = DominanceRange.empty()
+    return [
+        _odd_cell(mse_range=empty, best=empty),
+        _odd_cell(arb=None),
+        _odd_cell(arb=0.5),
+        _odd_cell(arb=0.25, mse_range=empty, arb_range=DominanceRange(0.5, 1.75), best=empty),
+        _odd_cell(arb_range=empty, best=DominanceRange(0.0, 3.0)),
+    ]
+
+
+ORACLE_CASES = {
+    "stock-31": lambda: table_31(GridSpec.default_31()),
+    "stock-51": lambda: table_51(GridSpec.default_51()),
+    **{
+        f"fresh-{seed}": lambda seed=seed: table_31(_fresh_spec(seed)) + table_51(_fresh_spec(seed))
+        for seed in (11, 12, 13)
+    },
+    "empty": lambda: [],
+    "single": lambda: table_31(GridSpec.default_31())[:1],
+    "hand-built": _hand_built_cells,
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_cell_writers_match_generic_writers(case):
+    # the shape-specialised writers must emit the generic writers' bytes
+    cells = ORACLE_CASES[case]()
+    assert cells_to_json(cells) == tables.to_json([c.to_dict() for c in cells])
+    assert cells_to_csv(cells) == _oracle_csv(cells)
+
+
+@pytest.mark.parametrize("field", [{"h": float("nan")}, {"delta1": float("inf")}])
+def test_json_rejects_non_finite_cell_fields(field):
+    # TableCell checks only pre and arb; JSON has no spelling for NaN or inf
+    with pytest.raises(ValueError):
+        cells_to_json([_odd_cell(**field)])
+
+
+def test_csv_spells_non_finite_cell_fields():
+    text = cells_to_csv([_odd_cell(h=float("nan")), _odd_cell(delta1=float("inf"))])
+    assert text.split("\r\n")[1:] == [
+        "6,nan,1,0.5,1,1,1,42,,,,,",
+        "6,10.851900000000001,1,0.5,inf,1,1,42,,,,,",
+        "",
+    ]
+
+
+def test_empty_cell_lists():
+    assert cells_to_json([]) == "[]\n"
+    assert cells_to_csv([]) == ",".join(CSV_HEADER) + "\r\n"
 
 
 def test_serialization_is_byte_stable(cells31):

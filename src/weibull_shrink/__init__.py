@@ -22,7 +22,6 @@ from weibull_shrink.model import (
     RiskReport,
     ShrinkageConfig,
     WeibullParams,
-    departures,
 )
 
 __version__ = "0.1.0"
@@ -34,6 +33,5 @@ __all__ = [
     "RiskReport",
     "ShrinkageConfig",
     "WeibullParams",
-    "departures",
     "__version__",
 ]

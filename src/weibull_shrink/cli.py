@@ -35,6 +35,7 @@ from weibull_shrink.model import (
     PivotalContext,
     ShrinkageConfig,
     WeibullParams,
+    _require_design,
     lookup_h,
 )
 
@@ -145,7 +146,8 @@ def cmd_estimate(args) -> tuple:
             raise _CliError(2, "--data needs --n (number of units on test)")
         n = args.n
         sample = CensoredSample(n=n, observations=tuple(_read_failure_times(args.data)))
-        m = sample.m
+        # checked before the h lookup, so one failure time exits 2 with or without --h
+        n, m = _require_design(n, sample.m)
         h = args.h if args.h is not None else lookup_h(n, m)
         if args.bain_k is not None:
             bain_k = args.bain_k
@@ -299,12 +301,7 @@ def cmd_table(args) -> tuple:
             "audit": [vars(a) for a in audits],
         }
         if ranges is not None:
-            # an empty computed range is a NaN pair; write it as [] like `span`
-            doc["ranges"] = [
-                {**vars(r),
-                 "computed": [] if math.isnan(r.computed[0]) else list(r.computed)}
-                for r in ranges
-            ]
+            doc["ranges"] = [{**vars(r), "computed": tables.span(r.computed)} for r in ranges]
         return tables.to_json(doc), 0
     return tables.cells_to_text(cells) + "\n" + tables.format_diff_report(audits, ranges), 0
 
@@ -456,8 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = mc_sub.add_parser("verify", parents=[common, point, departure],
                               help="check analytic risks against simulation")
     p_ver.add_argument("--reps", type=int, default=1_000_000)
-    p_ver.add_argument("--n", type=int, default=20)
-    p_ver.add_argument("--m", type=int, default=6)
+    p_ver.add_argument("--n", type=int, default=20,
+                       help="units on test; checked as a design with --m, but unused: "
+                            "t is drawn from its gamma law at --h")
+    p_ver.add_argument("--m", type=int, default=6,
+                       help="observed failures (2 <= m <= n); checked, but unused like --n")
     p_ver.set_defaults(func=cmd_mc_verify)
 
     p_k = mc_sub.add_parser("estimate-k", parents=[common],

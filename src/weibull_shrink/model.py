@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 
 class InadmissibleParameterError(ValueError):
@@ -76,10 +75,10 @@ def _require_h(h: float, minimum: float) -> float:
     return h
 
 
-def _require_design(n: int, m: int, min_m: int = 2) -> tuple[int, int]:
-    """A censoring design: integers m >= min_m failures out of n >= m units."""
-    if int(m) != m or m < min_m:
-        raise ValueError(f"m must be an integer >= {min_m}, got {m!r}")
+def _require_design(n: int, m: int) -> tuple[int, int]:
+    """A censoring design: integers m >= 2 failures out of n >= m units."""
+    if int(m) != m or m < 2:
+        raise ValueError(f"m must be an integer >= 2, got {m!r}")
     if int(n) != n or n < m:
         raise ValueError(f"n must be an integer >= m, got n={n!r}, m={m!r}")
     return int(n), int(m)
@@ -247,25 +246,3 @@ class RiskReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-class Departures(NamedTuple):
-    """Guess interval endpoints and midpoint measured in units of the true shape."""
-
-    delta1: float
-    delta2: float
-    delta: float
-
-
-def departures(interval: GuessInterval, beta: float) -> Departures:
-    """Departure ratios (beta1/beta, beta2/beta, midpoint/beta).
-
-    Scale-free: scaling the interval and beta by a common factor leaves the
-    result unchanged (up to roundoff).
-    """
-    beta = _require_positive("beta", beta)
-    return Departures(
-        delta1=interval.beta1 / beta,
-        delta2=interval.beta2 / beta,
-        delta=interval.midpoint / beta,
-    )

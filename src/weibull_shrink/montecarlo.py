@@ -82,21 +82,6 @@ class EmpiricalRisk:
         object.__setattr__(self, "replicates", replicates)
 
 
-def sample_weibull(
-    params: WeibullParams, n: int, m: int, rng: np.random.Generator
-) -> np.ndarray:
-    """First m order statistics of n Weibull failure times, by inversion.
-
-    Uses x = alpha * (-ln U)^(1/beta) so the draw is an explicit monotone map
-    of the uniforms (one uniform per unit, sorted afterwards).
-    """
-    n, m = _require_design(n, m, min_m=1)
-    u = rng.random(n)
-    x = params.alpha * (-np.log(u)) ** (1.0 / params.beta)
-    x.sort()
-    return x[:m]
-
-
 def sample_t(
     h: float, beta: float, rng: np.random.Generator, size: int | None = None
 ):

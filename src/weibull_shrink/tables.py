@@ -10,11 +10,14 @@ once; the builders trust it and evaluate the risk kernels directly, with w(p)
 computed once per (p, h) and the truncated estimator's incomplete-gamma terms
 once per (h, delta1, delta2).
 
-The audit functions recompute every cell of the embedded printed tables and
-classify disagreements instead of smoothing them over: a cell that reproduces
-only under the source's rounded (sometimes misprinted) weight is an artifact
-of the printing, and anything else outside tolerance is reported as a source
-disagreement with its relative error.
+The audit recomputes every cell of the embedded printed tables and
+classifies disagreements instead of smoothing them over. One grader serves
+both cell audits: each supplies its departure rows, its printed-value lookup,
+its tolerance, and an evaluator of (pre, arb) at a weight w. The grader takes
+w once per (p, h) and evaluates a cell again at the source's rounded
+(sometimes misprinted) weight only when it falls outside tolerance: a cell
+that reproduces there is an artifact of the printing, and anything else is
+reported as a source disagreement with its relative error.
 
 This module also holds the package's one set of CSV and JSON writers, which
 the CLI shares; like the rest of the analytic layer it never imports numpy.
@@ -47,6 +50,7 @@ from weibull_shrink.risk import (
 )
 
 DEFAULT_DESIGNS = tuple(sorted((m, h) for (n, m), h in BUILTIN_H.items() if n == 20))
+_ROWS_31 = tuple((d1, d2) for d1, d2, _ in ref.TABLE_31_DEPARTURES)
 
 # audit tolerances: efficiencies are compared relatively, biases absolutely,
 # range endpoints with an allowance for the source's truncate-vs-round habit
@@ -111,12 +115,7 @@ class GridSpec:
 
     @classmethod
     def default_31(cls) -> "GridSpec":
-        return cls(
-            DEFAULT_DESIGNS,
-            ref.GRID_P,
-            ref.GRID_Q,
-            tuple((a, b) for a, b, _ in ref.TABLE_31_DEPARTURES),
-        )
+        return cls(DEFAULT_DESIGNS, ref.GRID_P, ref.GRID_Q, _ROWS_31)
 
     @classmethod
     def default_51(cls) -> "GridSpec":
@@ -176,9 +175,9 @@ class TableCell:
         }
 
 
-def _weights(spec: GridSpec) -> dict:
-    """w(p) for every (p, h) of a checked grid."""
-    return {(p, h): shrink_weight(p, h) for p in spec.p_values for _, h in spec.h_values}
+def _weights(p_values, designs) -> dict:
+    """w(p) for every (p, h) of checked p values and (m, h) designs."""
+    return {(p, h): shrink_weight(p, h) for p in p_values for _, h in designs}
 
 
 def _terms(designs, rows) -> dict:
@@ -193,7 +192,7 @@ def table_31(spec: GridSpec) -> list:
     mirroring the printed layout; the order is fixed regardless of how cells
     are evaluated.
     """
-    weights = _weights(spec)
+    weights = _weights(spec.p_values, spec.h_values)
     cells = []
     ranges = {}
     for q in spec.q_values:
@@ -226,7 +225,7 @@ def table_31(spec: GridSpec) -> list:
 
 def table_51(spec: GridSpec) -> list:
     """Truncated-shrinkage efficiency cells; no bias column, no ranges."""
-    weights = _weights(spec)
+    weights = _weights(spec.p_values, spec.h_values)
     terms = _terms(spec.h_values, spec.delta_rows)
     cells = []
     for q in spec.q_values:
@@ -433,42 +432,46 @@ class RangeAudit:
     p: float
     q: float
     printed: tuple | None
-    computed: tuple
+    computed: DominanceRange
     status: str
 
 
-def _h_for(m: int) -> float:
-    return dict(DEFAULT_DESIGNS)[m]
+def _grade(table: str, rows, printed, rtol: float, evaluate) -> list:
+    """Classify every printed cell of one stock table.
 
+    `rows` are its (delta1, delta2) departure rows, `printed(p, q, i, m)` the
+    printed (pre, arb) of row i, and `evaluate(h, q, delta1, delta2, w)` the
+    computed (pre, arb) at weight w; arb is None where the table prints no
+    bias. w is computed once per (p, h). A cell passes when pre is within
+    `rtol` relatively and arb within ARB_ATOL_31; a cell outside tolerance is
+    evaluated again at the printed rounded weight, and is an artifact if it
+    passes there and a source disagreement otherwise.
+    """
+    weights = _weights(ref.GRID_P, DEFAULT_DESIGNS)
 
-def audit_table_31() -> list:
-    """Classify every printed efficiency/bias cell of the nine-row table."""
+    def within(pre, arb, printed_pre, printed_arb) -> bool:
+        return abs(pre - printed_pre) / printed_pre <= rtol and (
+            arb is None or abs(arb - printed_arb) <= ARB_ATOL_31
+        )
+
     audits = []
     for q in ref.GRID_Q:
-        for i, (d1, d2, delta) in enumerate(ref.TABLE_31_DEPARTURES):
+        for i, (d1, d2) in enumerate(rows):
             for p in ref.GRID_P:
-                for m in ref.GRID_M:
-                    h = _h_for(m)
-                    printed_pre, printed_arb = ref.printed_pre_arb(p, q, i, m)
-                    w = shrink_weight(p, h)
-                    pre = _pre_shrink_given_w(h, q, delta, w)
-                    arb = abs(_bias_shrink_given_w(q, delta, w))
-                    rel = abs(pre - printed_pre) / printed_pre
-                    err_arb = abs(arb - printed_arb)
-                    if rel <= PRE_RTOL_31 and err_arb <= ARB_ATOL_31:
+                for m, h in DEFAULT_DESIGNS:
+                    printed_pre, printed_arb = printed(p, q, i, m)
+                    pre, arb = evaluate(h, q, d1, d2, weights[p, h])
+                    if within(pre, arb, printed_pre, printed_arb):
                         status = PASS
+                    elif within(*evaluate(h, q, d1, d2, ref.W_PRINTED[p][m]),
+                                printed_pre, printed_arb):
+                        status = ARTIFACT
                     else:
-                        w_hdr = ref.W_PRINTED[p][m]
-                        pre_hdr = _pre_shrink_given_w(h, q, delta, w_hdr)
-                        arb_hdr = abs(_bias_shrink_given_w(q, delta, w_hdr))
-                        ok_hdr = (
-                            abs(pre_hdr - printed_pre) / printed_pre <= PRE_RTOL_31
-                            and abs(arb_hdr - printed_arb) <= ARB_ATOL_31
-                        )
-                        status = ARTIFACT if ok_hdr else DISAGREE
+                        status = DISAGREE
+                    rel = abs(pre - printed_pre) / printed_pre
                     audits.append(
                         CellAudit(
-                            table="31",
+                            table=table,
                             m=m,
                             p=p,
                             q=q,
@@ -479,51 +482,35 @@ def audit_table_31() -> list:
                             rel_err_pre=rel,
                             printed_arb=printed_arb,
                             computed_arb=arb,
-                            abs_err_arb=err_arb,
+                            abs_err_arb=None if arb is None else abs(arb - printed_arb),
                             status=status,
                             large=rel > LARGE_DISAGREEMENT,
                         )
                     )
     return audits
+
+
+def audit_table_31() -> list:
+    """Classify every printed efficiency/bias cell of the nine-row table."""
+
+    def evaluate(h, q, d1, d2, w):
+        delta = 0.5 * (d1 + d2)
+        return _pre_shrink_given_w(h, q, delta, w), abs(_bias_shrink_given_w(q, delta, w))
+
+    return _grade("31", _ROWS_31, ref.printed_pre_arb, PRE_RTOL_31, evaluate)
 
 
 def audit_table_51() -> list:
     """Classify every printed efficiency cell of the truncated-estimator table."""
     terms = _terms(DEFAULT_DESIGNS, ref.TABLE_51_INTERVALS)
-    audits = []
-    for q in ref.GRID_Q:
-        for i, (d1, d2) in enumerate(ref.TABLE_51_INTERVALS):
-            for p in ref.GRID_P:
-                for m in ref.GRID_M:
-                    h = _h_for(m)
-                    printed = ref.TABLE_51[(q, p, m)][i]
-                    cell_terms = terms[h, d1, d2]
-                    pre = _pre_modified_given_terms(h, q, d1, d2, shrink_weight(p, h), cell_terms)
-                    rel = abs(pre - printed) / printed
-                    if rel <= PRE_RTOL_51:
-                        status = PASS
-                    else:
-                        pre_hdr = _pre_modified_given_terms(
-                            h, q, d1, d2, ref.W_PRINTED[p][m], cell_terms
-                        )
-                        ok_hdr = abs(pre_hdr - printed) / printed <= PRE_RTOL_51
-                        status = ARTIFACT if ok_hdr else DISAGREE
-                    audits.append(
-                        CellAudit(
-                            table="51",
-                            m=m,
-                            p=p,
-                            q=q,
-                            delta1=d1,
-                            delta2=d2,
-                            printed_pre=printed,
-                            computed_pre=pre,
-                            rel_err_pre=rel,
-                            status=status,
-                            large=rel > LARGE_DISAGREEMENT,
-                        )
-                    )
-    return audits
+
+    def printed(p, q, i, m):
+        return ref.TABLE_51[(q, p, m)][i], None
+
+    def evaluate(h, q, d1, d2, w):
+        return _pre_modified_given_terms(h, q, d1, d2, w, terms[h, d1, d2]), None
+
+    return _grade("51", ref.TABLE_51_INTERVALS, printed, PRE_RTOL_51, evaluate)
 
 
 def _endpoint_matches(computed: float, printed: float) -> bool:
@@ -548,14 +535,12 @@ def audit_ranges_31() -> list:
     """
     audits = []
     for (p, q), rec in sorted(ref.RANGES_31.items()):
-        for m in ref.GRID_M:
-            h = _h_for(m)
+        for m, h in DEFAULT_DESIGNS:
             computed = _ranges_given_w(h, q, _nondegenerate_w(p, h))
             with_header_w = _ranges_given_w(h, q, ref.W_PRINTED[p][m])
             for kind in ("mse", "arb", "best"):
                 printed = rec[kind][m]
                 got = computed[kind]
-                got_pair = (got.lo, got.hi)
                 if printed is None:
                     status = UNVERIFIABLE
                 elif _range_matches(got, printed):
@@ -573,7 +558,7 @@ def audit_ranges_31() -> list:
                         p=p,
                         q=q,
                         printed=printed,
-                        computed=got_pair,
+                        computed=got,
                         status=status,
                     )
                 )
@@ -638,7 +623,7 @@ def format_diff_report(audits, range_audits=None) -> str:
                 continue
             lines.append(
                 f"[range {r.status}] {r.kind} m={r.m} p={r.p:g} q={r.q:g}: "
-                f"printed={r.printed} computed=({r.computed[0]:.4f}, {r.computed[1]:.4f})"
+                f"printed={r.printed} computed=({r.computed.lo:.4f}, {r.computed.hi:.4f})"
             )
         counts = {}
         for r in range_audits:

@@ -246,6 +246,16 @@ def test_estimate_unknown_design_exits_4_with_hint(tmp_path, capsys):
     )
     assert code == 4
     assert "estimate-h" in err
+    # one failure time breaks the design rule, which is checked before the h
+    # lookup, so it exits 2 with or without --h
+    f.write_text("1.0\n")
+    for extra in ((), ("--h", H6)):
+        code, _, err = run(
+            capsys, "estimate", "--data", str(f), "--n", "20", "--bain-k", "0.2", *extra,
+            "--beta1", "1", "--beta2", "2", "--p", "1", "--q", "0.5",
+        )
+        assert code == 2
+        assert err == "m must be an integer >= 2, got 1\n"
 
 
 def test_out_unwritable_exits_5(capsys):
@@ -594,6 +604,19 @@ def test_mc_verify_without_pair_checks_three_estimators(capsys):
     data = json.loads(out)
     assert {d["estimator"] for d in data} == {"UNBIASED", "MMSE", "SHRINK_PQ"}
     assert all(d["status"] == "PASS" for d in data)
+
+
+def test_mc_verify_output_does_not_depend_on_the_design(capsys):
+    # t is drawn from its gamma law at --h, so --n and --m are checked only
+    outs = set()
+    for design in (("--m", "6"), ("--m", "8"), ("--m", "12"), ("--n", "30", "--m", "12")):
+        code, out, _ = run(
+            capsys, "mc", "verify", "--h", H6, "--p", "1", "--q", "0.5",
+            "--delta1", "0.8", "--delta2", "1.2", "--reps", "2000", "--seed", "5", *design,
+        )
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
 
 
 def test_mc_verify_passes_when_every_replicate_is_clamped(capsys):

@@ -16,11 +16,8 @@ from weibull_shrink.model import (
     RiskReport,
     ShrinkageConfig,
     WeibullParams,
-    departures,
     lookup_h,
 )
-
-positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 
 
 def test_lookup_h_builtin_designs():
@@ -210,38 +207,6 @@ class TestRiskReport:
     def test_arb_consistency_fuzz(self, bias):
         r = self._mk(bias_over_beta=bias, arb=abs(bias))
         assert r.arb == abs(bias)
-
-
-def test_departures_examples():
-    d = departures(GuessInterval(0.4, 1.6), beta=1.0)
-    assert d.delta1 == pytest.approx(0.4)
-    assert d.delta2 == pytest.approx(1.6)
-    assert d.delta == pytest.approx(1.0)
-
-    d = departures(GuessInterval(3.8, 4.2), beta=1.0)
-    assert d.delta == pytest.approx(4.0)
-
-    # a degenerate interval at the true shape has all ratios equal to 1
-    d = departures(GuessInterval(2.0, 2.0), beta=2.0)
-    assert d == (1.0, 1.0, 1.0)
-
-
-@given(b1=positive, spread=positive, beta=positive, c=st.floats(min_value=1e-3, max_value=1e3))
-@settings(max_examples=100, deadline=None)
-def test_departures_scale_free(b1, spread, beta, c):
-    iv = GuessInterval(b1, b1 + spread)
-    scaled = GuessInterval(b1 * c, (b1 + spread) * c)
-    d0 = departures(iv, beta)
-    d1 = departures(scaled, beta * c)
-    for a, b in zip(d0, d1):
-        assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_departures_rejects_bad_beta():
-    with pytest.raises(ValueError):
-        departures(GuessInterval(1.0, 2.0), beta=0.0)
-    with pytest.raises(ValueError):
-        departures(GuessInterval(1.0, 2.0), beta=-3.0)
 
 
 def test_frozen():

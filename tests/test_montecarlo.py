@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from weibull_shrink.estimators import (
     beta_mmse,
@@ -30,7 +29,6 @@ from weibull_shrink.montecarlo import (
     estimate_degrees_of_freedom,
     mmse_estimator,
     sample_t,
-    sample_weibull,
     shrink_estimator,
     truncated_estimator,
     unbiased_estimator,
@@ -132,30 +130,6 @@ def test_sample_t_validation():
         sample_t(0.0, 1.0, rng)
     with pytest.raises(ValueError):
         sample_t(10.0, -1.0, rng)
-
-
-def test_sample_weibull_distribution():
-    alpha, beta = 2.0, 1.5
-    rng = np.random.default_rng(2024)
-    x = sample_weibull(WeibullParams(alpha=alpha, beta=beta), 5000, 5000, rng)
-    res = stats.kstest(x, lambda v: 1.0 - np.exp(-((v / alpha) ** beta)))
-    assert res.pvalue > 0.01, res
-    assert (np.diff(x) >= 0).all()
-
-
-def test_sample_weibull_censoring_is_truncation():
-    # drawing m < n keeps exactly the m smallest of the same n draws
-    full = sample_weibull(PARAMS, 50, 50, np.random.default_rng(7))
-    part = sample_weibull(PARAMS, 50, 12, np.random.default_rng(7))
-    assert np.array_equal(part, full[:12])
-
-
-def test_sample_weibull_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_weibull(PARAMS, 5, 0, rng)
-    with pytest.raises(ValueError):
-        sample_weibull(PARAMS, 5, 6, rng)
 
 
 def test_unbiased_estimator_is_unbiased():

@@ -471,6 +471,14 @@ def test_diff_report_without_ranges(a51):
     assert "106 source disagreements; 70 flagged cells off by more than 5%" in report
 
 
+def test_audit_records_recompute_the_stock_cells(a31, a51, cells31, cells51):
+    # each audit record holds exactly the values its stock table prints, in order
+    for audits, cells in ((a31, cells31), (a51, cells51)):
+        got = [(a.m, a.p, a.q, a.delta1, a.delta2, a.computed_pre, a.computed_arb)
+               for a in audits]
+        assert got == [(c.m, c.p, c.q, c.delta1, c.delta2, c.pre, c.arb) for c in cells]
+
+
 def test_analytic_layer_does_not_import_numpy():
     # the analytic layer must stay usable, and cheap to import, without numpy
     code = (

@@ -16,6 +16,11 @@ then the simulation flags. A numerical overflow, or an efficiency left
 unbounded by a zero MSE, is a data problem too, and exits 2. Data goes to
 stdout (or --out); diagnostics go to stderr. Output depends only on flags and
 seed, never on wall clock, so reruns are byte-identical.
+
+Only the mc subcommands simulate, so only they import `montecarlo` and with
+it numpy; every other subcommand runs on the closed forms alone. `estimate
+--data` takes Bain's unbiasing constant k from its exact finite sum
+(`estimators.bain_constant`) unless --bain-k is given, so it ignores --seed.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import dataclasses
 import math
 import sys
 
-from weibull_shrink import estimators, montecarlo, risk, tables
+from weibull_shrink import estimators, risk, tables
 from weibull_shrink.model import (
     BUILTIN_H,
     CensoredSample,
@@ -38,8 +43,6 @@ from weibull_shrink.model import (
     _require_design,
     lookup_h,
 )
-
-_ESTIMATE_K_REPS = 200_000
 
 
 class _CliError(Exception):
@@ -149,12 +152,7 @@ def cmd_estimate(args) -> tuple:
         # checked before the h lookup, so one failure time exits 2 with or without --h
         n, m = _require_design(n, sample.m)
         h = args.h if args.h is not None else lookup_h(n, m)
-        if args.bain_k is not None:
-            bain_k = args.bain_k
-        else:
-            bain_k, _ = montecarlo.estimate_bain_constant(
-                m, n, _ESTIMATE_K_REPS, args.seed
-            )
+        bain_k = args.bain_k if args.bain_k is not None else estimators.bain_constant(m, n)
         scale = estimators.bain_scale_estimate(
             sample, estimators.BainConstants(m=m, n=n, k=bain_k)
         )
@@ -311,6 +309,8 @@ def cmd_table(args) -> tuple:
 
 
 def cmd_mc_estimate_k(args) -> tuple:
+    from weibull_shrink import montecarlo
+
     k, se = montecarlo.estimate_bain_constant(args.m, args.n, args.reps, args.seed)
     pairs = [("k", k), ("se", se), ("m", args.m), ("n", args.n),
              ("replicates", args.reps), ("seed", args.seed)]
@@ -318,6 +318,8 @@ def cmd_mc_estimate_k(args) -> tuple:
 
 
 def cmd_mc_estimate_h(args) -> tuple:
+    from weibull_shrink import montecarlo
+
     h, se = montecarlo.estimate_degrees_of_freedom(args.m, args.n, args.reps, args.seed)
     pairs = [("h", h), ("se", se), ("m", args.m), ("n", args.n),
              ("replicates", args.reps), ("seed", args.seed)]
@@ -328,6 +330,8 @@ def cmd_mc_estimate_h(args) -> tuple:
 
 
 def cmd_mc_verify(args) -> tuple:
+    from weibull_shrink import montecarlo
+
     if args.reps < 1000:
         raise _CliError(2, "verification needs --reps >= 1000")
     delta, have_pair = _resolve_delta(args)
@@ -417,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of observed failures (with --t; needed when h is not built in)")
     p_est.add_argument("--t", type=float, help="pivotal statistic, bypassing --data")
     p_est.add_argument("--h", type=float, help="pivotal degrees of freedom")
-    p_est.add_argument("--bain-k", type=float, help="unbiasing constant for the design")
+    p_est.add_argument("--bain-k", type=float,
+                       help="unbiasing constant for the design (default: its exact value)")
     p_est.add_argument("--beta1", type=float, required=True)
     p_est.add_argument("--beta2", type=float, required=True)
     p_est.add_argument("--p", type=float, required=True)

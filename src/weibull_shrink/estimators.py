@@ -35,9 +35,8 @@ class BainConstants:
     """Unbiasing constant k for the censored-sample scale estimator.
 
     k equals -(1/n) E[sum_{i<m} (v_i - v_m)] where v_1 <= ... <= v_m are the m
-    smallest of n standard smallest-extreme-value order statistics. Values are
-    design-specific; estimate them by simulation if no published value is at
-    hand.
+    smallest of n standard smallest-extreme-value order statistics;
+    `bain_constant` gives its exact value for any design.
     """
 
     m: int
@@ -49,6 +48,43 @@ class BainConstants:
         _require_positive("k", self.k)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
+
+
+def _bain_coefficients(m: int, n: int) -> dict:
+    """Integers c_r with k = sum_r c_r ln(r) / r for the (m, n) design.
+
+    Lieblein's sum gives E[v_(i)] = -gamma - n C(n-1, i-1) sum_{j<i} (-1)^j
+    C(i-1, j) ln(r) / r with r = n - i + j + 1. In
+    k = ((m-1) E[v_(m)] - sum_{i<m} E[v_(i)]) / n Euler's gamma cancels, and
+    the alternating binomial sums over i < m collapse, so for s = n - r in
+    0..m-1: c_r = (-1)^(m-s) C(n-1, s) [C(r-2, m-2-s) + (m-1) C(r-1, m-1-s)].
+    """
+    coefficients = {}
+    for s in range(m):
+        r = n - s
+        below = math.comb(r - 2, m - 2 - s) if s <= m - 2 else 0
+        last = (m - 1) * math.comb(r - 1, m - 1 - s)
+        coefficients[r] = (-1) ** (m - s) * math.comb(n - 1, s) * (below + last)
+    return coefficients
+
+
+def bain_constant(m: int, n: int) -> float:
+    """Exact unbiasing constant k for the (m, n) design (see BainConstants).
+
+    The terms of the finite sum cancel roughly 4^n-fold, which no float sum
+    survives, so it runs in decimal at the digits of the largest coefficient
+    plus 25: m logarithms at that precision, which sets the cost.
+    """
+    # imported here: only `estimate --data` needs decimal, and every CLI
+    # process would pay its import otherwise
+    from decimal import Decimal, localcontext
+
+    n, m = _require_design(n, m)
+    coefficients = _bain_coefficients(m, n)
+    with localcontext() as ctx:
+        ctx.prec = len(str(max(abs(c) for c in coefficients.values()))) + 25
+        total = sum(Decimal(c) * Decimal(r).ln() / r for r, c in coefficients.items())
+    return float(total)
 
 
 def bain_scale_estimate(sample: CensoredSample, constants: BainConstants) -> float:

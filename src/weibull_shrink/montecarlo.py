@@ -215,7 +215,11 @@ def _sev_spacing_sums(m: int, n: int, replicates: int, seed: int) -> np.ndarray:
         rows = min(_ROW_CHUNK, replicates - done)
         done += rows
         rng = np.random.default_rng(seeds[i])
-        v = np.log(-np.log(rng.random((rows, n))))
+        # v = ln(-ln U) in place: one (rows, n) buffer instead of three
+        v = rng.random((rows, n))
+        np.log(v, out=v)
+        np.negative(v, out=v)
+        np.log(v, out=v)
         v.sort(axis=1)
         parts.append(np.sum(v[:, : m - 1] - v[:, m - 1 : m], axis=1))
     return np.concatenate(parts)

@@ -168,8 +168,8 @@ def pre_shrink(h: float, p: float, q: float, delta: float) -> float:
 # dominance ranges in the departure delta, for fixed p and q
 
 
-def _nondegenerate_w(p: float, h: float) -> float:
-    w = shrink_weight(p, h)
+def _nondegenerate_w(p: float, h: float, w: float) -> float:
+    """w = w(p) at h, checked to leave the estimator a dominance range."""
     if w >= 1.0:
         raise InadmissibleParameterError(
             f"w(p={p}) rounds to 1 at h={h}; the estimator degenerates to the "
@@ -208,7 +208,7 @@ def mse_dominance_range(h: float, p: float, q: float) -> DominanceRange:
     """
     h = _require_h(h, 4.0)
     q = _require_q(q)
-    return _mse_range_given_w(h, q, _nondegenerate_w(p, h))
+    return _mse_range_given_w(h, q, _nondegenerate_w(p, h, shrink_weight(p, h)))
 
 
 def arb_dominance_range(h: float, p: float, q: float) -> DominanceRange:
@@ -220,14 +220,14 @@ def arb_dominance_range(h: float, p: float, q: float) -> DominanceRange:
     """
     h = _require_h(h, 2.0)
     q = _require_q(q)
-    return _arb_range_given_w(h, q, _nondegenerate_w(p, h))
+    return _arb_range_given_w(h, q, _nondegenerate_w(p, h, shrink_weight(p, h)))
 
 
 def best_range(h: float, p: float, q: float) -> DominanceRange:
     """Departures where the shrinkage estimator wins on both MSE and ARB."""
     h = _require_h(h, 4.0)
     q = _require_q(q)
-    return _ranges_given_w(h, q, _nondegenerate_w(p, h))["best"]
+    return _ranges_given_w(h, q, _nondegenerate_w(p, h, shrink_weight(p, h)))["best"]
 
 
 # ---------------------------------------------------------------------------

@@ -200,10 +200,10 @@ def table_31(spec: GridSpec) -> list:
             delta = 0.5 * (d1 + d2)
             for p in spec.p_values:
                 for m, h in spec.h_values:
+                    w = weights[p, h]
                     key = (p, q, h)
                     if key not in ranges:
-                        ranges[key] = _ranges_given_w(h, q, _nondegenerate_w(p, h))
-                    w = weights[p, h]
+                        ranges[key] = _ranges_given_w(h, q, _nondegenerate_w(p, h, w))
                     cells.append(
                         TableCell(
                             m=m,
@@ -533,10 +533,11 @@ def audit_ranges_31() -> list:
     best range that duplicates the MSE range where recomputation says it
     should be narrower is `inconsistent`.
     """
+    weights = _weights(ref.GRID_P, DEFAULT_DESIGNS)
     audits = []
     for (p, q), rec in sorted(ref.RANGES_31.items()):
         for m, h in DEFAULT_DESIGNS:
-            computed = _ranges_given_w(h, q, _nondegenerate_w(p, h))
+            computed = _ranges_given_w(h, q, _nondegenerate_w(p, h, weights[p, h]))
             with_header_w = _ranges_given_w(h, q, ref.W_PRINTED[p][m])
             for kind in ("mse", "arb", "best"):
                 printed = rec[kind][m]

@@ -15,6 +15,7 @@ import pytest
 
 import weibull_shrink
 from weibull_shrink.cli import main
+from weibull_shrink.estimators import bain_constant
 
 H6 = "10.8519"
 
@@ -88,22 +89,22 @@ def test_estimate_from_data(tmp_path, capsys):
     assert code2 == 0 and out2 == out
 
 
-def test_estimate_data_with_simulated_k_is_deterministic(tmp_path, capsys):
+def test_estimate_data_uses_the_exact_k_and_ignores_the_seed(tmp_path, capsys):
     f = tmp_path / "times.dat"
     f.write_text("0.5\n1.0\n1.5\n2.0\n2.5\n3.0\n")
     args = (
-        "estimate", "--data", str(f), "--n", "20", "--seed", "7",
+        "estimate", "--data", str(f), "--n", "20",
         "--beta1", "0.8", "--beta2", "1.2", "--p", "-1", "--q", "0.5",
         "--format", "json",
     )
-    code, out, err = run(capsys, *args)
+    code, out, err = run(capsys, *args, "--seed", "7")
     assert code == 0, err
-    assert json.loads(out)["bain_k"] is not None
-    code2, out2, _ = run(capsys, *args)
-    assert out2 == out
-    # a different seed gives a different simulated constant
-    code3, out3, _ = run(capsys, *args[:-2], "--seed", "8", "--format", "json")
-    assert json.loads(out3)["bain_k"] != json.loads(out)["bain_k"]
+    assert json.loads(out)["bain_k"] == bain_constant(6, 20)
+    code2, out2, _ = run(capsys, *args, "--seed", "8")
+    assert code2 == 0 and out2 == out
+    # an explicit constant still wins
+    code3, out3, _ = run(capsys, *args, "--bain-k", "0.2")
+    assert code3 == 0 and json.loads(out3)["bain_k"] == 0.2
 
 
 @pytest.mark.parametrize(

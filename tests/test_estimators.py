@@ -1,7 +1,9 @@
 """Point-estimator behaviour: frozen values, closed forms, and shape properties."""
 
 import math
+from collections import defaultdict
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from weibull_shrink.estimators import (
     BainConstants,
     DegenerateSampleError,
+    _bain_coefficients,
+    bain_constant,
     bain_scale_estimate,
     beta_mmse,
     beta_shrink,
@@ -313,3 +317,46 @@ def test_bain_constants_validation():
         BainConstants(m=3, n=10, k=0.0)
     with pytest.raises(ValueError):
         BainConstants(m=3, n=10, k=float("nan"))
+
+
+# --- exact unbiasing constant -----------------------------------------------
+
+
+def test_bain_constant_two_by_two_is_ln2():
+    # the spacing of two standard SEV draws has mean 2 ln 2, and k = mean / n
+    assert abs(bain_constant(2, 2) - math.log(2.0)) <= 1e-15
+
+
+def test_bain_constant_builtin_designs():
+    got = [round(bain_constant(m, 20), 6) for m in (6, 8, 10, 12)]
+    assert got == [0.272064, 0.394394, 0.527664, 0.675648]
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 5), (3, 3), (6, 20), (20, 20), (7, 31), (40, 90)])
+def test_bain_coefficients_match_lieblein_double_sum(m, n):
+    # k = sum_{i<m} L_i - (m-1) L_m, L_i = C(n-1, i-1) sum_{j<i} (-1)^j C(i-1, j) ln(r)/r
+    want = defaultdict(int)
+    for i in range(1, m + 1):
+        scale = math.comb(n - 1, i - 1) * (1 if i < m else 1 - m)
+        for j in range(i):
+            want[n - i + j + 1] += (-1) ** j * scale * math.comb(i - 1, j)
+    got = _bain_coefficients(m, n)
+    assert {r: c for r, c in got.items() if c} == {r: c for r, c in want.items() if c}
+
+
+@pytest.mark.parametrize("m, n", [(6, 20), (100, 200), (300, 300)])
+def test_bain_constant_sum_is_exact_to_the_last_bit(m, n):
+    # the coefficients grow like 4^n, so the sum needs their digits plus a margin;
+    # a 40-digit-margin mpmath sum is the reference
+    coefficients = _bain_coefficients(m, n)
+    digits = len(str(max(abs(c) for c in coefficients.values())))
+    with mpmath.workdps(digits + 40):
+        want = float(mpmath.fsum(c * mpmath.log(r) / r for r, c in coefficients.items()))
+    assert bain_constant(m, n) == want
+
+
+def test_bain_constant_validation():
+    with pytest.raises(ValueError):
+        bain_constant(1, 10)
+    with pytest.raises(ValueError):
+        bain_constant(5, 4)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weibull_shrink.estimators import (
+    bain_constant,
     beta_mmse,
     beta_shrink,
     beta_shrink_truncated,
@@ -192,6 +193,13 @@ def test_bain_constant_two_by_two():
     k, se = estimate_bain_constant(2, 2, 400_000, seed=42)
     assert se > 0.0
     assert abs(k - math.log(2.0)) < 3.0 * se
+
+
+@pytest.mark.parametrize("m, n", [(6, 20), (20, 20), (3, 24), (100, 200)])
+def test_exact_bain_constant_matches_simulation(m, n):
+    # (100, 200) needs far more decimal digits than (6, 20)
+    k, se = estimate_bain_constant(m, n, 40_000, seed=11)
+    assert abs(k - bain_constant(m, n)) < 4.0 * se, (k, se)
 
 
 def test_bain_constant_validation():

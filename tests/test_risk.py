@@ -394,18 +394,21 @@ def test_composite_risks_evaluate_once(monkeypatch):
         calls.update(P=0, w=0)
         fn(*args)
         assert calls == want, fn.__name__
-    # w(p) once per (p, h) of the 4 x 4 stock grid, and six P values per
-    # (h, delta1, delta2): 4 designs x 7 intervals, once per table build and
-    # once per audit, whatever the number of p and q values
+    # w(p) once per (p, h) of the 4 x 4 stock grid, the dominance ranges
+    # included, and six P values per (h, delta1, delta2): 4 designs x 7
+    # intervals, once per table build and once per audit, whatever the number
+    # of p and q values
     monkeypatch.setattr(tables, "shrink_weight", counted("table_w", tables.shrink_weight))
     for fn, args, want_p in (
         (tables.table_51, (tables.GridSpec.default_51(),), 6 * 4 * 7),
         (tables.audit_table_51, (), 6 * 4 * 7),
         (tables.audit_table_31, (), 0),
+        (tables.table_31, (tables.GridSpec.default_31(),), 0),
+        (tables.audit_ranges_31, (), 0),
     ):
-        calls.update(P=0, table_w=0)
+        calls.update(P=0, w=0, table_w=0)
         fn(*args)
-        assert (calls["P"], calls["table_w"]) == (want_p, 16), fn.__name__
+        assert (calls["P"], calls["table_w"], calls["w"]) == (want_p, 16, 0), fn.__name__
 
 
 def test_bias_modified_below_h_4():

@@ -20,6 +20,7 @@ import pytest
 
 from weibull_shrink import reference_data as ref
 from weibull_shrink import risk, tables
+from weibull_shrink.model import InadmissibleParameterError
 from weibull_shrink.risk import DominanceRange
 from weibull_shrink.tables import (
     ARTIFACT,
@@ -471,6 +472,13 @@ def test_diff_report_without_ranges(a51):
     assert "106 source disagreements; 70 flagged cells off by more than 5%" in report
 
 
+def test_table_31_rejects_a_weight_that_rounds_to_one():
+    # w(1e-17) is admissible but rounds to 1, leaving no dominance range
+    spec = tables.GridSpec(tables.DEFAULT_DESIGNS[:1], (1e-17,), (0.5,), ((1.0, 1.0),))
+    with pytest.raises(InadmissibleParameterError, match="rounds to 1"):
+        tables.table_31(spec)
+
+
 def test_audit_records_recompute_the_stock_cells(a31, a51, cells31, cells51):
     # each audit record holds exactly the values its stock table prints, in order
     for audits, cells in ((a31, cells31), (a51, cells51)):
@@ -479,13 +487,38 @@ def test_audit_records_recompute_the_stock_cells(a31, a51, cells31, cells51):
         assert got == [(c.m, c.p, c.q, c.delta1, c.delta2, c.pre, c.arb) for c in cells]
 
 
-def test_analytic_layer_does_not_import_numpy():
-    # the analytic layer must stay usable, and cheap to import, without numpy
+def test_analytic_layer_does_not_import_numpy(tmp_path):
+    # the analytic layer, and every CLI subcommand but mc, must stay usable,
+    # and cheap to start, without numpy; mc still brings it in
+    data = tmp_path / "times.dat"
+    data.write_text("0.5\n1.0\n1.5\n2.0\n2.5\n3.0\n")
+    shape = ["--h", "10.8519", "--p", "1", "--q", "0.5"]
+    guess = ["--beta1", "0.8", "--beta2", "1.2", "--p", "-1", "--q", "0.5"]
+    analytic = [
+        ["risk", *shape, "--delta", "1.2"],
+        ["risk", *shape, "--delta1", "0.8", "--delta2", "1.4", "--modified"],
+        ["dominance", *shape],
+        ["table", "31"],
+        ["table", "31", "--diff"],
+        ["table", "51"],
+        ["table", "51", "--diff"],
+        ["estimate", "--t", "8.8519", "--h", "10.8519", *guess],
+        ["estimate", "--data", str(data), "--n", "20", *guess],
+    ]
+    verify = ["mc", "verify", *shape, "--delta", "1.2", "--reps", "1000"]
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import weibull_shrink.model, weibull_shrink.specfun, weibull_shrink.estimators\n"
         "import weibull_shrink.risk, weibull_shrink.reference_data, weibull_shrink.tables\n"
+        "from weibull_shrink.cli import main\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        f"for argv in {analytic!r}:\n"
+        "    run(argv)\n"
         "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
+        f"run({verify!r})\n"
+        "assert 'numpy' in sys.modules\n"
     )
     src = Path(tables.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))

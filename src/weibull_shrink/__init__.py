@@ -11,7 +11,8 @@ Modules:
     estimators  -- point estimators of the shape parameter
     risk        -- exact relative bias / relative MSE / efficiency formulas
     montecarlo  -- seeded simulation: empirical risk, calibration constants
-    tables      -- efficiency table grids, CSV/JSON writers, reference audit
+    writers     -- generic CSV/JSON writers and the encoding of a range
+    tables      -- efficiency table grids, their cell writers, reference audit
     cli         -- command line front end
 """
 

@@ -18,7 +18,10 @@ stdout (or --out); diagnostics go to stderr. Output depends only on flags and
 seed, never on wall clock, so reruns are byte-identical.
 
 Only the mc subcommands simulate, so only they import `montecarlo` and with
-it numpy; every other subcommand runs on the closed forms alone. `estimate
+it numpy; every other subcommand runs on the closed forms alone. Only `table`
+imports `tables`, and with it the transcribed printed tables in
+`reference_data`; every other document goes through the generic writers in
+`writers`, which load `csv` and `json` only for those formats. `estimate
 --data` takes Bain's unbiasing constant k from its exact finite sum
 (`estimators.bain_constant`) unless --bain-k is given, so it ignores --seed.
 """
@@ -30,10 +33,11 @@ import dataclasses
 import math
 import sys
 
-from weibull_shrink import estimators, risk, tables
+from weibull_shrink import estimators, risk, writers
 from weibull_shrink.model import (
     BUILTIN_H,
     CensoredSample,
+    GridValidationError,
     GuessInterval,
     InadmissibleParameterError,
     MissingConstantError,
@@ -69,8 +73,8 @@ def _emit_kv(fmt: str, pairs) -> str:
     if fmt == "text":
         return "\n".join(f"{k} = {_f4(v)}" for k, v in pairs) + "\n"
     if fmt == "csv":
-        return tables.rows_to_csv([k for k, _ in pairs], [[v for _, v in pairs]])
-    return tables.to_json(dict(pairs))
+        return writers.rows_to_csv([k for k, _ in pairs], [[v for _, v in pairs]])
+    return writers.to_json(dict(pairs))
 
 
 def _resolve_delta(args) -> tuple[float, bool]:
@@ -212,9 +216,9 @@ def cmd_risk(args) -> tuple:
         for r in reports
     ]
     if args.format == "csv":
-        return tables.rows_to_csv(header, rows), 0
+        return writers.rows_to_csv(header, rows), 0
     if args.format == "json":
-        return tables.to_json([r.to_dict() for r in reports]), 0
+        return writers.to_json([r.to_dict() for r in reports]), 0
     lines = [f"{'estimator':<20} {'bias':>10} {'arb':>10} {'rmse':>10} {'pre':>12}"]
     lines += [
         f"{r.estimator_id:<20} {r.bias_over_beta:>10.4f} {r.arb:>10.4f} "
@@ -234,10 +238,10 @@ def cmd_dominance(args) -> tuple:
     r_best = risk.best_range(args.h, args.p, args.q)
     named = [("mse_range", r_mse), ("arb_range", r_arb), ("best", r_best)]
     if args.format == "csv":
-        rows = [[name, *tables.span_ends(r)] for name, r in named]
-        return tables.rows_to_csv(["range", "lo", "hi"], rows), 0
+        rows = [[name, *writers.span_ends(r)] for name, r in named]
+        return writers.rows_to_csv(["range", "lo", "hi"], rows), 0
     if args.format == "json":
-        return tables.to_json({name: tables.span(r) for name, r in named}), 0
+        return writers.to_json({name: writers.span(r) for name, r in named}), 0
     lines = []
     for name, r in named:
         body = "empty" if r.is_empty else f"({r.lo:.4f}, {r.hi:.4f})"
@@ -263,6 +267,8 @@ def _printed_audit(which: str, cells) -> tuple:
     """Audit records for the printed cells among `cells`, those at their m's
     built-in h: the cell records, and for table 3.1 the range records of their
     (p, q, m) blocks (None for table 5.1)."""
+    from weibull_shrink import tables
+
     stock_h = dict(tables.DEFAULT_DESIGNS)
     printed = {
         (c.m, c.p, c.q, c.delta1, c.delta2) for c in cells if stock_h.get(c.m) == c.h
@@ -278,6 +284,8 @@ def _printed_audit(which: str, cells) -> tuple:
 
 
 def cmd_table(args) -> tuple:
+    from weibull_shrink import tables
+
     default = tables.GridSpec.default_31 if args.which == "31" else tables.GridSpec.default_51
     spec = default()
     h_values = spec.h_values if not args.design else tuple(args.design)
@@ -292,15 +300,15 @@ def cmd_table(args) -> tuple:
     audits, ranges = _printed_audit(args.which, cells)
     if args.format == "csv":
         header = [f.name for f in dataclasses.fields(tables.CellAudit)]
-        return tables.rows_to_csv(header, (vars(a).values() for a in audits)), 0
+        return writers.rows_to_csv(header, (vars(a).values() for a in audits)), 0
     if args.format == "json":
         doc = {
             "cells": [c.to_dict() for c in cells],
             "audit": [vars(a) for a in audits],
         }
         if ranges is not None:
-            doc["ranges"] = [{**vars(r), "computed": tables.span(r.computed)} for r in ranges]
-        return tables.to_json(doc), 0
+            doc["ranges"] = [{**vars(r), "computed": writers.span(r.computed)} for r in ranges]
+        return writers.to_json(doc), 0
     return tables.cells_to_text(cells) + "\n" + tables.format_diff_report(audits, ranges), 0
 
 
@@ -371,9 +379,9 @@ def cmd_mc_verify(args) -> tuple:
     code = 1 if failed else 0
     header = ("estimator", "metric", "empirical", "analytic", "three_se", "status")
     if args.format == "csv":
-        return tables.rows_to_csv(header, results), code
+        return writers.rows_to_csv(header, results), code
     if args.format == "json":
-        return tables.to_json([dict(zip(header, r)) for r in results]), code
+        return writers.to_json([dict(zip(header, r)) for r in results]), code
     lines = [
         f"{status} {name} {metric}: empirical {emp:.6f} vs analytic {ana:.6f} "
         f"(3se {tol:.6f})"
@@ -495,7 +503,7 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (InadmissibleParameterError, tables.GridValidationError) as exc:
+    except (InadmissibleParameterError, GridValidationError) as exc:
         print(str(exc), file=sys.stderr)
         return 3
     except MissingConstantError as exc:

@@ -23,6 +23,11 @@ class MissingConstantError(LookupError):
     """No built-in degrees-of-freedom value is available for this (n, m)."""
 
 
+class GridValidationError(ValueError):
+    """Invalid table grid (``tables.GridSpec``); the message carries one line
+    per offending entry."""
+
+
 #: Degrees of freedom h of the pivotal statistic t for n = 20, keyed by (n, m).
 #: These are external calibration data consumed as-is (they come from published
 #: simulations of the censored-sample scale estimator, not from this package).

@@ -19,25 +19,23 @@ w once per (p, h) and evaluates a cell again at the source's rounded
 that reproduces there is an artifact of the printing, and anything else is
 reported as a source disagreement with its relative error.
 
-This module also holds the package's one set of CSV and JSON writers, which
-the CLI shares; like the rest of the analytic layer it never imports numpy.
-The table-cell writers `cells_to_csv` and `cells_to_json` are specialised to
-TableCell's fixed shape, one format call per cell, and are byte-equal to the
-generic writers (`rows_to_csv`, `to_json` over `TableCell.to_dict`), which
-the oracle test in tests/test_tables.py enforces.
+The table-cell writers `cells_to_csv`, `cells_to_json` and `cells_to_text`
+live here. The first two are specialised to TableCell's fixed shape, one
+format call per cell, and are byte-equal to the generic writers in `writers`
+(`rows_to_csv`, `to_json` over `TableCell.to_dict`), which the oracle test in
+tests/test_tables.py enforces. Like the rest of the analytic layer this module
+never imports numpy. Of the CLI subcommands only `table` imports this module,
+and with it the transcribed printed tables in `reference_data`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
 from weibull_shrink import reference_data as ref
 from weibull_shrink.estimators import shrink_weight
-from weibull_shrink.model import BUILTIN_H, _require_q
+from weibull_shrink.model import BUILTIN_H, GridValidationError, _require_q
 from weibull_shrink.risk import (
     DominanceRange,
     _bias_shrink_given_w,
@@ -48,6 +46,7 @@ from weibull_shrink.risk import (
     _ranges_given_w,
     admissible_p,
 )
+from weibull_shrink.writers import span, span_ends
 
 DEFAULT_DESIGNS = tuple(sorted((m, h) for (n, m), h in BUILTIN_H.items() if n == 20))
 _ROWS_31 = tuple((d1, d2) for d1, d2, _ in ref.TABLE_31_DEPARTURES)
@@ -59,10 +58,6 @@ ARB_ATOL_31 = 5e-3
 PRE_RTOL_51 = 0.015
 ENDPOINT_ATOL = 0.0101
 LARGE_DISAGREEMENT = 0.05
-
-
-class GridValidationError(ValueError):
-    """Invalid grid; the message carries one line per offending entry."""
 
 
 @dataclass(frozen=True)
@@ -250,7 +245,7 @@ def table_51(spec: GridSpec) -> list:
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# serialization of table cells
 
 CSV_HEADER = [
     "m", "h", "p", "q", "delta1", "delta2", "delta",
@@ -258,46 +253,9 @@ CSV_HEADER = [
 ]
 
 
-def _full(value) -> str:
-    """One CSV field: empty for None, true/false, floats to 17 digits."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def rows_to_csv(header, rows) -> str:
-    """RFC-4180 CSV with CRLF line ends, every field at full precision."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_full(v) for v in row])
-    return buf.getvalue()
-
-
-def to_json(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
-
-
-def span(r: DominanceRange | None):
-    """A range as JSON: None when absent, [] when empty, else [lo, hi]."""
-    if r is None:
-        return None
-    return [] if r.is_empty else [r.lo, r.hi]
-
-
-def span_ends(r: DominanceRange | None) -> tuple:
-    """(lo, hi) of a range, or (None, None) when it is absent or empty."""
-    return (None, None) if r is None or r.is_empty else (r.lo, r.hi)
-
-
 # Each cell is one %-format on a template chosen by which optional fields it
-# carries. "%r" is the float repr json uses, "%.17g" is _full's float format,
-# and "%.0s" consumes a value (None) without printing it.
+# carries. "%r" is the float repr json uses, "%.17g" is writers._full's float
+# format, and "%.0s" consumes a value (None) without printing it.
 
 _CSV_NUM = ",%.17g"
 _CSV_GAP = ",%.0s"

@@ -465,6 +465,13 @@ def test_table_invalid_design_exits_3(capsys):
     assert "h > 4" in err
 
 
+def test_table_empty_grid_exits_3(capsys):
+    # a selection that leaves no design is a grid problem, like a bad design
+    code, _, err = run(capsys, "table", "31", "--m", "99")
+    assert code == 3
+    assert "h_values is empty" in err
+
+
 def test_table_diff_appends_audit(capsys):
     code, out, _ = run(capsys, "table", "31", "--diff")
     assert code == 0

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from weibull_shrink import reference_data as ref
-from weibull_shrink import risk, tables
+from weibull_shrink import risk, tables, writers
 from weibull_shrink.model import InadmissibleParameterError
 from weibull_shrink.risk import DominanceRange
 from weibull_shrink.tables import (
@@ -307,10 +307,10 @@ def test_text_marks_missing_columns(cells51):
 def _oracle_csv(cells):
     rows = (
         [c.m, c.h, c.p, c.q, c.delta1, c.delta2, c.delta, c.pre, c.arb,
-         *tables.span_ends(c.mse_range), *tables.span_ends(c.best)]
+         *writers.span_ends(c.mse_range), *writers.span_ends(c.best)]
         for c in cells
     )
-    return tables.rows_to_csv(CSV_HEADER, rows)
+    return writers.rows_to_csv(CSV_HEADER, rows)
 
 
 def _odd_cell(**kw):
@@ -346,7 +346,7 @@ ORACLE_CASES = {
 def test_cell_writers_match_generic_writers(case):
     # the shape-specialised writers must emit the generic writers' bytes
     cells = ORACLE_CASES[case]()
-    assert cells_to_json(cells) == tables.to_json([c.to_dict() for c in cells])
+    assert cells_to_json(cells) == writers.to_json([c.to_dict() for c in cells])
     assert cells_to_csv(cells) == _oracle_csv(cells)
 
 
@@ -519,6 +519,50 @@ def test_analytic_layer_does_not_import_numpy(tmp_path):
         "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if 'numpy' in m)\n"
         f"run({verify!r})\n"
         "assert 'numpy' in sys.modules\n"
+    )
+    src = Path(tables.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_only_table_imports_the_table_layer(tmp_path):
+    # the table layer and the transcribed printed tables load only for
+    # `table`; a text document loads neither csv nor json
+    data = tmp_path / "times.dat"
+    data.write_text("0.5\n1.0\n1.5\n2.0\n2.5\n3.0\n")
+    shape = ["--h", "10.8519", "--p", "1", "--q", "0.5"]
+    guess = ["--beta1", "0.8", "--beta2", "1.2", "--p", "-1", "--q", "0.5"]
+    closed_form = [
+        ["risk", *shape, "--delta", "1.2"],
+        ["risk", *shape, "--delta1", "0.8", "--delta2", "1.4", "--modified"],
+        ["dominance", *shape],
+        ["estimate", "--t", "8.8519", "--h", "10.8519", *guess],
+        ["estimate", "--data", str(data), "--n", "20", *guess],
+    ]
+    simulating = [
+        ["mc", "verify", *shape, "--delta", "1.2", "--reps", "1000"],
+        ["mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "1000"],
+        ["mc", "estimate-h", "--n", "20", "--m", "6", "--reps", "1000"],
+    ]
+    table_layer = ["weibull_shrink.tables", "weibull_shrink.reference_data"]
+    absent_in_text = [*table_layer, "csv", "json"]
+    code = (
+        "import contextlib, io, sys\n"
+        "from weibull_shrink.cli import main\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "def loaded(names):\n"
+        "    return [m for m in names if m in sys.modules]\n"
+        f"for argv in {closed_form!r}:\n"
+        "    run(argv)\n"
+        f"assert not loaded({absent_in_text!r}), loaded({absent_in_text!r})\n"
+        f"for argv in {simulating!r}:\n"
+        "    run(argv)\n"
+        f"assert not loaded({table_layer!r}), loaded({table_layer!r})\n"
+        "run(['table', '31'])\n"
+        f"assert loaded({table_layer!r}) == {table_layer!r}\n"
     )
     src = Path(tables.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))

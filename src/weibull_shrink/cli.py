@@ -17,23 +17,27 @@ unbounded by a zero MSE, is a data problem too, and exits 2. Data goes to
 stdout (or --out); diagnostics go to stderr. Output depends only on flags and
 seed, never on wall clock, so reruns are byte-identical.
 
-Only the mc subcommands simulate, so only they import `montecarlo` and with
-it numpy; every other subcommand runs on the closed forms alone. Only `table`
-imports `tables`, and with it the transcribed printed tables in
-`reference_data`; every other document goes through the generic writers in
-`writers`, which load `csv` and `json` only for those formats. `estimate
---data` takes Bain's unbiasing constant k from its exact finite sum
-(`estimators.bain_constant`) unless --bain-k is given, so it ignores --seed.
+A subcommand imports what it runs, inside its own function, so importing
+this module loads only `model` and `writers`. `risk`, `dominance` and `mc
+verify` load `risk` (and with it `estimators` and `specfun`); `estimate`
+loads `estimators` and `specfun`. Only the mc subcommands simulate, so only
+they import `montecarlo` and with it numpy, and `mc estimate-k/-h` load
+nothing of the analytic layer. Only `table` imports `tables`, and with it
+`risk` and the transcribed printed tables in `reference_data`; every other
+document goes through the generic writers in `writers`, which load `csv`
+and `json` only for those formats. No module of the package imports
+`dataclasses`. `estimate --data` takes Bain's unbiasing constant k from its
+exact finite sum (`estimators.bain_constant`) unless --bain-k is given, so
+it ignores --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
-from weibull_shrink import estimators, risk, writers
+from weibull_shrink import writers
 from weibull_shrink.model import (
     BUILTIN_H,
     CensoredSample,
@@ -137,6 +141,8 @@ def _m_for_h(n: int, h: float) -> int:
 
 
 def cmd_estimate(args) -> tuple:
+    from weibull_shrink import estimators
+
     if (args.t is None) == (args.data is None):
         raise _CliError(2, "give exactly one of --t or --data")
     bain_k = None
@@ -190,6 +196,8 @@ def _point_reports(args, delta: float, pair: bool) -> list:
     """The closed-form risk reports at --h/--p/--q and departure delta, with
     the truncated estimator's at --delta1/--delta2 when `pair`. Each checks
     its arguments in the order h, q, departures, then p."""
+    from weibull_shrink import risk
+
     reports = [
         risk.report_unbiased(args.h),
         risk.report_mmse(args.h),
@@ -233,6 +241,8 @@ def cmd_risk(args) -> tuple:
 
 
 def cmd_dominance(args) -> tuple:
+    from weibull_shrink import risk
+
     r_mse = risk.mse_dominance_range(args.h, args.p, args.q)
     r_arb = risk.arb_dominance_range(args.h, args.p, args.q)
     r_best = risk.best_range(args.h, args.p, args.q)
@@ -299,15 +309,15 @@ def cmd_table(args) -> tuple:
         return writer(cells), 0
     audits, ranges = _printed_audit(args.which, cells)
     if args.format == "csv":
-        header = [f.name for f in dataclasses.fields(tables.CellAudit)]
-        return writers.rows_to_csv(header, (vars(a).values() for a in audits)), 0
+        rows = (a.to_dict().values() for a in audits)
+        return writers.rows_to_csv(tables.CellAudit.__slots__, rows), 0
     if args.format == "json":
         doc = {
             "cells": [c.to_dict() for c in cells],
-            "audit": [vars(a) for a in audits],
+            "audit": [a.to_dict() for a in audits],
         }
         if ranges is not None:
-            doc["ranges"] = [{**vars(r), "computed": writers.span(r.computed)} for r in ranges]
+            doc["ranges"] = [{**r.to_dict(), "computed": writers.span(r.computed)} for r in ranges]
         return writers.to_json(doc), 0
     return tables.cells_to_text(cells) + "\n" + tables.format_diff_report(audits, ranges), 0
 
@@ -365,8 +375,7 @@ def cmd_mc_verify(args) -> tuple:
     # exactly 0, while its closed form still counts the unclamped region.
     unseen = 3.0 / plan.replicates
     results = []
-    for report, estimator in zip(reports, simulated):
-        emp = montecarlo.empirical_risk(plan, estimator, h=args.h)
+    for report, emp in zip(reports, montecarlo.empirical_risks(plan, simulated, h=args.h)):
         for metric, got, ana, tol in (
             ("bias", emp.bias, report.bias_over_beta, 3.0 * emp.se_mean),
             ("mse", emp.mse, report.rmse, 3.0 * emp.se_mse),

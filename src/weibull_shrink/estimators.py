@@ -10,10 +10,10 @@ toward a guessed interval midpoint with a data-independent weight w(p).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from weibull_shrink.model import (
     CensoredSample,
+    Frozen,
     GuessInterval,
     InadmissibleParameterError,
     PivotalContext,
@@ -22,6 +22,7 @@ from weibull_shrink.model import (
     _require_finite,
     _require_h,
     _require_positive,
+    _set,
 )
 from weibull_shrink.specfun import ln_gamma
 
@@ -30,8 +31,7 @@ class DegenerateSampleError(ValueError):
     """All recorded failure times coincide, so the scale estimate is zero."""
 
 
-@dataclass(frozen=True)
-class BainConstants:
+class BainConstants(Frozen):
     """Unbiasing constant k for the censored-sample scale estimator.
 
     k equals -(1/n) E[sum_{i<m} (v_i - v_m)] where v_1 <= ... <= v_m are the m
@@ -39,15 +39,14 @@ class BainConstants:
     `bain_constant` gives its exact value for any design.
     """
 
-    m: int
-    n: int
-    k: float
+    __slots__ = ("m", "n", "k")
 
-    def __post_init__(self) -> None:
-        n, m = _require_design(self.n, self.m)
-        _require_positive("k", self.k)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+    def __init__(self, m: int, n: int, k: float) -> None:
+        n, m = _require_design(n, m)
+        _require_positive("k", k)
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "k", k)
 
 
 def _bain_coefficients(m: int, n: int) -> dict:

@@ -7,12 +7,65 @@ than one entry point applies lives here (``_require_*``), written once. Code
 past an entry point trusts what it receives; only checks on computed results
 (a report's moments, a range's endpoints, a table cell) run again downstream,
 because they catch numerical faults rather than bad input.
+
+A value type is a ``Frozen`` subclass: ``__slots__`` names its fields in
+positional order, and a hand-written ``__init__`` stores them with ``_set``
+and checks them. The base derives the rest (read-only fields, equality,
+hash, ``repr``, ``to_dict``, pickling) from the slots, so no module of the
+package needs ``dataclasses``, whose import and generated methods would cost
+every CLI process milliseconds before it computes anything.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+
+_set = object.__setattr__
+
+
+class Frozen:
+    """Base of the package's value types: read-only records declared by
+    ``__slots__``.
+
+    A value type names its fields in ``__slots__``, in positional order, and
+    writes its own ``__init__``: it normalises and stores each field with
+    ``_set`` (the read-only ``__setattr__`` refuses every assignment), then
+    checks it. Equality, hashing, ``repr``, ``to_dict`` and pickling follow
+    the slot order, with the semantics and text of a frozen dataclass: equal
+    when of the same class with equal field tuples, and ``repr`` as
+    ``Name(field=value, ...)``. Copies and unpickled values go through
+    ``__init__`` again.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def to_dict(self) -> dict:
+        """The fields by name, in slot order."""
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class InadmissibleParameterError(ValueError):
@@ -101,38 +154,38 @@ def _require_seed(seed: int) -> int:
     return int(seed)
 
 
-@dataclass(frozen=True)
-class WeibullParams:
+class WeibullParams(Frozen):
     """Scale alpha and shape beta of a two-parameter Weibull law."""
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        _require_positive("alpha", self.alpha)
-        _require_positive("beta", self.beta)
+    def __init__(self, alpha: float, beta: float) -> None:
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
+        _require_positive("alpha", alpha)
+        _require_positive("beta", beta)
 
 
-@dataclass(frozen=True)
-class CensoredSample:
+class CensoredSample(Frozen):
     """The m smallest order statistics out of n independent lifetimes.
 
     ``observations`` must be positive and nondecreasing; m = len(observations).
     """
 
-    n: int
-    observations: tuple[float, ...]
+    __slots__ = ("n", "observations")
 
-    def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        obs = tuple(float(x) for x in self.observations)
+    def __init__(self, n: int, observations: tuple[float, ...]) -> None:
+        if int(n) != n or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        n = int(n)
+        obs = tuple(float(x) for x in observations)
+        _set(self, "n", n)
+        _set(self, "observations", obs)
         if len(obs) < 1:
             raise ValueError("observations must be nonempty")
-        if len(obs) > self.n:
+        if len(obs) > n:
             raise ValueError(
-                f"sample has {len(obs)} observations but n={self.n}"
+                f"sample has {len(obs)} observations but n={n}"
             )
         prev = 0.0
         for i, x in enumerate(obs):
@@ -143,47 +196,44 @@ class CensoredSample:
                     f"{i + 1} is below its predecessor"
                 )
             prev = x
-        object.__setattr__(self, "observations", obs)
 
     @property
     def m(self) -> int:
         return len(self.observations)
 
 
-@dataclass(frozen=True)
-class PivotalContext:
+class PivotalContext(Frozen):
     """Censoring design (n, m), degrees of freedom h, and observed pivot t.
 
     h must exceed 4: the pivot's second inverse moment (and with it every MSE
     in the risk module) is finite only then.
     """
 
-    n: int
-    m: int
-    h: float
-    t: float
+    __slots__ = ("n", "m", "h", "t")
 
-    def __post_init__(self) -> None:
-        n, m = _require_design(self.n, self.m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        _require_h(self.h, 4.0)
-        _require_positive("t", self.t)
+    def __init__(self, n: int, m: int, h: float, t: float) -> None:
+        n, m = _require_design(n, m)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "h", h)
+        _set(self, "t", t)
+        _require_h(h, 4.0)
+        _require_positive("t", t)
 
 
-@dataclass(frozen=True)
-class GuessInterval:
+class GuessInterval(Frozen):
     """Prior guess interval (beta1, beta2) for the shape parameter, beta1 <= beta2."""
 
-    beta1: float
-    beta2: float
+    __slots__ = ("beta1", "beta2")
 
-    def __post_init__(self) -> None:
-        _require_positive("beta1", self.beta1)
-        _require_positive("beta2", self.beta2)
-        if self.beta1 > self.beta2:
+    def __init__(self, beta1: float, beta2: float) -> None:
+        _set(self, "beta1", beta1)
+        _set(self, "beta2", beta2)
+        _require_positive("beta1", beta1)
+        _require_positive("beta2", beta2)
+        if beta1 > beta2:
             raise ValueError(
-                f"beta1 must not exceed beta2, got ({self.beta1!r}, {self.beta2!r})"
+                f"beta1 must not exceed beta2, got ({beta1!r}, {beta2!r})"
             )
 
     @property
@@ -191,28 +241,27 @@ class GuessInterval:
         return 0.5 * (self.beta1 + self.beta2)
 
 
-@dataclass(frozen=True)
-class ShrinkageConfig:
+class ShrinkageConfig(Frozen):
     """Shrinkage exponent p (nonzero) and pull weight q in (0, 1]."""
 
-    p: float
-    q: float
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        _require_finite("p", self.p)
-        if self.p == 0.0:
+    def __init__(self, p: float, q: float) -> None:
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _require_finite("p", p)
+        if p == 0.0:
             raise InadmissibleParameterError(
                 "p must be nonzero (p = 0 degenerates the weight)"
             )
-        _require_q(self.q)
+        _require_q(q)
 
 
 #: Identifiers for the estimators a RiskReport can describe.
 ESTIMATOR_IDS = ("UNBIASED", "MMSE", "SHRINK_PQ", "SHRINK_PQ_MODIFIED")
 
 
-@dataclass(frozen=True)
-class RiskReport:
+class RiskReport(Frozen):
     """Scale-free risk summary of one estimator.
 
     bias_over_beta: signed bias divided by the true shape.
@@ -223,31 +272,36 @@ class RiskReport:
                     when rmse is 0.
     """
 
-    estimator_id: str
-    bias_over_beta: float
-    arb: float
-    rmse: float
-    pre_vs_mmse: float
+    __slots__ = ("estimator_id", "bias_over_beta", "arb", "rmse", "pre_vs_mmse")
 
-    def __post_init__(self) -> None:
-        if self.estimator_id not in ESTIMATOR_IDS:
+    def __init__(
+        self,
+        estimator_id: str,
+        bias_over_beta: float,
+        arb: float,
+        rmse: float,
+        pre_vs_mmse: float,
+    ) -> None:
+        _set(self, "estimator_id", estimator_id)
+        _set(self, "bias_over_beta", bias_over_beta)
+        _set(self, "arb", arb)
+        _set(self, "rmse", rmse)
+        _set(self, "pre_vs_mmse", pre_vs_mmse)
+        if estimator_id not in ESTIMATOR_IDS:
             raise ValueError(
-                f"estimator_id must be one of {ESTIMATOR_IDS}, got {self.estimator_id!r}"
+                f"estimator_id must be one of {ESTIMATOR_IDS}, got {estimator_id!r}"
             )
-        bias = _require_finite("bias_over_beta", self.bias_over_beta)
-        arb = _require_finite("arb", self.arb)
+        bias = _require_finite("bias_over_beta", bias_over_beta)
+        arb_f = _require_finite("arb", arb)
         # arb is not free: it must agree with |bias_over_beta| up to rounding.
-        if abs(arb - abs(bias)) > 1e-12 * (1.0 + abs(bias)):
+        if abs(arb_f - abs(bias)) > 1e-12 * (1.0 + abs(bias)):
             raise ValueError(
-                f"arb must equal |bias_over_beta|, got arb={self.arb!r} "
-                f"with bias_over_beta={self.bias_over_beta!r}"
+                f"arb must equal |bias_over_beta|, got arb={arb!r} "
+                f"with bias_over_beta={bias_over_beta!r}"
             )
-        if _require_finite("rmse", self.rmse) < 0.0:
-            raise ValueError(f"rmse must be >= 0, got {self.rmse!r}")
-        if self.pre_vs_mmse == math.inf and self.rmse == 0.0:
+        if _require_finite("rmse", rmse) < 0.0:
+            raise ValueError(f"rmse must be >= 0, got {rmse!r}")
+        if pre_vs_mmse == math.inf and rmse == 0.0:
             return
-        if _require_finite("pre_vs_mmse", self.pre_vs_mmse) < 0.0:
-            raise ValueError(f"pre_vs_mmse must be >= 0, got {self.pre_vs_mmse!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if _require_finite("pre_vs_mmse", pre_vs_mmse) < 0.0:
+            raise ValueError(f"pre_vs_mmse must be >= 0, got {pre_vs_mmse!r}")

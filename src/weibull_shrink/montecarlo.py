@@ -10,12 +10,12 @@ how the chunks are scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from weibull_shrink.model import (
+    Frozen,
     GuessInterval,
     ShrinkageConfig,
     WeibullParams,
@@ -24,6 +24,7 @@ from weibull_shrink.model import (
     _require_positive,
     _require_replicates,
     _require_seed,
+    _set,
     lookup_h,
 )
 
@@ -31,28 +32,25 @@ _CHUNK = 1 << 16
 _ROW_CHUNK = 1 << 13
 
 
-@dataclass(frozen=True)
-class SimulationPlan:
+class SimulationPlan(Frozen):
     """Replication count, seed, and the sampling design to simulate."""
 
-    replicates: int
-    seed: int
-    params: WeibullParams
-    n: int
-    m: int
+    __slots__ = ("replicates", "seed", "params", "n", "m")
 
-    def __post_init__(self) -> None:
-        replicates = _require_replicates(self.replicates)
-        seed = _require_seed(self.seed)
-        n, m = _require_design(self.n, self.m)
-        object.__setattr__(self, "replicates", replicates)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+    def __init__(
+        self, replicates: int, seed: int, params: WeibullParams, n: int, m: int
+    ) -> None:
+        replicates = _require_replicates(replicates)
+        seed = _require_seed(seed)
+        n, m = _require_design(n, m)
+        _set(self, "replicates", replicates)
+        _set(self, "seed", seed)
+        _set(self, "params", params)
+        _set(self, "n", n)
+        _set(self, "m", m)
 
 
-@dataclass(frozen=True)
-class EmpiricalRisk:
+class EmpiricalRisk(Frozen):
     """Moment summary of simulated estimates of the shape.
 
     `mean` is in the units of the estimate; `bias` and `mse` are scaled by the
@@ -61,25 +59,32 @@ class EmpiricalRisk:
     of `mean` and `se_mse` that of `mse`.
     """
 
-    mean: float
-    bias: float
-    mse: float
-    se_mean: float
-    se_mse: float
-    replicates: int
+    __slots__ = ("mean", "bias", "mse", "se_mean", "se_mse", "replicates")
 
-    def __post_init__(self) -> None:
-        replicates = _require_replicates(self.replicates)
+    def __init__(
+        self,
+        mean: float,
+        bias: float,
+        mse: float,
+        se_mean: float,
+        se_mse: float,
+        replicates: int,
+    ) -> None:
+        _set(self, "mean", mean)
+        _set(self, "bias", bias)
+        _set(self, "mse", mse)
+        _set(self, "se_mean", se_mean)
+        _set(self, "se_mse", se_mse)
+        _set(self, "replicates", _require_replicates(replicates))
         for name in ("mean", "bias", "mse", "se_mean", "se_mse"):
             _require_finite(name, getattr(self, name))
-        if self.mse < 0.0 or self.se_mean < 0.0 or self.se_mse < 0.0:
+        if mse < 0.0 or se_mean < 0.0 or se_mse < 0.0:
             raise ValueError("mse and standard errors cannot be negative")
         # second moment dominates squared first moment, up to fp roundoff
-        if self.mse - self.bias * self.bias < -1e-9 * (1.0 + self.mse):
+        if mse - bias * bias < -1e-9 * (1.0 + mse):
             raise ValueError(
-                f"inconsistent moments: mse={self.mse!r} < bias^2={self.bias ** 2!r}"
+                f"inconsistent moments: mse={mse!r} < bias^2={bias ** 2!r}"
             )
-        object.__setattr__(self, "replicates", replicates)
 
 
 def sample_t(
@@ -151,11 +156,22 @@ def _chunk_seeds(seed: int, n_chunks: int) -> list:
 def empirical_risk(
     plan: SimulationPlan, estimator: Estimator, *, h: float | None = None
 ) -> EmpiricalRisk:
-    """Simulated bias and MSE of `estimator` fed with pivotal draws.
+    """Simulated bias and MSE of `estimator` fed with pivotal draws: the
+    one-estimator case of `empirical_risks`."""
+    return empirical_risks(plan, [estimator], h=h)[0]
+
+
+def empirical_risks(
+    plan: SimulationPlan, estimators: list[Estimator], *, h: float | None = None
+) -> list:
+    """Simulated bias and MSE of each estimator, all fed the same pivotal draws.
 
     t is drawn from its exact gamma law at the plan's true shape, so this
     checks the estimator-plus-risk mathematics rather than the sampling
-    pipeline. h defaults to the built-in constant for the plan's (n, m).
+    pipeline. h defaults to the built-in constant for the plan's (n, m). Each
+    chunk's draws are made once and passed to every estimator, and each
+    estimator's moment sums are reduced in chunk order, so every result is
+    bit-identical to a separate `empirical_risk` call with the same plan.
     """
     if h is None:
         h = lookup_h(plan.n, plan.m)
@@ -163,20 +179,24 @@ def empirical_risk(
     total = plan.replicates
     n_chunks = (total + _CHUNK - 1) // _CHUNK
     seeds = _chunk_seeds(plan.seed, n_chunks)
-    sums_d = []
-    sums_d2 = []
-    sums_d4 = []
+    # per estimator, the per-chunk sums of d, d^2 and d^4
+    sums = [([], [], []) for _ in estimators]
     done = 0
     for i in range(n_chunks):
         count = min(_CHUNK, total - done)
         done += count
         rng = np.random.default_rng(seeds[i])
         t = sample_t(h, beta, rng, size=count)
-        d = (estimator(t) - beta) / beta
-        d2 = d * d
-        sums_d.append(float(np.sum(d)))
-        sums_d2.append(float(np.sum(d2)))
-        sums_d4.append(float(np.sum(d2 * d2)))
+        for estimator, (sums_d, sums_d2, sums_d4) in zip(estimators, sums):
+            d = (estimator(t) - beta) / beta
+            d2 = d * d
+            sums_d.append(float(np.sum(d)))
+            sums_d2.append(float(np.sum(d2)))
+            sums_d4.append(float(np.sum(d2 * d2)))
+    return [_moments(beta, total, *parts) for parts in sums]
+
+
+def _moments(beta: float, total: int, sums_d, sums_d2, sums_d4) -> EmpiricalRisk:
     s1 = math.fsum(sums_d)
     s2 = math.fsum(sums_d2)
     s4 = math.fsum(sums_d4)

@@ -27,36 +27,37 @@ rounded weights) key them by (h, delta1, delta2) before their cell loops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from weibull_shrink.estimators import shrink_weight
 from weibull_shrink.model import (
+    Frozen,
     InadmissibleParameterError,
     RiskReport,
     _require_h,
     _require_positive,
     _require_q,
+    _set,
 )
 from weibull_shrink.specfun import reg_lower_inc_gamma
 
 
-@dataclass(frozen=True)
-class DominanceRange:
+class DominanceRange(Frozen):
     """Open interval of departure values delta, or the empty range.
 
     The empty range is represented by a NaN pair; `is_empty` is the only
     sanctioned way to test for it.
     """
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.lo) and math.isnan(self.hi):
+    def __init__(self, lo: float, hi: float) -> None:
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        if math.isnan(lo) and math.isnan(hi):
             return
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"endpoints must be finite or both NaN, got {self!r}")
-        if not 0.0 <= self.lo < self.hi:
+        if not 0.0 <= lo < hi:
             raise ValueError(f"need 0 <= lo < hi, got {self!r}")
 
     @classmethod

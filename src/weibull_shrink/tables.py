@@ -20,22 +20,23 @@ that reproduces there is an artifact of the printing, and anything else is
 reported as a source disagreement with its relative error.
 
 The table-cell writers `cells_to_csv`, `cells_to_json` and `cells_to_text`
-live here. The first two are specialised to TableCell's fixed shape, one
-format call per cell, and are byte-equal to the generic writers in `writers`
-(`rows_to_csv`, `to_json` over `TableCell.to_dict`), which the oracle test in
-tests/test_tables.py enforces. Like the rest of the analytic layer this module
-never imports numpy. Of the CLI subcommands only `table` imports this module,
+live here. All three are specialised to TableCell's fixed shape, one format
+call per cell. The first two are byte-equal to the generic writers in
+`writers` (`rows_to_csv`, `to_json` over `TableCell.to_dict`), and the text
+writer to a writer that formats and right-justifies every field on its own;
+the oracle tests in tests/test_tables.py enforce both. Like the rest of the
+analytic layer this module never imports numpy. Of the CLI subcommands only `table` imports this module,
 and with it the transcribed printed tables in `reference_data`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import repeat
 
 from weibull_shrink import reference_data as ref
 from weibull_shrink.estimators import shrink_weight
-from weibull_shrink.model import BUILTIN_H, GridValidationError, _require_q
+from weibull_shrink.model import BUILTIN_H, Frozen, GridValidationError, _require_q, _set
 from weibull_shrink.risk import (
     DominanceRange,
     _bias_shrink_given_w,
@@ -60,47 +61,43 @@ ENDPOINT_ATOL = 0.0101
 LARGE_DISAGREEMENT = 0.05
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Frozen):
     """Evaluation grid: designs as (m, h) pairs, p and q lists, departure rows."""
 
-    h_values: tuple
-    p_values: tuple
-    q_values: tuple
-    delta_rows: tuple
+    __slots__ = ("h_values", "p_values", "q_values", "delta_rows")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "h_values", tuple((int(m), float(h)) for m, h in self.h_values)
-        )
-        object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
-        object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
-        object.__setattr__(
-            self,
-            "delta_rows",
-            tuple((float(a), float(b)) for a, b in self.delta_rows),
-        )
+    def __init__(
+        self, h_values: tuple, p_values: tuple, q_values: tuple, delta_rows: tuple
+    ) -> None:
+        h_values = tuple((int(m), float(h)) for m, h in h_values)
+        p_values = tuple(float(p) for p in p_values)
+        q_values = tuple(float(q) for q in q_values)
+        delta_rows = tuple((float(a), float(b)) for a, b in delta_rows)
+        _set(self, "h_values", h_values)
+        _set(self, "p_values", p_values)
+        _set(self, "q_values", q_values)
+        _set(self, "delta_rows", delta_rows)
         problems = [
             f"{name} is empty"
             for name in ("h_values", "p_values", "q_values", "delta_rows")
             if not getattr(self, name)
         ]
-        for m, h in self.h_values:
+        for m, h in h_values:
             if not math.isfinite(h) or h <= 4.0:
                 problems.append(f"design (m={m}, h={h}): need h > 4")
-        for p in self.p_values:
+        for p in p_values:
             if not math.isfinite(p):
                 problems.append(f"p={p}: need a finite p")
                 continue
-            for m, h in self.h_values:
+            for m, h in h_values:
                 if math.isfinite(h) and h > 4.0 and not admissible_p(p, h):
                     problems.append(f"p={p} is inadmissible at h={h} (m={m})")
-        for q in self.q_values:
+        for q in q_values:
             try:
                 _require_q(q)
             except ValueError as exc:
                 problems.append(f"q={q}: {exc}")
-        for i, (d1, d2) in enumerate(self.delta_rows):
+        for i, (d1, d2) in enumerate(delta_rows):
             if not (math.isfinite(d1) and math.isfinite(d2) and 0.0 < d1 <= d2):
                 problems.append(f"delta row {i}: need 0 < delta1 <= delta2, got ({d1}, {d2})")
         if problems:
@@ -130,28 +127,43 @@ class GridSpec:
         return GridSpec(h_values, p_values, q_values, self.delta_rows)
 
 
-@dataclass(frozen=True)
-class TableCell:
+class TableCell(Frozen):
     """One evaluated grid point; ranges ride along on plain-estimator cells."""
 
-    m: int
-    h: float
-    p: float
-    q: float
-    delta1: float
-    delta2: float
-    delta: float
-    pre: float
-    arb: float | None = None
-    mse_range: DominanceRange | None = None
-    arb_range: DominanceRange | None = None
-    best: DominanceRange | None = None
+    __slots__ = ("m", "h", "p", "q", "delta1", "delta2", "delta", "pre",
+                 "arb", "mse_range", "arb_range", "best")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.pre) or self.pre < 0.0:
-            raise ValueError(f"pre must be finite and >= 0, got {self.pre!r}")
-        if self.arb is not None and (not math.isfinite(self.arb) or self.arb < 0.0):
-            raise ValueError(f"arb must be finite and >= 0, got {self.arb!r}")
+    def __init__(
+        self,
+        m: int,
+        h: float,
+        p: float,
+        q: float,
+        delta1: float,
+        delta2: float,
+        delta: float,
+        pre: float,
+        arb: float | None = None,
+        mse_range: DominanceRange | None = None,
+        arb_range: DominanceRange | None = None,
+        best: DominanceRange | None = None,
+    ) -> None:
+        _set(self, "m", m)
+        _set(self, "h", h)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "delta1", delta1)
+        _set(self, "delta2", delta2)
+        _set(self, "delta", delta)
+        _set(self, "pre", pre)
+        _set(self, "arb", arb)
+        _set(self, "mse_range", mse_range)
+        _set(self, "arb_range", arb_range)
+        _set(self, "best", best)
+        if not math.isfinite(pre) or pre < 0.0:
+            raise ValueError(f"pre must be finite and >= 0, got {pre!r}")
+        if arb is not None and (not math.isfinite(arb) or arb < 0.0):
+            raise ValueError(f"arb must be finite and >= 0, got {arb!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -335,23 +347,71 @@ def cells_to_json(cells) -> str:
     return text
 
 
+_TEXT_HEADER = ("m", "h", "p", "q", "d1", "d2", "delta", "pre", "arb",
+                "mse_lo", "mse_hi", "best_lo", "best_hi")
+# per column: "s" is str(), "g" the shortest general form, "f" four decimals
+_TEXT_KINDS = "sfggfffffffff"
+
+
+def _fixed_width(values) -> int:
+    """Width of the widest "%.4f" of `values` (0 when there are none).
+
+    Rounding is monotone, so the widest is the least or the greatest value.
+    min() and max() skip a NaN unless it comes first, when both return NaN,
+    and "nan" is narrower than any finite value. An infinity prints narrower
+    than large finite values, so a column whose least or greatest value is
+    not finite is measured value by value. -0.0 ties with 0.0 in min() but
+    prints a sign, so it is looked for when the least value is zero.
+    """
+    if not values:
+        return 0
+    lo, hi = min(values), max(values)
+    if not math.isfinite(lo + hi):
+        return max(map(len, map("%.4f".__mod__, values)))
+    if lo == 0.0 and min(map(math.copysign, repeat(1.0), values)) < 0.0:
+        lo = -0.0
+    return max(len("%.4f" % lo), len("%.4f" % hi))
+
+
 def cells_to_text(cells) -> str:
-    """Aligned plain text, four decimals, '-' where a column does not apply."""
-    header = ["m", "h", "p", "q", "d1", "d2", "delta", "pre", "arb",
-              "mse_lo", "mse_hi", "best_lo", "best_hi"]
+    """Aligned plain text, four decimals, '-' where a column does not apply.
 
-    def fmt(x) -> str:
-        return "-" if x is None else f"{x:.4f}"
-
-    rows = [header]
+    The column widths come from one pass over the cells (a fixed-point
+    column's least and greatest value, the distinct values of m, p and q);
+    then each row is one %-format on a template chosen by which optional
+    fields it carries, as in the CSV and JSON writers.
+    """
+    rows = []
     for c in cells:
         lo, hi = span_ends(c.mse_range)
         blo, bhi = span_ends(c.best)
-        rows.append([str(c.m), f"{c.h:.4f}", f"{c.p:g}", f"{c.q:g}",
-                     f"{c.delta1:.4f}", f"{c.delta2:.4f}", f"{c.delta:.4f}",
-                     f"{c.pre:.4f}", fmt(c.arb), fmt(lo), fmt(hi), fmt(blo), fmt(bhi)])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(val.rjust(widths[i]) for i, val in enumerate(r)) for r in rows]
+        rows.append((c.m, c.h, c.p, c.q, c.delta1, c.delta2, c.delta, c.pre, c.arb,
+                     lo, hi, blo, bhi))
+    columns = list(zip(*rows)) if rows else [()] * len(_TEXT_HEADER)
+    widths = []
+    for name, kind, column in zip(_TEXT_HEADER, _TEXT_KINDS, columns):
+        if kind == "f":
+            present = [v for v in column if v is not None] if None in column else column
+            width = _fixed_width(present)
+        else:
+            width = max(map(len, map(f"%{kind}".__mod__, set(column))), default=0)
+        widths.append(max(len(name), width))
+    fields = [f"%{w}{'.4f' if k == 'f' else k}" for w, k in zip(widths, _TEXT_KINDS)]
+    # an absent value prints as a right-aligned '-'; "%.0s" consumes its None
+    gaps = [" " * (w - 1) + "-%.0s" for w in widths]
+    templates = {
+        (has_arb, has_mse, has_best): "  ".join(
+            fields[:8]
+            + [fields[8] if has_arb else gaps[8]]
+            + (fields[9:11] if has_mse else gaps[9:11])
+            + (fields[11:] if has_best else gaps[11:])
+        )
+        for has_arb in (False, True)
+        for has_mse in (False, True)
+        for has_best in (False, True)
+    }
+    lines = ["  ".join(name.rjust(w) for name, w in zip(_TEXT_HEADER, widths))]
+    lines += [templates[r[8] is not None, r[9] is not None, r[11] is not None] % r for r in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -365,33 +425,68 @@ UNVERIFIABLE = "unverifiable"
 INCONSISTENT = "inconsistent"
 
 
-@dataclass(frozen=True)
-class CellAudit:
-    table: str
-    m: int
-    p: float
-    q: float
-    delta1: float
-    delta2: float
-    printed_pre: float
-    computed_pre: float
-    rel_err_pre: float
-    status: str
-    printed_arb: float | None = None
-    computed_arb: float | None = None
-    abs_err_arb: float | None = None
-    large: bool = False
+class CellAudit(Frozen):
+    """The audit record of one printed cell."""
+
+    __slots__ = ("table", "m", "p", "q", "delta1", "delta2", "printed_pre",
+                 "computed_pre", "rel_err_pre", "status", "printed_arb",
+                 "computed_arb", "abs_err_arb", "large")
+
+    def __init__(
+        self,
+        table: str,
+        m: int,
+        p: float,
+        q: float,
+        delta1: float,
+        delta2: float,
+        printed_pre: float,
+        computed_pre: float,
+        rel_err_pre: float,
+        status: str,
+        printed_arb: float | None = None,
+        computed_arb: float | None = None,
+        abs_err_arb: float | None = None,
+        large: bool = False,
+    ) -> None:
+        _set(self, "table", table)
+        _set(self, "m", m)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "delta1", delta1)
+        _set(self, "delta2", delta2)
+        _set(self, "printed_pre", printed_pre)
+        _set(self, "computed_pre", computed_pre)
+        _set(self, "rel_err_pre", rel_err_pre)
+        _set(self, "status", status)
+        _set(self, "printed_arb", printed_arb)
+        _set(self, "computed_arb", computed_arb)
+        _set(self, "abs_err_arb", abs_err_arb)
+        _set(self, "large", large)
 
 
-@dataclass(frozen=True)
-class RangeAudit:
-    kind: str
-    m: int
-    p: float
-    q: float
-    printed: tuple | None
-    computed: DominanceRange
-    status: str
+class RangeAudit(Frozen):
+    """The audit record of one printed dominance range."""
+
+    __slots__ = ("kind", "m", "p", "q", "printed", "computed", "status")
+
+    def __init__(
+        self,
+        kind: str,
+        m: int,
+        p: float,
+        q: float,
+        printed: tuple | None,
+        computed: DominanceRange,
+        status: str,
+    ) -> None:
+        _set(self, "kind", kind)
+        _set(self, "m", m)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "printed", printed)
+        _set(self, "computed", computed)
+        _set(self, "status", status)
 
 
 def _grade(table: str, rows, printed, rtol: float, evaluate) -> list:
@@ -524,14 +619,26 @@ def audit_ranges_31() -> list:
     return audits
 
 
-@dataclass(frozen=True)
-class AuditSummary:
-    table: str
-    total: int
-    passed: int
-    artifacts: int
-    disagreements: int
-    large: int
+class AuditSummary(Frozen):
+    """Status counts over one table's cell audit."""
+
+    __slots__ = ("table", "total", "passed", "artifacts", "disagreements", "large")
+
+    def __init__(
+        self,
+        table: str,
+        total: int,
+        passed: int,
+        artifacts: int,
+        disagreements: int,
+        large: int,
+    ) -> None:
+        _set(self, "table", table)
+        _set(self, "total", total)
+        _set(self, "passed", passed)
+        _set(self, "artifacts", artifacts)
+        _set(self, "disagreements", disagreements)
+        _set(self, "large", large)
 
     @property
     def unambiguous(self) -> int:

@@ -25,7 +25,9 @@ from weibull_shrink.montecarlo import (
     _CHUNK,
     EmpiricalRisk,
     SimulationPlan,
+    _chunk_seeds,
     empirical_risk,
+    empirical_risks,
     estimate_bain_constant,
     estimate_degrees_of_freedom,
     mmse_estimator,
@@ -78,7 +80,7 @@ def test_empirical_risk_bit_exact_repeat():
     est = unbiased_estimator(H6)
     a = empirical_risk(plan(50_000, seed=3), est, h=H6)
     b = empirical_risk(plan(50_000, seed=3), est, h=H6)
-    assert a == b  # dataclass equality: every float identical
+    assert a == b  # value-type equality: every float identical
 
 
 def test_empirical_risk_seed_sensitivity():
@@ -96,6 +98,57 @@ def test_empirical_risk_across_chunk_boundary():
         b = empirical_risk(plan(reps, seed=11), est, h=H6)
         assert a == b
         assert a.replicates == reps
+
+
+def _separate_pass(plan, estimator, h):
+    """Each estimator on its own stream of draws, as before the shared pass."""
+    beta, total = plan.params.beta, plan.replicates
+    n_chunks = (total + _CHUNK - 1) // _CHUNK
+    seeds = _chunk_seeds(plan.seed, n_chunks)
+    sums = ([], [], [])
+    done = 0
+    for i in range(n_chunks):
+        count = min(_CHUNK, total - done)
+        done += count
+        t = sample_t(h, beta, np.random.default_rng(seeds[i]), size=count)
+        d = (estimator(t) - beta) / beta
+        d2 = d * d
+        for part, value in zip(sums, (d, d2, d2 * d2)):
+            part.append(float(np.sum(value)))
+    s1, s2, s4 = (math.fsum(part) for part in sums)
+    bias, mse = s1 / total, s2 / total
+    return EmpiricalRisk(
+        mean=beta * (1.0 + bias),
+        bias=bias,
+        mse=mse,
+        se_mean=beta * math.sqrt(max(0.0, mse - bias * bias) / total),
+        se_mse=math.sqrt(max(0.0, s4 / total - mse * mse) / total),
+        replicates=total,
+    )
+
+
+def _bits(r):
+    return [float(v).hex() for v in (r.mean, r.bias, r.mse, r.se_mean, r.se_mse)]
+
+
+@pytest.mark.parametrize("reps", [1000, _CHUNK, 2 * _CHUNK + 4321])
+def test_shared_draws_match_separate_passes_bit_for_bit(reps):
+    # `mc verify` draws each chunk once for every estimator; each result must
+    # equal the estimator's own pass over the same seeded stream, bit for bit
+    cfg = ShrinkageConfig(p=-1.0, q=0.5)
+    estimators = [
+        unbiased_estimator(H6),
+        mmse_estimator(H6),
+        shrink_estimator(H6, GuessInterval(1.3, 1.3), cfg),
+        truncated_estimator(H6, GuessInterval(0.8, 1.6), cfg),
+    ]
+    p = SimulationPlan(replicates=reps, seed=29, params=WeibullParams(1.0, 2.0), n=20, m=6)
+    shared = empirical_risks(p, estimators, h=H6)
+    assert len(shared) == len(estimators)
+    for got, estimator in zip(shared, estimators):
+        assert got.replicates == reps
+        assert _bits(got) == _bits(empirical_risk(p, estimator, h=H6))
+        assert _bits(got) == _bits(_separate_pass(p, estimator, H6))
 
 
 def test_default_h_resolves_from_builtin_table():

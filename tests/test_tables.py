@@ -313,6 +313,27 @@ def _oracle_csv(cells):
     return writers.rows_to_csv(CSV_HEADER, rows)
 
 
+def _oracle_text(cells):
+    # the generic text writer: every field formatted alone, then each column
+    # right-justified to its widest entry
+    header = ["m", "h", "p", "q", "d1", "d2", "delta", "pre", "arb",
+              "mse_lo", "mse_hi", "best_lo", "best_hi"]
+
+    def fmt(x) -> str:
+        return "-" if x is None else f"{x:.4f}"
+
+    rows = [header]
+    for c in cells:
+        lo, hi = writers.span_ends(c.mse_range)
+        blo, bhi = writers.span_ends(c.best)
+        rows.append([str(c.m), f"{c.h:.4f}", f"{c.p:g}", f"{c.q:g}",
+                     f"{c.delta1:.4f}", f"{c.delta2:.4f}", f"{c.delta:.4f}",
+                     f"{c.pre:.4f}", fmt(c.arb), fmt(lo), fmt(hi), fmt(blo), fmt(bhi)])
+    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
+    lines = ["  ".join(val.rjust(widths[i]) for i, val in enumerate(r)) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _odd_cell(**kw):
     base = dict(m=6, h=H6, p=1.0, q=0.5, delta1=1.0, delta2=1.0, delta=1.0, pre=42.0)
     return TableCell(**{**base, **kw})
@@ -348,6 +369,32 @@ def test_cell_writers_match_generic_writers(case):
     cells = ORACLE_CASES[case]()
     assert cells_to_json(cells) == writers.to_json([c.to_dict() for c in cells])
     assert cells_to_csv(cells) == _oracle_csv(cells)
+    assert cells_to_text(cells) == _oracle_text(cells)
+
+
+def _text_odd_cells():
+    # values whose width min() and max() alone would misjudge: NaN, infinities,
+    # -0.0 beside 0.0, negatives that round to -0.0000, and wide integers
+    empty = DominanceRange.empty()
+    return [
+        _odd_cell(h=float("nan"), delta1=float("inf"), arb=0.0),
+        _odd_cell(delta=-float("inf"), pre=1e7, mse_range=DominanceRange(0.0, 2.0)),
+        _odd_cell(m=123456, p=-2.5e-7, q=1e-9, delta2=-0.0, best=DominanceRange(-0.0, 1.0)),
+        _odd_cell(delta1=-4e-5, arb=-0.0, mse_range=DominanceRange(0.0, 99999.99996), best=empty),
+        _odd_cell(h=-0.0, pre=0.0, arb_range=DominanceRange(3.0, 4.0)),
+        _odd_cell(h=float("inf"), delta1=123456.75, delta=-98765.4321),
+    ]
+
+
+@pytest.mark.parametrize("picks", [(0,), (1,), (2,), (3,), (4,), (5,), (1, 2), (2, 1),
+                                   (0, 3, 4), (0, 5), (1, 5), (4, 3, 2, 1, 0, 5)])
+def test_text_writer_matches_oracle_on_odd_values(picks):
+    cells = _text_odd_cells()
+    chosen = [cells[i] for i in picks]
+    assert cells_to_text(chosen) == _oracle_text(chosen)
+    stock = table_31(GridSpec.default_31())[:40:7]
+    assert cells_to_text(stock + chosen) == _oracle_text(stock + chosen)
+    assert cells_to_text(chosen + stock) == _oracle_text(chosen + stock)
 
 
 @pytest.mark.parametrize("field", [{"h": float("nan")}, {"delta1": float("inf")}])
@@ -526,9 +573,34 @@ def test_analytic_layer_does_not_import_numpy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def _run_fresh(code: str) -> None:
+    """Run `code` in a fresh interpreter, after a `main` that runs one argv
+    quietly and a `loaded` that lists which of some modules are imported."""
+    prelude = (
+        "import contextlib, io, sys\n"
+        "import weibull_shrink.cli\n"
+        "from weibull_shrink.cli import main\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "def loaded(names):\n"
+        "    return [m for m in names if m in sys.modules]\n"
+    )
+    src = Path(tables.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", prelude + code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+TABLE_LAYER = ["weibull_shrink.tables", "weibull_shrink.reference_data"]
+ANALYTIC_LAYER = ["weibull_shrink.risk", "weibull_shrink.estimators", "weibull_shrink.specfun"]
+
+
 def test_only_table_imports_the_table_layer(tmp_path):
     # the table layer and the transcribed printed tables load only for
-    # `table`; a text document loads neither csv nor json
+    # `table`; a text document loads neither csv nor json; no closed-form or
+    # table run loads dataclasses
     data = tmp_path / "times.dat"
     data.write_text("0.5\n1.0\n1.5\n2.0\n2.5\n3.0\n")
     shape = ["--h", "10.8519", "--p", "1", "--q", "0.5"]
@@ -540,31 +612,42 @@ def test_only_table_imports_the_table_layer(tmp_path):
         ["estimate", "--t", "8.8519", "--h", "10.8519", *guess],
         ["estimate", "--data", str(data), "--n", "20", *guess],
     ]
-    simulating = [
-        ["mc", "verify", *shape, "--delta", "1.2", "--reps", "1000"],
-        ["mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "1000"],
-        ["mc", "estimate-h", "--n", "20", "--m", "6", "--reps", "1000"],
+    tabulating = [
+        ["table", "31"],
+        ["table", "31", "--diff", "--format", "csv"],
+        ["table", "51", "--diff", "--format", "json"],
     ]
-    table_layer = ["weibull_shrink.tables", "weibull_shrink.reference_data"]
-    absent_in_text = [*table_layer, "csv", "json"]
-    code = (
-        "import contextlib, io, sys\n"
-        "from weibull_shrink.cli import main\n"
-        "def run(argv):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0, argv\n"
-        "def loaded(names):\n"
-        "    return [m for m in names if m in sys.modules]\n"
+    absent_in_text = [*TABLE_LAYER, "csv", "json", "dataclasses"]
+    _run_fresh(
         f"for argv in {closed_form!r}:\n"
         "    run(argv)\n"
         f"assert not loaded({absent_in_text!r}), loaded({absent_in_text!r})\n"
-        f"for argv in {simulating!r}:\n"
+        f"for argv in {tabulating!r}:\n"
         "    run(argv)\n"
-        f"assert not loaded({table_layer!r}), loaded({table_layer!r})\n"
-        "run(['table', '31'])\n"
-        f"assert loaded({table_layer!r}) == {table_layer!r}\n"
+        f"assert loaded({TABLE_LAYER!r}) == {TABLE_LAYER!r}\n"
+        "assert not loaded(['dataclasses'])\n"
     )
-    src = Path(tables.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_and_calibration_skip_the_analytic_layer():
+    # importing the CLI loads only model and writers; `mc estimate-k/-h`
+    # simulate the design constants without risk, estimators or specfun, and
+    # no `mc` run loads the table layer
+    calibrating = [
+        ["mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "1000"],
+        ["mc", "estimate-h", "--n", "20", "--m", "6", "--reps", "1000"],
+    ]
+    verify = ["mc", "verify", "--h", "10.8519", "--p", "1", "--q", "0.5",
+              "--delta", "1.2", "--reps", "1000"]
+    package = "sorted(m for m in sys.modules if m.startswith('weibull_shrink'))"
+    _run_fresh(
+        f"assert {package} == ['weibull_shrink', 'weibull_shrink.cli', "
+        f"'weibull_shrink.model', 'weibull_shrink.writers'], {package}\n"
+        "assert not loaded(['dataclasses'])\n"
+        f"for argv in {calibrating!r}:\n"
+        "    run(argv)\n"
+        f"assert not loaded({ANALYTIC_LAYER + TABLE_LAYER!r}), {package}\n"
+        f"run({verify!r})\n"
+        f"assert loaded({ANALYTIC_LAYER!r}) == {ANALYTIC_LAYER!r}\n"
+        f"assert not loaded({TABLE_LAYER!r}), {package}\n"
+    )

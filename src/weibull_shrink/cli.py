@@ -10,12 +10,14 @@ Exit codes: 0 success, 1 failed verification check, 2 data or flag problems
 (with file:line for parse failures), 3 inadmissible or degenerate shrinkage
 parameters, 4 missing pivotal constant for an unknown design, 5 unwritable
 output path. `main` is the only place that maps exceptions to exit codes; the
-subcommands let the package's own checks raise. `risk`, `dominance` and
-`mc verify` check h, q, the departures, then p (a non-finite p exits 2),
-then the simulation flags. A numerical overflow, or an efficiency left
-unbounded by a zero MSE, is a data problem too, and exits 2. Data goes to
-stdout (or --out); diagnostics go to stderr. Output depends only on flags and
-seed, never on wall clock, so reruns are byte-identical.
+subcommands let the package's own checks raise. `risk`, `dominance`, `mc
+verify` and `estimate` check h, q, the departures (for `estimate`, the guess
+interval), then p (a non-finite p exits 2), then their trailing inputs: the
+simulation flags, or `estimate`'s design, data file and t. A numerical
+overflow, or an efficiency left unbounded by a zero MSE, is a data problem
+too, and exits 2. Data goes to stdout (or --out); diagnostics go to stderr.
+Output depends only on flags and seed, never on wall clock, so reruns are
+byte-identical.
 
 A subcommand imports what it runs, inside its own function, so importing
 this module loads only `model` and `writers`. `risk`, `dominance` and `mc
@@ -48,15 +50,9 @@ from weibull_shrink.model import (
     PivotalContext,
     ShrinkageConfig,
     WeibullParams,
-    _require_design,
     lookup_h,
 )
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+from weibull_shrink.model import _require_design, _require_h, _require_q
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +82,9 @@ def _resolve_delta(args) -> tuple[float, bool]:
     the pair was given."""
     have_pair = args.delta1 is not None or args.delta2 is not None
     if have_pair and (args.delta1 is None or args.delta2 is None):
-        raise _CliError(2, "--delta1 and --delta2 go together")
+        raise ValueError("--delta1 and --delta2 go together")
     if args.delta is None and not have_pair:
-        raise _CliError(2, "give --delta or --delta1/--delta2")
+        raise ValueError("give --delta or --delta1/--delta2")
     delta = args.delta if args.delta is not None else 0.5 * (args.delta1 + args.delta2)
     return delta, have_pair
 
@@ -102,7 +98,7 @@ def _read_failure_times(path: str) -> list:
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
-        raise _CliError(2, f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     values = []
     with fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -112,22 +108,19 @@ def _read_failure_times(path: str) -> list:
             try:
                 value = float(stripped)
             except ValueError:
-                raise _CliError(
-                    2, f"{path}:{lineno}: cannot parse {stripped!r} as a failure time"
+                raise ValueError(
+                    f"{path}:{lineno}: cannot parse {stripped!r} as a failure time"
                 ) from None
             if not math.isfinite(value) or value <= 0.0:
-                raise _CliError(
-                    2, f"{path}:{lineno}: failure times must be finite and > 0"
-                )
+                raise ValueError(f"{path}:{lineno}: failure times must be finite and > 0")
             if values and value < values[-1][1]:
-                raise _CliError(
-                    2,
+                raise ValueError(
                     f"{path}:{lineno}: failure times must be nondecreasing "
-                    f"({value:g} after {values[-1][1]:g})",
+                    f"({value:g} after {values[-1][1]:g})"
                 )
             values.append((lineno, value))
     if not values:
-        raise _CliError(2, f"{path}: no failure times found")
+        raise ValueError(f"{path}: no failure times found")
     return [v for _, v in values]
 
 
@@ -135,41 +128,46 @@ def _m_for_h(n: int, h: float) -> int:
     for (nn, mm), hh in BUILTIN_H.items():
         if nn == n and abs(hh - h) <= 1e-4:
             return mm
-    raise _CliError(
-        2, f"--t with h={h!r} matches no built-in design for n={n}; give --m"
-    )
+    raise ValueError(f"--t with h={h!r} matches no built-in design for n={n}; give --m")
 
 
 def cmd_estimate(args) -> tuple:
     from weibull_shrink import estimators
 
     if (args.t is None) == (args.data is None):
-        raise _CliError(2, "give exactly one of --t or --data")
+        raise ValueError("give exactly one of --t or --data")
+    if args.t is not None and args.h is None:
+        raise ValueError("--t needs an explicit --h")
+    if args.data is not None and args.n is None:
+        raise ValueError("--data needs --n (number of units on test)")
+    # risk's order: h, q, the guess interval, then p (finite, then admissible
+    # once h is known, which --data may look up from its design); last the
+    # design, the data file and t
+    h = None if args.h is None else _require_h(args.h, 4.0)
+    _require_q(args.q)
+    interval = GuessInterval(beta1=args.beta1, beta2=args.beta2)
+    cfg = ShrinkageConfig(p=args.p, q=args.q)
+    if h is not None:
+        estimators.shrink_weight(cfg.p, h)
     bain_k = None
     scale = None
     if args.t is not None:
-        if args.h is None:
-            raise _CliError(2, "--t needs an explicit --h")
-        h = args.h
         n = args.n if args.n is not None else 20
         m = args.m if args.m is not None else _m_for_h(n, h)
         t = args.t
     else:
-        if args.n is None:
-            raise _CliError(2, "--data needs --n (number of units on test)")
-        n = args.n
-        sample = CensoredSample(n=n, observations=tuple(_read_failure_times(args.data)))
+        sample = CensoredSample(n=args.n, observations=tuple(_read_failure_times(args.data)))
         # checked before the h lookup, so one failure time exits 2 with or without --h
-        n, m = _require_design(n, sample.m)
-        h = args.h if args.h is not None else lookup_h(n, m)
+        n, m = _require_design(args.n, sample.m)
+        if h is None:
+            h = lookup_h(n, m)
+            estimators.shrink_weight(cfg.p, h)
         bain_k = args.bain_k if args.bain_k is not None else estimators.bain_constant(m, n)
         scale = estimators.bain_scale_estimate(
             sample, estimators.BainConstants(m=m, n=n, k=bain_k)
         )
         t = h * scale
     ctx = PivotalContext(n=n, m=m, h=h, t=t)
-    interval = GuessInterval(beta1=args.beta1, beta2=args.beta2)
-    cfg = ShrinkageConfig(p=args.p, q=args.q)
     pairs = [
         ("n", n),
         ("m", m),
@@ -211,7 +209,7 @@ def _point_reports(args, delta: float, pair: bool) -> list:
 def cmd_risk(args) -> tuple:
     delta, have_pair = _resolve_delta(args)
     if args.modified and not have_pair:
-        raise _CliError(2, "--modified needs --delta1 and --delta2")
+        raise ValueError("--modified needs --delta1 and --delta2")
     reports = _point_reports(args, delta, args.modified)
     if math.isinf(reports[-1].pre_vs_mmse):
         raise ValueError(
@@ -273,31 +271,10 @@ def _parse_row(text: str):
     return float(a), float(b)
 
 
-def _printed_audit(which: str, cells) -> tuple:
-    """Audit records for the printed cells among `cells`, those at their m's
-    built-in h: the cell records, and for table 3.1 the range records of their
-    (p, q, m) blocks (None for table 5.1)."""
-    from weibull_shrink import tables
-
-    stock_h = dict(tables.DEFAULT_DESIGNS)
-    printed = {
-        (c.m, c.p, c.q, c.delta1, c.delta2) for c in cells if stock_h.get(c.m) == c.h
-    }
-    blocks = {(p, q, m) for m, p, q, _, _ in printed}
-    if which == "31":
-        audits, ranges = tables.audit_table_31(), tables.audit_ranges_31()
-        ranges = [r for r in ranges if (r.p, r.q, r.m) in blocks]
-    else:
-        audits, ranges = tables.audit_table_51(), None
-    audits = [a for a in audits if (a.m, a.p, a.q, a.delta1, a.delta2) in printed]
-    return audits, ranges
-
-
 def cmd_table(args) -> tuple:
     from weibull_shrink import tables
 
-    default = tables.GridSpec.default_31 if args.which == "31" else tables.GridSpec.default_51
-    spec = default()
+    spec = tables.GridSpec.default_31() if args.which == "31" else tables.GridSpec.default_51()
     h_values = spec.h_values if not args.design else tuple(args.design)
     delta_rows = spec.delta_rows if not args.rows else tuple(args.rows)
     spec = tables.GridSpec(h_values, spec.p_values, spec.q_values, delta_rows)
@@ -307,7 +284,7 @@ def cmd_table(args) -> tuple:
         writer = {"csv": tables.cells_to_csv, "json": tables.cells_to_json,
                   "text": tables.cells_to_text}[args.format]
         return writer(cells), 0
-    audits, ranges = _printed_audit(args.which, cells)
+    audits, ranges = tables.printed_audit(args.which, cells)
     if args.format == "csv":
         rows = (a.to_dict().values() for a in audits)
         return writers.rows_to_csv(tables.CellAudit.__slots__, rows), 0
@@ -351,7 +328,7 @@ def cmd_mc_verify(args) -> tuple:
     from weibull_shrink import montecarlo
 
     if args.reps < 1000:
-        raise _CliError(2, "verification needs --reps >= 1000")
+        raise ValueError("verification needs --reps >= 1000")
     delta, have_pair = _resolve_delta(args)
     reports = _point_reports(args, delta, have_pair)
     cfg = ShrinkageConfig(p=args.p, q=args.q)
@@ -509,9 +486,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         output, code = args.func(args)
-    except _CliError as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
     except (InadmissibleParameterError, GridValidationError) as exc:
         print(str(exc), file=sys.stderr)
         return 3

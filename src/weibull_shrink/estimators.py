@@ -19,8 +19,8 @@ from weibull_shrink.model import (
     PivotalContext,
     ShrinkageConfig,
     _require_design,
-    _require_finite,
     _require_h,
+    _require_p,
     _require_positive,
     _set,
 )
@@ -93,9 +93,7 @@ def bain_scale_estimate(sample: CensoredSample, constants: BainConstants) -> flo
     times. Requires at least two failures and constants matching the sample's
     censoring design.
     """
-    m = sample.m
-    if m < 2:
-        raise ValueError("need at least two failures to estimate the scale")
+    _, m = _require_design(sample.n, sample.m)
     if (constants.m, constants.n) != (m, sample.n):
         raise ValueError(
             f"constants are for (m={constants.m}, n={constants.n}) but the sample "
@@ -121,9 +119,7 @@ def shrink_weight(p: float, h: float) -> float:
     zero, which is rejected here like any other inadmissible p.
     """
     h = _require_h(h, 2.0)
-    p = _require_finite("p", p)
-    if p == 0.0:
-        raise InadmissibleParameterError(f"p must be a nonzero real, got {p!r}")
+    p = _require_p(p)
     if h / 2.0 + p <= 0.0 or h / 2.0 + 2.0 * p <= 0.0:
         raise InadmissibleParameterError(
             f"p={p} violates the gamma-argument bound p > {-h / 4.0:.6g} for h={h}"

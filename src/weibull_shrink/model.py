@@ -3,10 +3,13 @@
 Input is checked once, where it enters the package: a value type's
 constructor, the entry of a public function, the table grid
 (``tables.GridSpec``), or the CLI's data-file parser. Every rule that more
-than one entry point applies lives here (``_require_*``), written once. Code
-past an entry point trusts what it receives; only checks on computed results
-(a report's moments, a range's endpoints, a table cell) run again downstream,
-because they catch numerical faults rather than bad input.
+than one entry point applies lives here, written once with one message:
+``_require_finite``, ``_require_positive``, ``_require_p``, ``_require_q``,
+``_require_h``, ``_require_interval``, ``_require_design``,
+``_require_replicates`` and ``_require_seed``. Code past an entry point
+trusts what it receives; only checks on computed results (a report's
+moments, a range's endpoints, a table cell) run again downstream, because
+they catch numerical faults rather than bad input.
 
 A value type is a ``Frozen`` subclass: ``__slots__`` names its fields in
 positional order, and a hand-written ``__init__`` stores them with ``_set``
@@ -117,6 +120,14 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
+def _require_p(p: float) -> float:
+    """A shrinkage exponent: finite, then nonzero (p = 0 degenerates the weight)."""
+    p = _require_finite("p", p)
+    if p == 0.0:
+        raise InadmissibleParameterError(f"p must be nonzero, got {p!r}")
+    return p
+
+
 def _require_q(q: float) -> float:
     """A pull weight in (0, 1]; NaN and inf fail the comparison."""
     q = float(q)
@@ -129,8 +140,17 @@ def _require_h(h: float, minimum: float) -> float:
     """Degrees of freedom above `minimum`: 2 for a finite mean, 4 for a finite MSE."""
     h = float(h)
     if not math.isfinite(h) or h <= minimum:
-        raise ValueError(f"h must be finite and > {minimum:g}, got {h!r}")
+        raise ValueError(f"need a finite h > {minimum:g}, got {h!r}")
     return h
+
+
+def _require_interval(lo_name: str, lo: float, hi_name: str, hi: float) -> tuple[float, float]:
+    """An interval (lo, hi) with both ends finite and positive and lo <= hi."""
+    lo = _require_positive(lo_name, lo)
+    hi = _require_positive(hi_name, hi)
+    if lo > hi:
+        raise ValueError(f"{lo_name} must not exceed {hi_name}, got ({lo!r}, {hi!r})")
+    return lo, hi
 
 
 def _require_design(n: int, m: int) -> tuple[int, int]:
@@ -229,12 +249,7 @@ class GuessInterval(Frozen):
     def __init__(self, beta1: float, beta2: float) -> None:
         _set(self, "beta1", beta1)
         _set(self, "beta2", beta2)
-        _require_positive("beta1", beta1)
-        _require_positive("beta2", beta2)
-        if beta1 > beta2:
-            raise ValueError(
-                f"beta1 must not exceed beta2, got ({beta1!r}, {beta2!r})"
-            )
+        _require_interval("beta1", beta1, "beta2", beta2)
 
     @property
     def midpoint(self) -> float:
@@ -249,12 +264,8 @@ class ShrinkageConfig(Frozen):
     def __init__(self, p: float, q: float) -> None:
         _set(self, "p", p)
         _set(self, "q", q)
-        _require_finite("p", p)
-        if p == 0.0:
-            raise InadmissibleParameterError(
-                "p must be nonzero (p = 0 degenerates the weight)"
-            )
         _require_q(q)
+        _require_p(p)
 
 
 #: Identifiers for the estimators a RiskReport can describe.

@@ -34,6 +34,7 @@ from weibull_shrink.model import (
     InadmissibleParameterError,
     RiskReport,
     _require_h,
+    _require_interval,
     _require_positive,
     _require_q,
     _set,
@@ -67,9 +68,6 @@ class DominanceRange(Frozen):
     @property
     def is_empty(self) -> bool:
         return not self.lo < self.hi
-
-    def contains(self, delta: float) -> bool:
-        return (not self.is_empty) and self.lo < delta < self.hi
 
     def intersect(self, other: "DominanceRange") -> "DominanceRange":
         if self.is_empty or other.is_empty:
@@ -307,10 +305,7 @@ def _modified_point(
     """Check a truncated-shrinkage point once; return it with its weight w(p)."""
     h = _require_h(h, h_min)
     q = _require_q(q)
-    delta1 = _require_positive("delta1", delta1)
-    delta2 = _require_positive("delta2", delta2)
-    if delta2 < delta1:
-        raise ValueError(f"need delta1 <= delta2, got {delta1!r} > {delta2!r}")
+    delta1, delta2 = _require_interval("delta1", delta1, "delta2", delta2)
     return h, q, delta1, delta2, shrink_weight(p, h)
 
 

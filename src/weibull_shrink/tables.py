@@ -5,10 +5,10 @@ estimator (efficiency, bias, and the per-block dominance ranges) over nine
 departure rows, and `table_51` evaluates the truncated estimator over seven
 guess intervals. Both take a GridSpec, so arbitrary grids work the same way.
 
-GridSpec is where a grid's input is checked, with every problem reported at
-once; the builders trust it and evaluate the risk kernels directly, with w(p)
-computed once per (p, h) and the truncated estimator's incomplete-gamma terms
-once per (h, delta1, delta2).
+GridSpec is where a grid's input is checked, by the rules in `model`, with
+every problem reported at once; the builders trust it and evaluate the risk
+kernels directly, with w(p) computed once per (p, h) and the truncated
+estimator's incomplete-gamma terms once per (h, delta1, delta2).
 
 The audit recomputes every cell of the embedded printed tables and
 classifies disagreements instead of smoothing them over. One grader serves
@@ -17,7 +17,8 @@ its tolerance, and an evaluator of (pre, arb) at a weight w. The grader takes
 w once per (p, h) and evaluates a cell again at the source's rounded
 (sometimes misprinted) weight only when it falls outside tolerance: a cell
 that reproduces there is an artifact of the printing, and anything else is
-reported as a source disagreement with its relative error.
+reported as a source disagreement with its relative error. `printed_audit`
+picks out the records of the printed cells among any selection of cells.
 
 The table-cell writers `cells_to_csv`, `cells_to_json` and `cells_to_text`
 live here. All three are specialised to TableCell's fixed shape, one format
@@ -36,7 +37,8 @@ from itertools import repeat
 
 from weibull_shrink import reference_data as ref
 from weibull_shrink.estimators import shrink_weight
-from weibull_shrink.model import BUILTIN_H, Frozen, GridValidationError, _require_q, _set
+from weibull_shrink.model import BUILTIN_H, Frozen, GridValidationError, _set
+from weibull_shrink.model import _require_h, _require_interval, _require_p, _require_q
 from weibull_shrink.risk import (
     DominanceRange,
     _bias_shrink_given_w,
@@ -82,24 +84,27 @@ class GridSpec(Frozen):
             for name in ("h_values", "p_values", "q_values", "delta_rows")
             if not getattr(self, name)
         ]
-        for m, h in h_values:
-            if not math.isfinite(h) or h <= 4.0:
-                problems.append(f"design (m={m}, h={h}): need h > 4")
-        for p in p_values:
-            if not math.isfinite(p):
-                problems.append(f"p={p}: need a finite p")
-                continue
-            for m, h in h_values:
-                if math.isfinite(h) and h > 4.0 and not admissible_p(p, h):
-                    problems.append(f"p={p} is inadmissible at h={h} (m={m})")
-        for q in q_values:
+
+        def passes(label: str, rule, *args) -> bool:
             try:
-                _require_q(q)
+                rule(*args)
             except ValueError as exc:
-                problems.append(f"q={q}: {exc}")
+                problems.append(f"{label}: {exc}")
+                return False
+            return True
+
+        designs = [
+            (m, h) for m, h in h_values if passes(f"design (m={m}, h={h})", _require_h, h, 4.0)
+        ]
+        for p in p_values:
+            if passes(f"p={p}", _require_p, p):
+                for m, h in designs:
+                    if not admissible_p(p, h):
+                        problems.append(f"p={p} is inadmissible at h={h} (m={m})")
+        for q in q_values:
+            passes(f"q={q}", _require_q, q)
         for i, (d1, d2) in enumerate(delta_rows):
-            if not (math.isfinite(d1) and math.isfinite(d2) and 0.0 < d1 <= d2):
-                problems.append(f"delta row {i}: need 0 < delta1 <= delta2, got ({d1}, {d2})")
+            passes(f"delta row {i}", _require_interval, "delta1", d1, "delta2", d2)
         if problems:
             raise GridValidationError(
                 "invalid grid:\n  " + "\n  ".join(problems)
@@ -564,6 +569,22 @@ def audit_table_51() -> list:
         return _pre_modified_given_terms(h, q, d1, d2, w, terms[h, d1, d2]), None
 
     return _grade("51", ref.TABLE_51_INTERVALS, printed, PRE_RTOL_51, evaluate)
+
+
+def printed_audit(which: str, cells) -> tuple:
+    """Audit records for the printed cells among `cells` of table `which`
+    ("31" or "51"), those at their m's built-in h: the cell records, and for
+    table 3.1 the range records of their (p, q, m) blocks (None for 5.1)."""
+    stock_h = dict(DEFAULT_DESIGNS)
+    printed = {(c.m, c.p, c.q, c.delta1, c.delta2) for c in cells if stock_h.get(c.m) == c.h}
+    blocks = {(p, q, m) for m, p, q, _, _ in printed}
+    if which == "31":
+        audits = audit_table_31()
+        ranges = [r for r in audit_ranges_31() if (r.p, r.q, r.m) in blocks]
+    else:
+        audits, ranges = audit_table_51(), None
+    audits = [a for a in audits if (a.m, a.p, a.q, a.delta1, a.delta2) in printed]
+    return audits, ranges
 
 
 def _endpoint_matches(computed: float, printed: float) -> bool:

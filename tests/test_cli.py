@@ -692,6 +692,67 @@ def test_mc_verify_bad_q_exit_2_bad_p_exit_3(capsys):
 _EST = ("--beta1", "1", "--beta2", "2")
 _VER = ("mc", "verify", "--reps", "2000")
 
+# data files for `estimate --data` rows, written per test under these names
+_DATA = {
+    "@six": "".join(f"{x}.0\n" for x in range(1, 7)),
+    "@tied": "2.0\n" * 6,  # a zero scale estimate: no t exists
+    "@one": "1.0\n",  # m = 1 breaks the design rule
+}
+
+# `estimate` checks h, q, the guess interval, then p (finite, then admissible
+# once h is known), then its design, data file and t. One row per adjacent
+# pair, both bad: the exit code and the first stderr line name the earlier one.
+_ESTIMATE_ORDER = [
+    # h / q
+    (2, "need a finite h > 4", ("estimate", "--t", "5", "--h", "3", "--m", "6", *_EST,
+                                "--p", "1", "--q", "1.5")),
+    (2, "need a finite h > 4", ("estimate", "--data", "@six", "--n", "20", "--h", "3", *_EST,
+                                "--p", "1", "--q", "1.5")),
+    # q / interval
+    (2, "q must lie", ("estimate", "--t", "5", "--h", H6, "--beta1", "2", "--beta2", "1",
+                       "--p", "1", "--q", "1.5")),
+    (2, "q must lie", ("estimate", "--data", "@six", "--n", "20", "--beta1", "2", "--beta2", "1",
+                       "--p", "1", "--q", "1.5")),
+    # interval / p
+    (2, "beta1 must not exceed beta2", ("estimate", "--t", "5", "--h", H6, "--beta1", "2",
+                                        "--beta2", "1", "--p", "0", "--q", "0.5")),
+    (2, "beta1 must not exceed beta2", ("estimate", "--data", "@six", "--n", "20", "--beta1", "2",
+                                        "--beta2", "1", "--p", "0", "--q", "0.5")),
+    # p / t
+    (3, "p=-0.1 gives weight", ("estimate", "--t", "-1", "--h", H6, *_EST,
+                                "--p", "-0.1", "--q", "0.5")),
+    (3, "p must be nonzero", ("estimate", "--data", "@tied", "--n", "20", *_EST,
+                              "--p", "0", "--q", "0.5")),
+    # p / design, and p / data file
+    (2, "p must be finite", ("estimate", "--t", "5", "--h", H6, "--m", "1", *_EST,
+                             "--p", "nan", "--q", "0.5")),
+    (3, "p must be nonzero", ("estimate", "--t", "5", "--h", H6, "--m", "1", *_EST,
+                              "--p", "0", "--q", "0.5")),
+    (3, "p must be nonzero", ("estimate", "--t", "5", "--h", "33.3", *_EST,
+                              "--p", "0", "--q", "0.5")),
+    (3, "p must be nonzero", ("estimate", "--data", "@one", "--n", "20", *_EST,
+                              "--p", "0", "--q", "0.5")),
+    (3, "p=-6.0 violates", ("estimate", "--data", "@one", "--n", "20", "--h", H6, *_EST,
+                            "--p", "-6", "--q", "0.5")),
+    (3, "p must be nonzero", ("estimate", "--data", "/no/such/file.dat", "--n", "20", *_EST,
+                              "--p", "0", "--q", "0.5")),
+    # without --h, p's admissibility waits for the design's h, so the design goes first
+    (2, "m must be an integer >= 2", ("estimate", "--data", "@one", "--n", "20", *_EST,
+                                      "--p", "-6", "--q", "0.5")),
+]
+
+
+def _with_data_files(tmp_path, argv) -> list:
+    """argv with each `_DATA` name replaced by the path of a file holding it."""
+    out = []
+    for arg in argv:
+        if arg in _DATA:
+            path = tmp_path / f"{arg[1:]}.dat"
+            path.write_text(_DATA[arg])
+            arg = str(path)
+        out.append(arg)
+    return out
+
 
 @pytest.mark.parametrize(
     "code, argv",
@@ -757,14 +818,15 @@ _VER = ("mc", "verify", "--reps", "2000")
         (3, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "-6", "--q", "0.5")),
         (2, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "1", "--q", "0")),
         (2, ("estimate", "--t", "5", "--h", "3", "--m", "6", *_EST, "--p", "0", "--q", "0.5")),
-        (2, ("estimate", "--t", "0", "--h", H6, *_EST, "--p", "0", "--q", "0.5")),
-        (2, ("estimate", "--t", "0", "--h", H6, *_EST, "--p", "-6", "--q", "0.5")),
+        (3, ("estimate", "--t", "0", "--h", H6, *_EST, "--p", "0", "--q", "0.5")),
+        (3, ("estimate", "--t", "0", "--h", H6, *_EST, "--p", "-6", "--q", "0.5")),
         (2, ("estimate", "--t", "5", "--h", H6, "--beta1", "-1", "--beta2", "2",
              "--p", "0", "--q", "0.5")),
         (2, ("estimate", "--t", "5", "--h", H6, "--beta1", "-1", "--beta2", "2",
              "--p", "-6", "--q", "0.5")),
         (2, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "-6", "--q", "0")),
-        (3, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "0", "--q", "1.5")),
+        (2, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "0", "--q", "1.5")),
+        *((code, argv) for code, _, argv in _ESTIMATE_ORDER),
         # mc verify
         (2, (*_VER, "--h", "3", "--p", "1", "--q", "0.5", "--delta", "1")),
         (2, (*_VER, "--h", "2", "--p", "1", "--q", "0.5", "--delta", "1")),
@@ -800,11 +862,20 @@ _VER = ("mc", "verify", "--reps", "2000")
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
 )
-def test_bad_input_exit_code(capsys, code, argv):
-    got, out, err = run(capsys, *argv)
+def test_bad_input_exit_code(tmp_path, capsys, code, argv):
+    got, out, err = run(capsys, *_with_data_files(tmp_path, argv))
     assert got == code, err
     assert out == ""
     assert err != ""
+
+
+@pytest.mark.parametrize(
+    "code, first, argv", _ESTIMATE_ORDER, ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v)
+)
+def test_estimate_reports_the_first_bad_input_in_risk_order(tmp_path, capsys, code, first, argv):
+    got, out, err = run(capsys, *_with_data_files(tmp_path, argv))
+    assert (got, out) == (code, "")
+    assert err.startswith(first), err
 
 
 # --- scripts ------------------------------------------------------------------

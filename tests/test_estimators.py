@@ -276,7 +276,7 @@ def test_bain_scale_estimate_scale_equivariance():
 
 def test_bain_scale_estimate_needs_two_failures():
     s = CensoredSample(n=10, observations=(1.5,))
-    with pytest.raises(ValueError, match="two failures"):
+    with pytest.raises(ValueError, match="m must be an integer >= 2, got 1"):
         bain_scale_estimate(s, BainConstants(m=2, n=10, k=1.0))
 
 

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weibull_shrink import risk
+from weibull_shrink.estimators import shrink_weight
 from weibull_shrink.model import (
     BUILTIN_H,
     CensoredSample,
@@ -18,6 +20,7 @@ from weibull_shrink.model import (
     WeibullParams,
     lookup_h,
 )
+from weibull_shrink.tables import GridSpec
 
 
 def test_lookup_h_builtin_designs():
@@ -219,3 +222,68 @@ def test_builtin_h_all_above_four():
     # every built-in design must be usable with the MSE formulas
     assert all(h > 4.0 for h in BUILTIN_H.values())
     assert all(not math.isinf(h) for h in BUILTIN_H.values())
+
+
+# --- one message per rule, whichever entry point applies it -------------------
+
+
+def _message(call) -> str:
+    with pytest.raises(ValueError) as exc:
+        call()
+    return str(exc.value)
+
+
+def _grid(h=10.8519, p=1.0, row=(0.8, 1.2)):
+    return GridSpec(((6, h),), (p,), (0.5,), (row,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ShrinkageConfig(p=0.0, q=0.5),
+        lambda: shrink_weight(0.0, 10.8519),
+        lambda: risk.report_shrink(10.8519, 0.0, 0.5, 1.0),
+        lambda: risk.mse_dominance_range(10.8519, 0.0, 0.5),
+        lambda: _grid(p=0.0),
+    ],
+    ids=["ShrinkageConfig", "shrink_weight", "report_shrink", "mse_dominance_range", "GridSpec"],
+)
+def test_p_zero_has_one_message(call):
+    assert "p must be nonzero, got 0.0" in _message(call)
+
+
+@pytest.mark.parametrize(
+    "call, lo, hi",
+    [
+        (lambda: GuessInterval(2.0, 1.0), "beta1", "beta2"),
+        (lambda: risk.report_modified(10.8519, 1.0, 0.5, 2.0, 1.0), "delta1", "delta2"),
+        (lambda: _grid(row=(2.0, 1.0)), "delta1", "delta2"),
+    ],
+    ids=["GuessInterval", "report_modified", "GridSpec"],
+)
+def test_reversed_interval_has_one_message(call, lo, hi):
+    assert f"{lo} must not exceed {hi}, got (2.0, 1.0)" in _message(call)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: PivotalContext(n=20, m=6, h=4.0, t=5.0),
+        lambda: risk.rmse_mmse(4.0),
+        lambda: _grid(h=4.0),
+    ],
+    ids=["PivotalContext", "rmse_mmse", "GridSpec"],
+)
+def test_h_four_has_one_message(call):
+    assert "need a finite h > 4, got 4.0" in _message(call)
+
+
+def test_grid_labels_each_rule_message():
+    # the grid lists every problem under its entry's label, in the rule's words
+    message = _message(lambda: _grid(h=4.0, p=0.0, row=(2.0, 1.0)))
+    assert message.splitlines() == [
+        "invalid grid:",
+        "  design (m=6, h=4.0): need a finite h > 4, got 4.0",
+        "  p=0.0: p must be nonzero, got 0.0",
+        "  delta row 0: delta1 must not exceed delta2, got (2.0, 1.0)",
+    ]

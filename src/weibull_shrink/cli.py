@@ -29,8 +29,8 @@ nothing of the analytic layer. Only `table` imports `tables`, and with it
 document goes through the generic writers in `writers`, which load `csv`
 and `json` only for those formats. No module of the package imports
 `dataclasses`. `estimate --data` takes Bain's unbiasing constant k from its
-exact finite sum (`estimators.bain_constant`) unless --bain-k is given, so
-it ignores --seed.
+one source, the exact finite sum `estimators.bain_constant`, so it ignores
+--seed.
 """
 
 from __future__ import annotations
@@ -140,6 +140,8 @@ def cmd_estimate(args) -> tuple:
         raise ValueError("--t needs an explicit --h")
     if args.data is not None and args.n is None:
         raise ValueError("--data needs --n (number of units on test)")
+    if args.data is not None and args.m is not None:
+        raise ValueError("--m goes with --t only; --data counts m in its file")
     # risk's order: h, q, the guess interval, then p (finite, then admissible
     # once h is known, which --data may look up from its design); last the
     # design, the data file and t
@@ -162,10 +164,8 @@ def cmd_estimate(args) -> tuple:
         if h is None:
             h = lookup_h(n, m)
             estimators.shrink_weight(cfg.p, h)
-        bain_k = args.bain_k if args.bain_k is not None else estimators.bain_constant(m, n)
-        scale = estimators.bain_scale_estimate(
-            sample, estimators.BainConstants(m=m, n=n, k=bain_k)
-        )
+        bain_k = estimators.bain_constant(m, n)
+        scale = estimators.bain_scale_estimate(sample, bain_k)
         t = h * scale
     ctx = PivotalContext(n=n, m=m, h=h, t=t)
     pairs = [
@@ -207,15 +207,16 @@ def _point_reports(args, delta: float, pair: bool) -> list:
 
 
 def cmd_risk(args) -> tuple:
+    from weibull_shrink import risk
+
     delta, have_pair = _resolve_delta(args)
     if args.modified and not have_pair:
         raise ValueError("--modified needs --delta1 and --delta2")
     reports = _point_reports(args, delta, args.modified)
     if math.isinf(reports[-1].pre_vs_mmse):
-        raise ValueError(
-            f"the truncated estimator has MSE 0 on the interval "
-            f"({args.delta1!r}, {args.delta2!r}), so its efficiency is unbounded"
-        )
+        # a zero MSE leaves the efficiency unbounded, which risk rejects with
+        # the same error as pre_modified
+        risk._pre_from_mse(args.h, reports[-1].rmse, args.delta1, args.delta2)
     header = ["estimator", "bias", "arb", "rmse", "pre"]
     rows = [
         [r.estimator_id, r.bias_over_beta, r.arb, r.rmse, r.pre_vs_mmse]
@@ -241,10 +242,8 @@ def cmd_risk(args) -> tuple:
 def cmd_dominance(args) -> tuple:
     from weibull_shrink import risk
 
-    r_mse = risk.mse_dominance_range(args.h, args.p, args.q)
-    r_arb = risk.arb_dominance_range(args.h, args.p, args.q)
-    r_best = risk.best_range(args.h, args.p, args.q)
-    named = [("mse_range", r_mse), ("arb_range", r_arb), ("best", r_best)]
+    ranges = risk.dominance_ranges(args.h, args.p, args.q)
+    named = [("mse_range", ranges["mse"]), ("arb_range", ranges["arb"]), ("best", ranges["best"])]
     if args.format == "csv":
         rows = [[name, *writers.span_ends(r)] for name, r in named]
         return writers.rows_to_csv(["range", "lo", "hi"], rows), 0
@@ -412,11 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--data", help="file with one failure time per line")
     p_est.add_argument("--n", type=int, help="number of units on test")
     p_est.add_argument("--m", type=int,
-                       help="number of observed failures (with --t; needed when h is not built in)")
+                       help="number of observed failures, for --t only (needed when h is "
+                            "not built in; --data counts them in its file)")
     p_est.add_argument("--t", type=float, help="pivotal statistic, bypassing --data")
     p_est.add_argument("--h", type=float, help="pivotal degrees of freedom")
-    p_est.add_argument("--bain-k", type=float,
-                       help="unbiasing constant for the design (default: its exact value)")
     p_est.add_argument("--beta1", type=float, required=True)
     p_est.add_argument("--beta2", type=float, required=True)
     p_est.add_argument("--p", type=float, required=True)

@@ -5,6 +5,10 @@ censoring design, t behaves like (1/beta) times a chi-square variable with h
 degrees of freedom, so (h - 2)/t is unbiased for beta and (h - 4)/t minimizes
 MSE among multiples of 1/t. The shrinkage family pulls the unbiased estimate
 toward a guessed interval midpoint with a data-independent weight w(p).
+
+On data, t = h * b_hat, where `bain_scale_estimate` gives b_hat from the
+failure times and Bain's unbiasing constant k. k is a plain number with one
+source, `bain_constant(m, n)`, exact for any design.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import math
 
 from weibull_shrink.model import (
     CensoredSample,
-    Frozen,
     GuessInterval,
     InadmissibleParameterError,
     PivotalContext,
@@ -22,31 +25,12 @@ from weibull_shrink.model import (
     _require_h,
     _require_p,
     _require_positive,
-    _set,
 )
 from weibull_shrink.specfun import ln_gamma
 
 
 class DegenerateSampleError(ValueError):
     """All recorded failure times coincide, so the scale estimate is zero."""
-
-
-class BainConstants(Frozen):
-    """Unbiasing constant k for the censored-sample scale estimator.
-
-    k equals -(1/n) E[sum_{i<m} (v_i - v_m)] where v_1 <= ... <= v_m are the m
-    smallest of n standard smallest-extreme-value order statistics;
-    `bain_constant` gives its exact value for any design.
-    """
-
-    __slots__ = ("m", "n", "k")
-
-    def __init__(self, m: int, n: int, k: float) -> None:
-        n, m = _require_design(n, m)
-        _require_positive("k", k)
-        _set(self, "m", m)
-        _set(self, "n", n)
-        _set(self, "k", k)
 
 
 def _bain_coefficients(m: int, n: int) -> dict:
@@ -68,7 +52,10 @@ def _bain_coefficients(m: int, n: int) -> dict:
 
 
 def bain_constant(m: int, n: int) -> float:
-    """Exact unbiasing constant k for the (m, n) design (see BainConstants).
+    """Exact unbiasing constant k of the censored-sample scale estimator.
+
+    k equals -(1/n) E[sum_{i<m} (v_i - v_m)] where v_1 <= ... <= v_m are the m
+    smallest of n standard smallest-extreme-value order statistics.
 
     The terms of the finite sum cancel roughly 4^n-fold, which no float sum
     survives, so it runs in decimal at the digits of the largest coefficient
@@ -86,22 +73,18 @@ def bain_constant(m: int, n: int) -> float:
     return float(total)
 
 
-def bain_scale_estimate(sample: CensoredSample, constants: BainConstants) -> float:
+def bain_scale_estimate(sample: CensoredSample, k: float) -> float:
     """Unbiased estimate of the log-Weibull scale b = 1/beta.
 
     Computes -sum_{i<m} (ln x_i - ln x_m) / (n * k) from the m smallest failure
-    times. Requires at least two failures and constants matching the sample's
-    censoring design.
+    times, with k > 0 the unbiasing constant of the sample's design (see
+    `bain_constant`). Requires at least two failures.
     """
     _, m = _require_design(sample.n, sample.m)
-    if (constants.m, constants.n) != (m, sample.n):
-        raise ValueError(
-            f"constants are for (m={constants.m}, n={constants.n}) but the sample "
-            f"has (m={m}, n={sample.n})"
-        )
+    k = _require_positive("k", k)
     y = [math.log(x) for x in sample.observations]
     total = sum(y[i] - y[m - 1] for i in range(m - 1))
-    estimate = -total / (sample.n * constants.k)
+    estimate = -total / (sample.n * k)
     if estimate == 0.0:
         raise DegenerateSampleError(
             "all recorded failure times are equal; the scale estimate is zero "

@@ -25,7 +25,6 @@ from weibull_shrink.model import (
     _require_replicates,
     _require_seed,
     _set,
-    lookup_h,
 )
 
 _CHUNK = 1 << 16
@@ -153,28 +152,22 @@ def _chunk_seeds(seed: int, n_chunks: int) -> list:
     return np.random.SeedSequence(seed).spawn(n_chunks)
 
 
-def empirical_risk(
-    plan: SimulationPlan, estimator: Estimator, *, h: float | None = None
-) -> EmpiricalRisk:
+def empirical_risk(plan: SimulationPlan, estimator: Estimator, *, h: float) -> EmpiricalRisk:
     """Simulated bias and MSE of `estimator` fed with pivotal draws: the
     one-estimator case of `empirical_risks`."""
     return empirical_risks(plan, [estimator], h=h)[0]
 
 
-def empirical_risks(
-    plan: SimulationPlan, estimators: list[Estimator], *, h: float | None = None
-) -> list:
+def empirical_risks(plan: SimulationPlan, estimators: list[Estimator], *, h: float) -> list:
     """Simulated bias and MSE of each estimator, all fed the same pivotal draws.
 
-    t is drawn from its exact gamma law at the plan's true shape, so this
-    checks the estimator-plus-risk mathematics rather than the sampling
-    pipeline. h defaults to the built-in constant for the plan's (n, m). Each
-    chunk's draws are made once and passed to every estimator, and each
-    estimator's moment sums are reduced in chunk order, so every result is
-    bit-identical to a separate `empirical_risk` call with the same plan.
+    t is drawn from its exact gamma law with h degrees of freedom at the
+    plan's true shape, so this checks the estimator-plus-risk mathematics
+    rather than the sampling pipeline. Each chunk's draws are made once and
+    passed to every estimator, and each estimator's moment sums are reduced
+    in chunk order, so every result is bit-identical to a separate
+    `empirical_risk` call with the same plan.
     """
-    if h is None:
-        h = lookup_h(plan.n, plan.m)
     beta = plan.params.beta
     total = plan.replicates
     n_chunks = (total + _CHUNK - 1) // _CHUNK

@@ -10,9 +10,10 @@ Each public function is an entry point: it checks its raw arguments once,
 with the rules in `model` and in the order h, q, departures, then the
 admissibility of p, and computes w(p) once. The formulas themselves are the
 `_given_w` kernels, which take the weight as an argument and trust their
-inputs. Composite functions (`pre_modified`, `best_range`, `report_shrink`,
-`report_modified`) call the kernels rather than other public functions, so
-nothing is checked or computed twice.
+inputs. Composite functions (`pre_modified`, `dominance_ranges`,
+`report_shrink`, `report_modified`) call the kernels rather than other public
+functions, and `mse_dominance_range` and `best_range` are entries of
+`dominance_ranges`, so nothing is checked or computed twice.
 
 The truncated estimator's risks are split in two. `_interval_terms` evaluates
 the incomplete-gamma values P(h/2 - j, (h/2 - 1)/delta_i), j = 0, 1, 2, which
@@ -197,6 +198,14 @@ def _ranges_given_w(h: float, q: float, w: float) -> dict:
     return {"mse": r_mse, "arb": r_arb, "best": r_mse.intersect(r_arb)}
 
 
+def dominance_ranges(h: float, p: float, q: float) -> dict:
+    """The MSE, ARB and best ranges at (h, p, q), keyed "mse", "arb" and
+    "best", from one check of h > 4 and q and one w(p)."""
+    h = _require_h(h, 4.0)
+    q = _require_q(q)
+    return _ranges_given_w(h, q, _nondegenerate_w(p, h, shrink_weight(p, h)))
+
+
 def mse_dominance_range(h: float, p: float, q: float) -> DominanceRange:
     """Departure interval on which the shrinkage MSE beats the MMSE multiple.
 
@@ -205,9 +214,7 @@ def mse_dominance_range(h: float, p: float, q: float) -> DominanceRange:
     G < 0 means no delta qualifies. A negative lower endpoint clamps to 0
     since departures are positive.
     """
-    h = _require_h(h, 4.0)
-    q = _require_q(q)
-    return _mse_range_given_w(h, q, _nondegenerate_w(p, h, shrink_weight(p, h)))
+    return dominance_ranges(h, p, q)["mse"]
 
 
 def arb_dominance_range(h: float, p: float, q: float) -> DominanceRange:
@@ -224,9 +231,7 @@ def arb_dominance_range(h: float, p: float, q: float) -> DominanceRange:
 
 def best_range(h: float, p: float, q: float) -> DominanceRange:
     """Departures where the shrinkage estimator wins on both MSE and ARB."""
-    h = _require_h(h, 4.0)
-    q = _require_q(q)
-    return _ranges_given_w(h, q, _nondegenerate_w(p, h, shrink_weight(p, h)))["best"]
+    return dominance_ranges(h, p, q)["best"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,22 @@ departure rows, and `table_51` evaluates the truncated estimator over seven
 guess intervals. Both take a GridSpec, so arbitrary grids work the same way.
 
 GridSpec is where a grid's input is checked, by the rules in `model`, with
-every problem reported at once; the builders trust it and evaluate the risk
-kernels directly, with w(p) computed once per (p, h) and the truncated
-estimator's incomplete-gamma terms once per (h, delta1, delta2).
+every problem reported at once; the builders trust it. One walk, `_walk`,
+visits the cells of any grid in the printed order (q, departure row, p,
+design) and takes w(p) once per (p, h). Each table has one evaluator of a
+cell at a weight w, `_evaluate_31` and `_evaluator_51` (which evaluates the
+truncated estimator's incomplete-gamma terms once per (h, delta1, delta2)),
+and both the table's builder and its audit use it.
 
 The audit recomputes every cell of the embedded printed tables and
 classifies disagreements instead of smoothing them over. One grader serves
 both cell audits: each supplies its departure rows, its printed-value lookup,
-its tolerance, and an evaluator of (pre, arb) at a weight w. The grader takes
-w once per (p, h) and evaluates a cell again at the source's rounded
-(sometimes misprinted) weight only when it falls outside tolerance: a cell
-that reproduces there is an artifact of the printing, and anything else is
-reported as a source disagreement with its relative error. `printed_audit`
-picks out the records of the printed cells among any selection of cells.
+its tolerance and its table's evaluator, and the grader walks the stock grid.
+It evaluates a cell again at the source's rounded (sometimes misprinted)
+weight only when it falls outside tolerance: a cell that reproduces there is
+an artifact of the printing, and anything else is reported as a source
+disagreement with its relative error. `printed_audit` picks out the records
+of the printed cells among any selection of cells.
 
 The table-cell writers `cells_to_csv`, `cells_to_json` and `cells_to_text`
 live here. All three are specialised to TableCell's fixed shape, one format
@@ -26,8 +29,9 @@ call per cell. The first two are byte-equal to the generic writers in
 `writers` (`rows_to_csv`, `to_json` over `TableCell.to_dict`), and the text
 writer to a writer that formats and right-justifies every field on its own;
 the oracle tests in tests/test_tables.py enforce both. Like the rest of the
-analytic layer this module never imports numpy. Of the CLI subcommands only `table` imports this module,
-and with it the transcribed printed tables in `reference_data`.
+analytic layer this module never imports numpy. Of the CLI subcommands only
+`table` imports this module, and with it the transcribed printed tables in
+`reference_data`.
 """
 
 from __future__ import annotations
@@ -187,78 +191,88 @@ class TableCell(Frozen):
         }
 
 
-def _weights(p_values, designs) -> dict:
-    """w(p) for every (p, h) of checked p values and (m, h) designs."""
-    return {(p, h): shrink_weight(p, h) for p in p_values for _, h in designs}
+def _walk(designs, p_values, q_values, rows):
+    """(q, i, delta1, delta2, p, m, h, w) for every cell of a grid, w = w(p)
+    at h taken once per (p, h).
+
+    The order is q outermost, then departure row i, then p, then design,
+    mirroring the printed layout; the builders and the audit grader all
+    follow it.
+    """
+    weights = {(p, h): shrink_weight(p, h) for p in p_values for _, h in designs}
+    points = [(p, m, h, weights[p, h]) for p in p_values for m, h in designs]
+    for q in q_values:
+        for i, (d1, d2) in enumerate(rows):
+            for p, m, h, w in points:
+                yield q, i, d1, d2, p, m, h, w
 
 
-def _terms(designs, rows) -> dict:
-    """The truncated estimator's incomplete-gamma terms for every (h, delta1, delta2)."""
-    return {(h, d1, d2): _interval_terms(h, d1, d2) for _, h in designs for d1, d2 in rows}
+def _evaluate_31(h: float, q: float, d1: float, d2: float, w: float) -> tuple:
+    """(pre, arb) of a table 3.1 cell at weight w."""
+    delta = 0.5 * (d1 + d2)
+    return _pre_shrink_given_w(h, q, delta, w), abs(_bias_shrink_given_w(q, delta, w))
+
+
+def _evaluator_51(designs, rows):
+    """The evaluator of (pre, None) of a table 5.1 cell at weight w, which
+    takes the truncated estimator's incomplete-gamma terms from a table made
+    once per (h, delta1, delta2) of the grid."""
+    terms = {(h, d1, d2): _interval_terms(h, d1, d2) for _, h in designs for d1, d2 in rows}
+
+    def evaluate(h, q, d1, d2, w):
+        return _pre_modified_given_terms(h, q, d1, d2, w, terms[h, d1, d2]), None
+
+    return evaluate
 
 
 def table_31(spec: GridSpec) -> list:
-    """Plain-shrinkage efficiency/bias cells with per-(p,q,h) dominance ranges.
-
-    Iteration order is q outermost, then departure row, then p, then design,
-    mirroring the printed layout; the order is fixed regardless of how cells
-    are evaluated.
-    """
-    weights = _weights(spec.p_values, spec.h_values)
+    """Plain-shrinkage efficiency/bias cells with per-(p,q,h) dominance ranges."""
     cells = []
     ranges = {}
-    for q in spec.q_values:
-        for d1, d2 in spec.delta_rows:
-            delta = 0.5 * (d1 + d2)
-            for p in spec.p_values:
-                for m, h in spec.h_values:
-                    w = weights[p, h]
-                    key = (p, q, h)
-                    if key not in ranges:
-                        ranges[key] = _ranges_given_w(h, q, _nondegenerate_w(p, h, w))
-                    cells.append(
-                        TableCell(
-                            m=m,
-                            h=h,
-                            p=p,
-                            q=q,
-                            delta1=d1,
-                            delta2=d2,
-                            delta=delta,
-                            pre=_pre_shrink_given_w(h, q, delta, w),
-                            arb=abs(_bias_shrink_given_w(q, delta, w)),
-                            mse_range=ranges[key]["mse"],
-                            arb_range=ranges[key]["arb"],
-                            best=ranges[key]["best"],
-                        )
-                    )
+    for q, _, d1, d2, p, m, h, w in _walk(
+        spec.h_values, spec.p_values, spec.q_values, spec.delta_rows
+    ):
+        key = (p, q, h)
+        if key not in ranges:
+            ranges[key] = _ranges_given_w(h, q, _nondegenerate_w(p, h, w))
+        pre, arb = _evaluate_31(h, q, d1, d2, w)
+        cells.append(
+            TableCell(
+                m=m,
+                h=h,
+                p=p,
+                q=q,
+                delta1=d1,
+                delta2=d2,
+                delta=0.5 * (d1 + d2),
+                pre=pre,
+                arb=arb,
+                mse_range=ranges[key]["mse"],
+                arb_range=ranges[key]["arb"],
+                best=ranges[key]["best"],
+            )
+        )
     return cells
 
 
 def table_51(spec: GridSpec) -> list:
     """Truncated-shrinkage efficiency cells; no bias column, no ranges."""
-    weights = _weights(spec.p_values, spec.h_values)
-    terms = _terms(spec.h_values, spec.delta_rows)
-    cells = []
-    for q in spec.q_values:
-        for d1, d2 in spec.delta_rows:
-            for p in spec.p_values:
-                for m, h in spec.h_values:
-                    cells.append(
-                        TableCell(
-                            m=m,
-                            h=h,
-                            p=p,
-                            q=q,
-                            delta1=d1,
-                            delta2=d2,
-                            delta=0.5 * (d1 + d2),
-                            pre=_pre_modified_given_terms(
-                                h, q, d1, d2, weights[p, h], terms[h, d1, d2]
-                            ),
-                        )
-                    )
-    return cells
+    evaluate = _evaluator_51(spec.h_values, spec.delta_rows)
+    return [
+        TableCell(
+            m=m,
+            h=h,
+            p=p,
+            q=q,
+            delta1=d1,
+            delta2=d2,
+            delta=0.5 * (d1 + d2),
+            pre=evaluate(h, q, d1, d2, w)[0],
+        )
+        for q, _, d1, d2, p, m, h, w in _walk(
+            spec.h_values, spec.p_values, spec.q_values, spec.delta_rows
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +512,13 @@ def _grade(table: str, rows, printed, rtol: float, evaluate) -> list:
     """Classify every printed cell of one stock table.
 
     `rows` are its (delta1, delta2) departure rows, `printed(p, q, i, m)` the
-    printed (pre, arb) of row i, and `evaluate(h, q, delta1, delta2, w)` the
-    computed (pre, arb) at weight w; arb is None where the table prints no
-    bias. w is computed once per (p, h). A cell passes when pre is within
-    `rtol` relatively and arb within ARB_ATOL_31; a cell outside tolerance is
-    evaluated again at the printed rounded weight, and is an artifact if it
-    passes there and a source disagreement otherwise.
+    printed (pre, arb) of row i, and `evaluate` the table's evaluator of
+    (pre, arb) at a weight w; arb is None where the table prints no bias. A
+    cell passes when pre is within `rtol` relatively and arb within
+    ARB_ATOL_31; a cell outside tolerance is evaluated again at the printed
+    rounded weight, and is an artifact if it passes there and a source
+    disagreement otherwise.
     """
-    weights = _weights(ref.GRID_P, DEFAULT_DESIGNS)
 
     def within(pre, arb, printed_pre, printed_arb) -> bool:
         return abs(pre - printed_pre) / printed_pre <= rtol and (
@@ -513,61 +526,49 @@ def _grade(table: str, rows, printed, rtol: float, evaluate) -> list:
         )
 
     audits = []
-    for q in ref.GRID_Q:
-        for i, (d1, d2) in enumerate(rows):
-            for p in ref.GRID_P:
-                for m, h in DEFAULT_DESIGNS:
-                    printed_pre, printed_arb = printed(p, q, i, m)
-                    pre, arb = evaluate(h, q, d1, d2, weights[p, h])
-                    if within(pre, arb, printed_pre, printed_arb):
-                        status = PASS
-                    elif within(*evaluate(h, q, d1, d2, ref.W_PRINTED[p][m]),
-                                printed_pre, printed_arb):
-                        status = ARTIFACT
-                    else:
-                        status = DISAGREE
-                    rel = abs(pre - printed_pre) / printed_pre
-                    audits.append(
-                        CellAudit(
-                            table=table,
-                            m=m,
-                            p=p,
-                            q=q,
-                            delta1=d1,
-                            delta2=d2,
-                            printed_pre=printed_pre,
-                            computed_pre=pre,
-                            rel_err_pre=rel,
-                            printed_arb=printed_arb,
-                            computed_arb=arb,
-                            abs_err_arb=None if arb is None else abs(arb - printed_arb),
-                            status=status,
-                            large=rel > LARGE_DISAGREEMENT,
-                        )
-                    )
+    for q, i, d1, d2, p, m, h, w in _walk(DEFAULT_DESIGNS, ref.GRID_P, ref.GRID_Q, rows):
+        printed_pre, printed_arb = printed(p, q, i, m)
+        pre, arb = evaluate(h, q, d1, d2, w)
+        if within(pre, arb, printed_pre, printed_arb):
+            status = PASS
+        elif within(*evaluate(h, q, d1, d2, ref.W_PRINTED[p][m]), printed_pre, printed_arb):
+            status = ARTIFACT
+        else:
+            status = DISAGREE
+        rel = abs(pre - printed_pre) / printed_pre
+        audits.append(
+            CellAudit(
+                table=table,
+                m=m,
+                p=p,
+                q=q,
+                delta1=d1,
+                delta2=d2,
+                printed_pre=printed_pre,
+                computed_pre=pre,
+                rel_err_pre=rel,
+                printed_arb=printed_arb,
+                computed_arb=arb,
+                abs_err_arb=None if arb is None else abs(arb - printed_arb),
+                status=status,
+                large=rel > LARGE_DISAGREEMENT,
+            )
+        )
     return audits
 
 
 def audit_table_31() -> list:
     """Classify every printed efficiency/bias cell of the nine-row table."""
-
-    def evaluate(h, q, d1, d2, w):
-        delta = 0.5 * (d1 + d2)
-        return _pre_shrink_given_w(h, q, delta, w), abs(_bias_shrink_given_w(q, delta, w))
-
-    return _grade("31", _ROWS_31, ref.printed_pre_arb, PRE_RTOL_31, evaluate)
+    return _grade("31", _ROWS_31, ref.printed_pre_arb, PRE_RTOL_31, _evaluate_31)
 
 
 def audit_table_51() -> list:
     """Classify every printed efficiency cell of the truncated-estimator table."""
-    terms = _terms(DEFAULT_DESIGNS, ref.TABLE_51_INTERVALS)
 
     def printed(p, q, i, m):
         return ref.TABLE_51[(q, p, m)][i], None
 
-    def evaluate(h, q, d1, d2, w):
-        return _pre_modified_given_terms(h, q, d1, d2, w, terms[h, d1, d2]), None
-
+    evaluate = _evaluator_51(DEFAULT_DESIGNS, ref.TABLE_51_INTERVALS)
     return _grade("51", ref.TABLE_51_INTERVALS, printed, PRE_RTOL_51, evaluate)
 
 
@@ -607,36 +608,39 @@ def audit_ranges_31() -> list:
     best range that duplicates the MSE range where recomputation says it
     should be narrower is `inconsistent`.
     """
-    weights = _weights(ref.GRID_P, DEFAULT_DESIGNS)
     audits = []
-    for (p, q), rec in sorted(ref.RANGES_31.items()):
-        for m, h in DEFAULT_DESIGNS:
-            computed = _ranges_given_w(h, q, _nondegenerate_w(p, h, weights[p, h]))
-            with_header_w = _ranges_given_w(h, q, ref.W_PRINTED[p][m])
-            for kind in ("mse", "arb", "best"):
-                printed = rec[kind][m]
-                got = computed[kind]
-                if printed is None:
-                    status = UNVERIFIABLE
-                elif _range_matches(got, printed):
-                    status = PASS
-                elif _range_matches(with_header_w[kind], printed):
-                    status = ARTIFACT
-                elif kind == "best" and printed == rec["mse"][m]:
-                    status = INCONSISTENT
-                else:
-                    status = DISAGREE
-                audits.append(
-                    RangeAudit(
-                        kind=kind,
-                        m=m,
-                        p=p,
-                        q=q,
-                        printed=printed,
-                        computed=got,
-                        status=status,
+    # GRID_P and GRID_Q are sorted, so the blocks come in sorted (p, q) order
+    for p in ref.GRID_P:
+        designs = [(m, h, _nondegenerate_w(p, h, shrink_weight(p, h))) for m, h in DEFAULT_DESIGNS]
+        for q in ref.GRID_Q:
+            rec = ref.RANGES_31[p, q]
+            for m, h, w in designs:
+                computed = _ranges_given_w(h, q, w)
+                with_header_w = _ranges_given_w(h, q, ref.W_PRINTED[p][m])
+                for kind in ("mse", "arb", "best"):
+                    printed = rec[kind][m]
+                    got = computed[kind]
+                    if printed is None:
+                        status = UNVERIFIABLE
+                    elif _range_matches(got, printed):
+                        status = PASS
+                    elif _range_matches(with_header_w[kind], printed):
+                        status = ARTIFACT
+                    elif kind == "best" and printed == rec["mse"][m]:
+                        status = INCONSISTENT
+                    else:
+                        status = DISAGREE
+                    audits.append(
+                        RangeAudit(
+                            kind=kind,
+                            m=m,
+                            p=p,
+                            q=q,
+                            printed=printed,
+                            computed=got,
+                            status=status,
+                        )
                     )
-                )
     return audits
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import weibull_shrink
+from weibull_shrink import risk
 from weibull_shrink.cli import main
 from weibull_shrink.estimators import bain_constant
 
@@ -71,7 +72,7 @@ def test_estimate_from_data(tmp_path, capsys):
         "2.75\n"
     )
     args = (
-        "estimate", "--data", str(f), "--n", "20", "--bain-k", "0.2",
+        "estimate", "--data", str(f), "--n", "20",
         "--beta1", "0.8", "--beta2", "1.2", "--p", "-1", "--q", "0.5",
         "--format", "json",
     )
@@ -80,7 +81,7 @@ def test_estimate_from_data(tmp_path, capsys):
     data = json.loads(out)
     assert data["m"] == 6
     assert data["h"] == 10.8519  # resolved from the built-in table
-    assert data["bain_k"] == 0.2
+    assert data["bain_k"] == bain_constant(6, 20)
     assert data["scale_estimate"] > 0.0
     assert data["t"] == pytest.approx(10.8519 * data["scale_estimate"], rel=1e-12)
 
@@ -102,9 +103,6 @@ def test_estimate_data_uses_the_exact_k_and_ignores_the_seed(tmp_path, capsys):
     assert json.loads(out)["bain_k"] == bain_constant(6, 20)
     code2, out2, _ = run(capsys, *args, "--seed", "8")
     assert code2 == 0 and out2 == out
-    # an explicit constant still wins
-    code3, out3, _ = run(capsys, *args, "--bain-k", "0.2")
-    assert code3 == 0 and json.loads(out3)["bain_k"] == 0.2
 
 
 @pytest.mark.parametrize(
@@ -161,7 +159,7 @@ def test_estimate_bad_data_line_reports_position(tmp_path, capsys):
     f = tmp_path / "times.dat"
     f.write_text("1.0\n2.0\nbogus\n3.0\n")
     code, _, err = run(
-        capsys, "estimate", "--data", str(f), "--n", "20", "--bain-k", "0.2",
+        capsys, "estimate", "--data", str(f), "--n", "20",
         "--beta1", "1", "--beta2", "2", "--p", "1", "--q", "0.5",
     )
     assert code == 2
@@ -172,7 +170,7 @@ def test_estimate_unsorted_data_reports_position(tmp_path, capsys):
     f = tmp_path / "times.dat"
     f.write_text("1.0\n3.0\n2.0\n")
     code, _, err = run(
-        capsys, "estimate", "--data", str(f), "--n", "20", "--bain-k", "0.2",
+        capsys, "estimate", "--data", str(f), "--n", "20",
         "--beta1", "1", "--beta2", "2", "--p", "1", "--q", "0.5",
     )
     assert code == 2
@@ -184,7 +182,7 @@ def test_estimate_nonpositive_time_rejected(tmp_path, capsys):
     f = tmp_path / "times.dat"
     f.write_text("0.0\n1.0\n")
     code, _, err = run(
-        capsys, "estimate", "--data", str(f), "--n", "20", "--bain-k", "0.2",
+        capsys, "estimate", "--data", str(f), "--n", "20",
         "--beta1", "1", "--beta2", "2", "--p", "1", "--q", "0.5",
     )
     assert code == 2
@@ -195,7 +193,7 @@ def test_estimate_empty_data_file(tmp_path, capsys):
     f = tmp_path / "times.dat"
     f.write_text("# nothing but comments\n\n")
     code, _, err = run(
-        capsys, "estimate", "--data", str(f), "--n", "20", "--bain-k", "0.2",
+        capsys, "estimate", "--data", str(f), "--n", "20",
         "--beta1", "1", "--beta2", "2", "--p", "1", "--q", "0.5",
     )
     assert code == 2
@@ -215,7 +213,7 @@ def test_estimate_more_failures_than_units(tmp_path, capsys):
     f = tmp_path / "times.dat"
     f.write_text("".join(f"{x}.0\n" for x in range(1, 9)))
     code, _, err = run(
-        capsys, "estimate", "--data", str(f), "--n", "5", "--bain-k", "0.2",
+        capsys, "estimate", "--data", str(f), "--n", "5",
         "--beta1", "1", "--beta2", "2", "--p", "1", "--q", "0.5",
     )
     assert code == 2
@@ -242,7 +240,7 @@ def test_estimate_unknown_design_exits_4_with_hint(tmp_path, capsys):
     f = tmp_path / "times.dat"
     f.write_text("1.0\n2.0\n3.0\n")
     code, _, err = run(
-        capsys, "estimate", "--data", str(f), "--n", "20", "--bain-k", "0.2",
+        capsys, "estimate", "--data", str(f), "--n", "20",
         "--beta1", "1", "--beta2", "2", "--p", "1", "--q", "0.5",
     )
     assert code == 4
@@ -252,7 +250,7 @@ def test_estimate_unknown_design_exits_4_with_hint(tmp_path, capsys):
     f.write_text("1.0\n")
     for extra in ((), ("--h", H6)):
         code, _, err = run(
-            capsys, "estimate", "--data", str(f), "--n", "20", "--bain-k", "0.2", *extra,
+            capsys, "estimate", "--data", str(f), "--n", "20", *extra,
             "--beta1", "1", "--beta2", "2", "--p", "1", "--q", "0.5",
         )
         assert code == 2
@@ -371,6 +369,14 @@ def test_zero_mse_exits_2_naming_the_interval(capsys, argv):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "(1.0, 1.0)" in err and "Traceback" not in err
+
+
+def test_zero_mse_message_is_the_one_in_risk(capsys):
+    with pytest.raises(ValueError) as exc:
+        risk.pre_modified(10.8519, 1.0, 0.5, 1.0, 1.0)
+    code, out, err = run(capsys, "risk", "--h", H6, "--p", "1", "--q", "0.5",
+                         "--delta1", "1", "--delta2", "1", "--modified")
+    assert (code, out, err) == (2, "", f"{exc.value}\n")
 
 
 def test_risk_inadmissible_p_exits_3(capsys):
@@ -827,6 +833,14 @@ def _with_data_files(tmp_path, argv) -> list:
         (2, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "-6", "--q", "0")),
         (2, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "0", "--q", "1.5")),
         *((code, argv) for code, _, argv in _ESTIMATE_ORDER),
+        # --m with --data is a flag-combination error, reported before every value check
+        (2, ("estimate", "--data", "@six", "--n", "20", "--m", "8", *_EST,
+             "--p", "1", "--q", "0.5")),
+        (2, ("estimate", "--data", "@six", "--n", "20", "--m", "6", *_EST,
+             "--p", "0", "--q", "0.5")),
+        # k is always the exact bain_constant(m, n); no option sets it
+        (2, ("estimate", "--data", "@six", "--n", "20", "--bain-k", "0.2", *_EST,
+             "--p", "1", "--q", "0.5")),
         # mc verify
         (2, (*_VER, "--h", "3", "--p", "1", "--q", "0.5", "--delta", "1")),
         (2, (*_VER, "--h", "2", "--p", "1", "--q", "0.5", "--delta", "1")),

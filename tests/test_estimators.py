@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weibull_shrink.estimators import (
-    BainConstants,
     DegenerateSampleError,
     _bain_coefficients,
     bain_constant,
@@ -262,7 +261,7 @@ def test_bain_scale_estimate_small_example():
     # x = (1, 2, 4), complete sample of 3, k = 1:
     # -[(ln1 - ln4) + (ln2 - ln4)] / 3 = ln 8 / 3 = ln 2
     s = CensoredSample(n=3, observations=(1.0, 2.0, 4.0))
-    b = bain_scale_estimate(s, BainConstants(m=3, n=3, k=1.0))
+    b = bain_scale_estimate(s, 1.0)
     assert b == pytest.approx(math.log(2.0), rel=1e-15)
 
 
@@ -270,28 +269,20 @@ def test_bain_scale_estimate_scale_equivariance():
     # multiplying failure times by c shifts logs; spacings are unchanged
     s1 = CensoredSample(n=10, observations=(0.5, 1.25, 2.0, 3.0))
     s2 = CensoredSample(n=10, observations=(5.0, 12.5, 20.0, 30.0))
-    k = BainConstants(m=4, n=10, k=0.7)
+    k = 0.7
     assert bain_scale_estimate(s1, k) == pytest.approx(bain_scale_estimate(s2, k), rel=1e-12)
 
 
 def test_bain_scale_estimate_needs_two_failures():
     s = CensoredSample(n=10, observations=(1.5,))
     with pytest.raises(ValueError, match="m must be an integer >= 2, got 1"):
-        bain_scale_estimate(s, BainConstants(m=2, n=10, k=1.0))
-
-
-def test_bain_scale_estimate_design_mismatch():
-    s = CensoredSample(n=10, observations=(1.0, 2.0, 3.0))
-    with pytest.raises(ValueError, match="constants"):
-        bain_scale_estimate(s, BainConstants(m=4, n=10, k=1.0))
-    with pytest.raises(ValueError, match="constants"):
-        bain_scale_estimate(s, BainConstants(m=3, n=12, k=1.0))
+        bain_scale_estimate(s, 1.0)
 
 
 def test_bain_scale_estimate_degenerate_sample():
     s = CensoredSample(n=5, observations=(2.0, 2.0, 2.0))
     with pytest.raises(DegenerateSampleError):
-        bain_scale_estimate(s, BainConstants(m=3, n=5, k=1.0))
+        bain_scale_estimate(s, 1.0)
 
 
 @given(
@@ -304,19 +295,15 @@ def test_bain_scale_estimate_positive(logs, n_extra, k):
     obs = tuple(sorted(math.exp(v) for v in logs))
     assume(obs[0] < obs[-1])
     s = CensoredSample(n=len(obs) + n_extra, observations=obs)
-    b = bain_scale_estimate(s, BainConstants(m=len(obs), n=s.n, k=k))
+    b = bain_scale_estimate(s, k)
     assert b > 0.0
 
 
 def test_bain_constants_validation():
-    with pytest.raises(ValueError):
-        BainConstants(m=1, n=10, k=1.0)
-    with pytest.raises(ValueError):
-        BainConstants(m=5, n=4, k=1.0)
-    with pytest.raises(ValueError):
-        BainConstants(m=3, n=10, k=0.0)
-    with pytest.raises(ValueError):
-        BainConstants(m=3, n=10, k=float("nan"))
+    s = CensoredSample(n=10, observations=(1.0, 2.0, 3.0))
+    for k in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="k must be"):
+            bain_scale_estimate(s, k)
 
 
 # --- exact unbiasing constant -----------------------------------------------

@@ -151,11 +151,19 @@ def test_shared_draws_match_separate_passes_bit_for_bit(reps):
         assert _bits(got) == _bits(_separate_pass(p, estimator, H6))
 
 
-def test_default_h_resolves_from_builtin_table():
+def test_empirical_risks_take_h_as_a_required_keyword():
+    # h is the pivot's degrees of freedom of the caller's design; nothing
+    # looks it up from the plan's (n, m), and it is never positional
     est = unbiased_estimator(H6)
-    a = empirical_risk(plan(10_000, seed=5), est)  # n=20, m=6 -> 10.8519
-    b = empirical_risk(plan(10_000, seed=5), est, h=H6)
-    assert a == b
+    p = plan(200)
+    for call in (
+        lambda: empirical_risks(p, [est]),
+        lambda: empirical_risk(p, est),
+        lambda: empirical_risks(p, [est], H6),
+        lambda: empirical_risk(p, est, H6),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_estimate_bain_constant_deterministic():

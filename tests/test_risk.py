@@ -4,13 +4,15 @@ The truncated-estimator formulas are additionally cross-checked against direct
 simulation, which guards the algebra end to end.
 """
 
+import contextlib
+import io
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weibull_shrink import risk, tables
+from weibull_shrink import cli, risk, tables
 from weibull_shrink.model import (
     GuessInterval,
     InadmissibleParameterError,
@@ -196,6 +198,32 @@ def test_dominance_ranges_frozen(p):
     # here the ARB range is the narrower one, so it is also the joint range
     b = risk.best_range(H6, p, 0.25)
     assert (b.lo, b.hi) == (pytest.approx(arb_lo, rel=1e-12), pytest.approx(arb_hi, rel=1e-12))
+
+
+@pytest.mark.parametrize("p", sorted(RANGES_Q25_H6))
+def test_dominance_ranges_agree_with_the_separate_arb_route(p):
+    # dominance_ranges takes w(p) once for all three ranges; its ARB range
+    # must equal the one arb_dominance_range works out on its own, and the
+    # best range must be the intersection of the other two
+    (mse_lo, mse_hi), _ = RANGES_Q25_H6[p]
+    ranges = risk.dominance_ranges(H6, p, 0.25)
+    assert sorted(ranges) == ["arb", "best", "mse"]
+    r = ranges["mse"]
+    assert (r.lo, r.hi) == (pytest.approx(mse_lo, rel=1e-12), pytest.approx(mse_hi, rel=1e-12))
+    assert ranges["arb"] == risk.arb_dominance_range(H6, p, 0.25)
+    assert ranges["best"] == ranges["mse"].intersect(ranges["arb"])
+
+
+def test_dominance_ranges_input_checks():
+    # the MSE range needs h > 4, although the ARB range alone is defined at h = 4
+    assert not risk.arb_dominance_range(4.0, 1.0, 0.25).is_empty
+    with pytest.raises(ValueError, match="h > 4"):
+        risk.dominance_ranges(4.0, 1.0, 0.25)
+    for q in (0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="q must"):
+            risk.dominance_ranges(H6, 1.0, q)
+    with pytest.raises(InadmissibleParameterError, match="rounds to 1"):
+        risk.dominance_ranges(H6, 1e-17, 0.25)
 
 
 def test_dominance_range_inverse_exponent():
@@ -394,10 +422,16 @@ def test_composite_risks_evaluate_once(monkeypatch):
         (risk.bias_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 4, "w": 1}),
         (risk.report_shrink, (H6, -1.0, 0.25, 4.0), {"P": 0, "w": 1}),
         (risk.best_range, (H6, -2.0, 0.25), {"P": 0, "w": 1}),
+        (risk.dominance_ranges, (H6, -2.0, 0.25), {"P": 0, "w": 1}),
     ):
         calls.update(P=0, w=0)
         fn(*args)
         assert calls == want, fn.__name__
+    # one `dominance` run takes w(p) once for all three ranges
+    calls.update(P=0, w=0)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["dominance", "--h", str(H6), "--p", "-2", "--q", "0.25"]) == 0
+    assert calls == {"P": 0, "w": 1}
     # w(p) once per (p, h) of the 4 x 4 stock grid, the dominance ranges
     # included, and six P values per (h, delta1, delta2): 4 designs x 7
     # intervals, once per table build and once per audit, whatever the number

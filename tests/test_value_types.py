@@ -17,7 +17,6 @@ from contextlib import redirect_stdout
 import pytest
 
 from weibull_shrink import cli
-from weibull_shrink.estimators import BainConstants
 from weibull_shrink.model import (
     CensoredSample,
     GuessInterval,
@@ -52,7 +51,6 @@ SAMPLES = {
         dict(mse=0.2),
     ),
     DominanceRange: (dict(lo=0.5, hi=1.5), dict(hi=2.5)),
-    BainConstants: (dict(m=6, n=20, k=0.272064), dict(k=0.3)),
     GridSpec: (
         dict(h_values=((6, 10.8519),), p_values=(1.0,), q_values=(0.5,),
              delta_rows=((0.8, 1.2),)),
@@ -90,7 +88,6 @@ FIELDS = {
     SimulationPlan: ("replicates", "seed", "params", "n", "m"),
     EmpiricalRisk: ("mean", "bias", "mse", "se_mean", "se_mse", "replicates"),
     DominanceRange: ("lo", "hi"),
-    BainConstants: ("m", "n", "k"),
     GridSpec: ("h_values", "p_values", "q_values", "delta_rows"),
     TableCell: ("m", "h", "p", "q", "delta1", "delta2", "delta", "pre", "arb",
                 "mse_range", "arb_range", "best"),
@@ -116,7 +113,7 @@ def _reference(obj):
 
 
 def test_every_value_type_is_covered():
-    assert len(TYPES) == 15
+    assert len(TYPES) == 14
     assert all(not dataclasses.is_dataclass(cls) for cls in TYPES)
 
 
@@ -192,7 +189,6 @@ def test_constructors_still_normalise_and_check():
     assert sample.observations == (1.0, 2.0) and sample.m == 2
     ctx = PivotalContext(n=20.0, m=6.0, h=10.8519, t=8.8519)
     assert (type(ctx.n), type(ctx.m)) == (int, int)
-    assert BainConstants(6.0, 20.0, 0.27).m == 6
     assert SimulationPlan(1000.0, 3.0, WeibullParams(1, 1), 20, 6).replicates == 1000
     spec = GridSpec([(6.0, 10)], [1], [0.5], [(1, 2)])
     assert spec.h_values == ((6, 10.0),) and spec.delta_rows == ((1.0, 2.0),)

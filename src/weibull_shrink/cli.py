@@ -96,29 +96,34 @@ def _resolve_delta(args) -> tuple[float, bool]:
 def _read_failure_times(path: str) -> list:
     """One failure time per line; '#' starts a comment; blanks skipped."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     values = []
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            try:
-                value = float(stripped)
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: cannot parse {stripped!r} as a failure time"
-                ) from None
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{path}:{lineno}: failure times must be finite and > 0")
-            if values and value < values[-1][1]:
-                raise ValueError(
-                    f"{path}:{lineno}: failure times must be nondecreasing "
-                    f"({value:g} after {values[-1][1]:g})"
-                )
-            values.append((lineno, value))
+    # bytes.splitlines breaks at the same \n, \r\n and \r as text mode
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        try:
+            value = float(stripped)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: cannot parse {stripped!r} as a failure time"
+            ) from None
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"{path}:{lineno}: failure times must be finite and > 0")
+        if values and value < values[-1][1]:
+            raise ValueError(
+                f"{path}:{lineno}: failure times must be nondecreasing "
+                f"({value:g} after {values[-1][1]:g})"
+            )
+        values.append((lineno, value))
     if not values:
         raise ValueError(f"{path}: no failure times found")
     return [v for _, v in values]
@@ -326,10 +331,10 @@ def cmd_mc_estimate_h(args) -> tuple:
 def cmd_mc_verify(args) -> tuple:
     from weibull_shrink import montecarlo
 
-    if args.reps < 1000:
-        raise ValueError("verification needs --reps >= 1000")
     delta, have_pair = _resolve_delta(args)
     reports = _point_reports(args, delta, have_pair)
+    if args.reps < 1000:
+        raise ValueError("verification needs --reps >= 1000")
     cfg = ShrinkageConfig(p=args.p, q=args.q)
     # risks are scale-free, so verify at true shape 1 with the guessed
     # interval placed to realize the requested departures

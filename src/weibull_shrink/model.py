@@ -12,11 +12,12 @@ moments, a range's endpoints, a table cell) run again downstream, because
 they catch numerical faults rather than bad input.
 
 A value type is a ``Frozen`` subclass: ``__slots__`` names its fields in
-positional order, and a hand-written ``__init__`` stores them with ``_set``
-and checks them. The base derives the rest (read-only fields, equality,
-hash, ``repr``, ``to_dict``, pickling) from the slots, so no module of the
-package needs ``dataclasses``, whose import and generated methods would cost
-every CLI process milliseconds before it computes anything.
+positional order, ``_defaults`` gives the defaults of trailing fields, and a
+``_check`` method holds the type's rules. The base writes the constructor and
+derives the rest (read-only fields, equality, hash, ``repr``, ``to_dict``,
+pickling) from the slots, so no module of the package needs ``dataclasses``,
+whose import and generated methods would cost every CLI process milliseconds
+before it computes anything.
 """
 
 from __future__ import annotations
@@ -31,16 +32,41 @@ class Frozen:
     ``__slots__``.
 
     A value type names its fields in ``__slots__``, in positional order, and
-    writes its own ``__init__``: it normalises and stores each field with
-    ``_set`` (the read-only ``__setattr__`` refuses every assignment), then
-    checks it. Equality, hashing, ``repr``, ``to_dict`` and pickling follow
-    the slot order, with the semantics and text of a frozen dataclass: equal
-    when of the same class with equal field tuples, and ``repr`` as
-    ``Name(field=value, ...)``. Copies and unpickled values go through
-    ``__init__`` again.
+    the defaults of its trailing fields in ``_defaults``. From these the base
+    writes the type's ``__init__``, a function with one named parameter per
+    field, as ``namedtuple`` does: it stores each field with ``_set`` (the
+    read-only ``__setattr__`` refuses every assignment), then calls
+    ``_check``, so a type writes no ``__init__`` of its own. A type's
+    ``_check`` raises on a broken rule and stores a normalised field again
+    with ``_set``. Equality, hashing, ``repr``, ``to_dict`` and pickling
+    follow the slot order, with the semantics and text of a frozen
+    dataclass: equal when of the same class with equal field tuples, and
+    ``repr`` as ``Name(field=value, ...)``. Copies and unpickled values go
+    through ``__init__`` again.
     """
 
     __slots__ = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        source = "\n".join(
+            [f"def __init__(self, {', '.join(names)}):"]
+            + [f"    _set(self, {name!r}, {name})" for name in names]
+            + ["    self._check()"]
+        )
+        # the source holds only slot names, which Python has checked to be identifiers
+        namespace = {"_set": _set}
+        exec(source, namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = cls._defaults
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
+        cls.__init__ = init
+
+    def _check(self) -> None:
+        """The type's rules; a type without rules keeps this one."""
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -179,11 +205,9 @@ class WeibullParams(Frozen):
 
     __slots__ = ("alpha", "beta")
 
-    def __init__(self, alpha: float, beta: float) -> None:
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-        _require_positive("alpha", alpha)
-        _require_positive("beta", beta)
+    def _check(self) -> None:
+        _require_positive("alpha", self.alpha)
+        _require_positive("beta", self.beta)
 
 
 class CensoredSample(Frozen):
@@ -194,11 +218,12 @@ class CensoredSample(Frozen):
 
     __slots__ = ("n", "observations")
 
-    def __init__(self, n: int, observations: tuple[float, ...]) -> None:
+    def _check(self) -> None:
+        n = self.n
         if int(n) != n or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
         n = int(n)
-        obs = tuple(float(x) for x in observations)
+        obs = tuple(float(x) for x in self.observations)
         _set(self, "n", n)
         _set(self, "observations", obs)
         if len(obs) < 1:
@@ -231,14 +256,12 @@ class PivotalContext(Frozen):
 
     __slots__ = ("n", "m", "h", "t")
 
-    def __init__(self, n: int, m: int, h: float, t: float) -> None:
-        n, m = _require_design(n, m)
+    def _check(self) -> None:
+        n, m = _require_design(self.n, self.m)
         _set(self, "n", n)
         _set(self, "m", m)
-        _set(self, "h", h)
-        _set(self, "t", t)
-        _require_h(h, 4.0)
-        _require_positive("t", t)
+        _require_h(self.h, 4.0)
+        _require_positive("t", self.t)
 
 
 class GuessInterval(Frozen):
@@ -246,10 +269,8 @@ class GuessInterval(Frozen):
 
     __slots__ = ("beta1", "beta2")
 
-    def __init__(self, beta1: float, beta2: float) -> None:
-        _set(self, "beta1", beta1)
-        _set(self, "beta2", beta2)
-        _require_interval("beta1", beta1, "beta2", beta2)
+    def _check(self) -> None:
+        _require_interval("beta1", self.beta1, "beta2", self.beta2)
 
     @property
     def midpoint(self) -> float:
@@ -261,11 +282,9 @@ class ShrinkageConfig(Frozen):
 
     __slots__ = ("p", "q")
 
-    def __init__(self, p: float, q: float) -> None:
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _require_q(q)
-        _require_p(p)
+    def _check(self) -> None:
+        _require_q(self.q)
+        _require_p(self.p)
 
 
 #: Identifiers for the estimators a RiskReport can describe.
@@ -285,19 +304,8 @@ class RiskReport(Frozen):
 
     __slots__ = ("estimator_id", "bias_over_beta", "arb", "rmse", "pre_vs_mmse")
 
-    def __init__(
-        self,
-        estimator_id: str,
-        bias_over_beta: float,
-        arb: float,
-        rmse: float,
-        pre_vs_mmse: float,
-    ) -> None:
-        _set(self, "estimator_id", estimator_id)
-        _set(self, "bias_over_beta", bias_over_beta)
-        _set(self, "arb", arb)
-        _set(self, "rmse", rmse)
-        _set(self, "pre_vs_mmse", pre_vs_mmse)
+    def _check(self) -> None:
+        estimator_id, bias_over_beta, arb, rmse, pre_vs_mmse = self._values()
         if estimator_id not in ESTIMATOR_IDS:
             raise ValueError(
                 f"estimator_id must be one of {ESTIMATOR_IDS}, got {estimator_id!r}"

@@ -18,7 +18,6 @@ from weibull_shrink.model import (
     Frozen,
     GuessInterval,
     ShrinkageConfig,
-    WeibullParams,
     _require_design,
     _require_finite,
     _require_positive,
@@ -36,15 +35,12 @@ class SimulationPlan(Frozen):
 
     __slots__ = ("replicates", "seed", "params", "n", "m")
 
-    def __init__(
-        self, replicates: int, seed: int, params: WeibullParams, n: int, m: int
-    ) -> None:
-        replicates = _require_replicates(replicates)
-        seed = _require_seed(seed)
-        n, m = _require_design(n, m)
+    def _check(self) -> None:
+        replicates = _require_replicates(self.replicates)
+        seed = _require_seed(self.seed)
+        n, m = _require_design(self.n, self.m)
         _set(self, "replicates", replicates)
         _set(self, "seed", seed)
-        _set(self, "params", params)
         _set(self, "n", n)
         _set(self, "m", m)
 
@@ -60,23 +56,11 @@ class EmpiricalRisk(Frozen):
 
     __slots__ = ("mean", "bias", "mse", "se_mean", "se_mse", "replicates")
 
-    def __init__(
-        self,
-        mean: float,
-        bias: float,
-        mse: float,
-        se_mean: float,
-        se_mse: float,
-        replicates: int,
-    ) -> None:
-        _set(self, "mean", mean)
-        _set(self, "bias", bias)
-        _set(self, "mse", mse)
-        _set(self, "se_mean", se_mean)
-        _set(self, "se_mse", se_mse)
-        _set(self, "replicates", _require_replicates(replicates))
+    def _check(self) -> None:
+        _set(self, "replicates", _require_replicates(self.replicates))
         for name in ("mean", "bias", "mse", "se_mean", "se_mse"):
             _require_finite(name, getattr(self, name))
+        mse, bias, se_mean, se_mse = self.mse, self.bias, self.se_mean, self.se_mse
         if mse < 0.0 or se_mean < 0.0 or se_mse < 0.0:
             raise ValueError("mse and standard errors cannot be negative")
         # second moment dominates squared first moment, up to fp roundoff

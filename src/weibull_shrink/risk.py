@@ -38,7 +38,6 @@ from weibull_shrink.model import (
     _require_interval,
     _require_positive,
     _require_q,
-    _set,
 )
 from weibull_shrink.specfun import reg_lower_inc_gamma
 
@@ -52,9 +51,8 @@ class DominanceRange(Frozen):
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: float, hi: float) -> None:
-        _set(self, "lo", lo)
-        _set(self, "hi", hi)
+    def _check(self) -> None:
+        lo, hi = self.lo, self.hi
         if math.isnan(lo) and math.isnan(hi):
             return
         if not (math.isfinite(lo) and math.isfinite(hi)):

@@ -72,13 +72,11 @@ class GridSpec(Frozen):
 
     __slots__ = ("h_values", "p_values", "q_values", "delta_rows")
 
-    def __init__(
-        self, h_values: tuple, p_values: tuple, q_values: tuple, delta_rows: tuple
-    ) -> None:
-        h_values = tuple((int(m), float(h)) for m, h in h_values)
-        p_values = tuple(float(p) for p in p_values)
-        q_values = tuple(float(q) for q in q_values)
-        delta_rows = tuple((float(a), float(b)) for a, b in delta_rows)
+    def _check(self) -> None:
+        h_values = tuple((int(m), float(h)) for m, h in self.h_values)
+        p_values = tuple(float(p) for p in self.p_values)
+        q_values = tuple(float(q) for q in self.q_values)
+        delta_rows = tuple((float(a), float(b)) for a, b in self.delta_rows)
         _set(self, "h_values", h_values)
         _set(self, "p_values", p_values)
         _set(self, "q_values", q_values)
@@ -141,34 +139,10 @@ class TableCell(Frozen):
 
     __slots__ = ("m", "h", "p", "q", "delta1", "delta2", "delta", "pre",
                  "arb", "mse_range", "arb_range", "best")
+    _defaults = (None, None, None, None)
 
-    def __init__(
-        self,
-        m: int,
-        h: float,
-        p: float,
-        q: float,
-        delta1: float,
-        delta2: float,
-        delta: float,
-        pre: float,
-        arb: float | None = None,
-        mse_range: DominanceRange | None = None,
-        arb_range: DominanceRange | None = None,
-        best: DominanceRange | None = None,
-    ) -> None:
-        _set(self, "m", m)
-        _set(self, "h", h)
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "delta1", delta1)
-        _set(self, "delta2", delta2)
-        _set(self, "delta", delta)
-        _set(self, "pre", pre)
-        _set(self, "arb", arb)
-        _set(self, "mse_range", mse_range)
-        _set(self, "arb_range", arb_range)
-        _set(self, "best", best)
+    def _check(self) -> None:
+        pre, arb = self.pre, self.arb
         if not math.isfinite(pre) or pre < 0.0:
             raise ValueError(f"pre must be finite and >= 0, got {pre!r}")
         if arb is not None and (not math.isfinite(arb) or arb < 0.0):
@@ -450,62 +424,13 @@ class CellAudit(Frozen):
     __slots__ = ("table", "m", "p", "q", "delta1", "delta2", "printed_pre",
                  "computed_pre", "rel_err_pre", "status", "printed_arb",
                  "computed_arb", "abs_err_arb", "large")
-
-    def __init__(
-        self,
-        table: str,
-        m: int,
-        p: float,
-        q: float,
-        delta1: float,
-        delta2: float,
-        printed_pre: float,
-        computed_pre: float,
-        rel_err_pre: float,
-        status: str,
-        printed_arb: float | None = None,
-        computed_arb: float | None = None,
-        abs_err_arb: float | None = None,
-        large: bool = False,
-    ) -> None:
-        _set(self, "table", table)
-        _set(self, "m", m)
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "delta1", delta1)
-        _set(self, "delta2", delta2)
-        _set(self, "printed_pre", printed_pre)
-        _set(self, "computed_pre", computed_pre)
-        _set(self, "rel_err_pre", rel_err_pre)
-        _set(self, "status", status)
-        _set(self, "printed_arb", printed_arb)
-        _set(self, "computed_arb", computed_arb)
-        _set(self, "abs_err_arb", abs_err_arb)
-        _set(self, "large", large)
+    _defaults = (None, None, None, False)
 
 
 class RangeAudit(Frozen):
     """The audit record of one printed dominance range."""
 
     __slots__ = ("kind", "m", "p", "q", "printed", "computed", "status")
-
-    def __init__(
-        self,
-        kind: str,
-        m: int,
-        p: float,
-        q: float,
-        printed: tuple | None,
-        computed: DominanceRange,
-        status: str,
-    ) -> None:
-        _set(self, "kind", kind)
-        _set(self, "m", m)
-        _set(self, "p", p)
-        _set(self, "q", q)
-        _set(self, "printed", printed)
-        _set(self, "computed", computed)
-        _set(self, "status", status)
 
 
 def _grade(table: str, rows, printed, rtol: float, evaluate) -> list:
@@ -648,22 +573,6 @@ class AuditSummary(Frozen):
     """Status counts over one table's cell audit."""
 
     __slots__ = ("table", "total", "passed", "artifacts", "disagreements", "large")
-
-    def __init__(
-        self,
-        table: str,
-        total: int,
-        passed: int,
-        artifacts: int,
-        disagreements: int,
-        large: int,
-    ) -> None:
-        _set(self, "table", table)
-        _set(self, "total", total)
-        _set(self, "passed", passed)
-        _set(self, "artifacts", artifacts)
-        _set(self, "disagreements", disagreements)
-        _set(self, "large", large)
 
     @property
     def unambiguous(self) -> int:

@@ -700,9 +700,10 @@ _VER = ("mc", "verify", "--reps", "2000")
 
 # data files for `estimate --data` rows, written per test under these names
 _DATA = {
-    "@six": "".join(f"{x}.0\n" for x in range(1, 7)),
-    "@tied": "2.0\n" * 6,  # a zero scale estimate: no t exists
-    "@one": "1.0\n",  # m = 1 breaks the design rule
+    "@six": b"".join(b"%d.0\n" % x for x in range(1, 7)),
+    "@tied": b"2.0\n" * 6,  # a zero scale estimate: no t exists
+    "@one": b"1.0\n",  # m = 1 breaks the design rule
+    "@latin1": b"1.0\n2.0\n# caf\xe9\n4.0\n",  # line 3 is not UTF-8
 }
 
 # `estimate` checks h, q, the guess interval, then p (finite, then admissible
@@ -754,7 +755,7 @@ def _with_data_files(tmp_path, argv) -> list:
     for arg in argv:
         if arg in _DATA:
             path = tmp_path / f"{arg[1:]}.dat"
-            path.write_text(_DATA[arg])
+            path.write_bytes(_DATA[arg])
             arg = str(path)
         out.append(arg)
     return out
@@ -853,7 +854,7 @@ def _with_data_files(tmp_path, argv) -> list:
         (2, (*_VER, "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1", "--m", "1")),
         (2, (*_VER, "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1", "--m", "21")),
         (2, (*_VER, "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1", "--seed", "-1")),
-        (2, ("mc", "verify", "--h", H6, "--p", "0", "--q", "0.5", "--delta", "1",
+        (3, ("mc", "verify", "--h", H6, "--p", "0", "--q", "0.5", "--delta", "1",
              "--reps", "500")),
         (2, (*_VER, "--h", "3", "--p", "0", "--q", "0.5", "--delta", "1")),
         (2, (*_VER, "--h", "3", "--p", "-3", "--q", "0.5", "--delta", "1")),
@@ -863,6 +864,8 @@ def _with_data_files(tmp_path, argv) -> list:
         (2, (*_VER, "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "0")),
         (3, (*_VER, "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "1", "--m", "1")),
         (3, (*_VER, "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "1", "--seed", "-1")),
+        (3, ("mc", "verify", "--h", H6, "--p", "-0.1", "--q", "0.5", "--delta", "1",
+             "--reps", "500")),
         # mc estimate-k / estimate-h
         (2, ("mc", "estimate-k", "--n", "20", "--m", "1", "--reps", "1000")),
         (2, ("mc", "estimate-k", "--n", "5", "--m", "6", "--reps", "1000")),
@@ -881,6 +884,13 @@ def test_bad_input_exit_code(tmp_path, capsys, code, argv):
     assert got == code, err
     assert out == ""
     assert err != ""
+
+
+def test_undecodable_data_file_names_its_line(tmp_path, capsys):
+    argv = ("estimate", "--data", "@latin1", "--n", "20", *_EST, "--p", "1", "--q", "0.5")
+    got, out, err = run(capsys, *_with_data_files(tmp_path, argv))
+    assert (got, out) == (2, "")
+    assert err.startswith(f"{tmp_path / 'latin1.dat'}:3: 'utf-8' codec can't decode"), err
 
 
 @pytest.mark.parametrize(

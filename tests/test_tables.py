@@ -600,7 +600,7 @@ ANALYTIC_LAYER = ["weibull_shrink.risk", "weibull_shrink.estimators", "weibull_s
 def test_only_table_imports_the_table_layer(tmp_path):
     # the table layer and the transcribed printed tables load only for
     # `table`; a text document loads neither csv nor json; no closed-form or
-    # table run loads dataclasses
+    # table run loads dataclasses or inspect
     data = tmp_path / "times.dat"
     data.write_text("0.5\n1.0\n1.5\n2.0\n2.5\n3.0\n")
     shape = ["--h", "10.8519", "--p", "1", "--q", "0.5"]
@@ -617,7 +617,7 @@ def test_only_table_imports_the_table_layer(tmp_path):
         ["table", "31", "--diff", "--format", "csv"],
         ["table", "51", "--diff", "--format", "json"],
     ]
-    absent_in_text = [*TABLE_LAYER, "csv", "json", "dataclasses"]
+    absent_in_text = [*TABLE_LAYER, "csv", "json", "dataclasses", "inspect"]
     _run_fresh(
         f"for argv in {closed_form!r}:\n"
         "    run(argv)\n"
@@ -625,7 +625,7 @@ def test_only_table_imports_the_table_layer(tmp_path):
         f"for argv in {tabulating!r}:\n"
         "    run(argv)\n"
         f"assert loaded({TABLE_LAYER!r}) == {TABLE_LAYER!r}\n"
-        "assert not loaded(['dataclasses'])\n"
+        "assert not loaded(['dataclasses', 'inspect'])\n"
     )
 
 
@@ -643,7 +643,7 @@ def test_cli_import_and_calibration_skip_the_analytic_layer():
     _run_fresh(
         f"assert {package} == ['weibull_shrink', 'weibull_shrink.cli', "
         f"'weibull_shrink.model', 'weibull_shrink.writers'], {package}\n"
-        "assert not loaded(['dataclasses'])\n"
+        "assert not loaded(['dataclasses', 'inspect'])\n"
         f"for argv in {calibrating!r}:\n"
         "    run(argv)\n"
         f"assert not loaded({ANALYTIC_LAYER + TABLE_LAYER!r}), {package}\n"

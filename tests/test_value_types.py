@@ -3,19 +3,25 @@ they replaced: constructor signature, read-only fields, equality, hash,
 repr text, copying, pickling and field order.
 
 Each type is compared with a frozen dataclass built here with the same field
-names, which gives the reference repr, equality and hash.
+names, which gives the reference repr, equality and hash. No type writes its
+own constructor: `model.Frozen` generates each one from the type's slots.
 """
 
+import ast
 import copy
 import dataclasses
+import inspect
 import io
 import json
 import math
 import pickle
+import re
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import weibull_shrink
 from weibull_shrink import cli
 from weibull_shrink.model import (
     CensoredSample,
@@ -98,6 +104,12 @@ FIELDS = {
     AuditSummary: ("table", "total", "passed", "artifacts", "disagreements", "large"),
 }
 
+# the defaults of trailing fields; every other field is required
+DEFAULTS = {
+    TableCell: dict(arb=None, mse_range=None, arb_range=None, best=None),
+    CellAudit: dict(printed_arb=None, computed_arb=None, abs_err_arb=None, large=False),
+}
+
 TYPES = list(SAMPLES)
 
 
@@ -115,6 +127,54 @@ def _reference(obj):
 def test_every_value_type_is_covered():
     assert len(TYPES) == 14
     assert all(not dataclasses.is_dataclass(cls) for cls in TYPES)
+
+
+def test_no_value_type_writes_its_constructor():
+    package = Path(weibull_shrink.__file__).resolve().parent
+    found, hand_written = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "Frozen" for base in node.bases
+            ):
+                found.append(node.name)
+                hand_written += [
+                    f"{path.name}:{node.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                ]
+    assert sorted(found) == sorted(cls.__name__ for cls in TYPES)
+    assert hand_written == []
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_constructor_signature(cls):
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == FIELDS[cls]
+    defaults = {
+        name: param.default for name, param in params.items()
+        if param.default is not inspect.Parameter.empty
+    }
+    assert defaults == DEFAULTS.get(cls, {})
+    assert all(
+        param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for param in params.values()
+    )
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_argument_errors_name_the_constructor(cls):
+    kwargs, _ = SAMPLES[cls]
+    required = [name for name in FIELDS[cls] if name not in DEFAULTS.get(cls, {})]
+    prefix = re.escape(f"{cls.__name__}.__init__()")
+    missing = {k: v for k, v in kwargs.items() if k != required[-1]}
+    with pytest.raises(TypeError, match=rf"^{prefix} missing 1 required positional "
+                       rf"argument: '{required[-1]}'$"):
+        cls(**missing)
+    n = len(FIELDS[cls]) + 1  # self counts
+    with pytest.raises(TypeError, match=rf"^{prefix} takes (from \d+ to )?{n} positional "
+                       rf"arguments but {n + 1} were given$"):
+        cls(*kwargs.values(), None)
+    with pytest.raises(TypeError, match=rf"^{prefix} got an unexpected keyword argument 'extra'$"):
+        cls(**kwargs, extra=1)
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)

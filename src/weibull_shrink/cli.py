@@ -13,11 +13,11 @@ output path. `main` is the only place that maps exceptions to exit codes; the
 subcommands let the package's own checks raise. `risk`, `dominance`, `mc
 verify` and `estimate` check h, q, the departures (for `estimate`, the guess
 interval), then p (a non-finite p exits 2), then their trailing inputs: the
-simulation flags, or `estimate`'s design, data file and t. A numerical
-overflow, or an efficiency left unbounded by a zero MSE, is a data problem
-too, and exits 2. Data goes to stdout (or --out); diagnostics go to stderr.
-Output depends only on flags and seed, never on wall clock, so reruns are
-byte-identical.
+simulation flags, or `estimate`'s data file with its design, then t. A
+numerical overflow, or an efficiency left unbounded by a zero MSE, is a data
+problem too, and exits 2. Data goes to stdout (or --out); diagnostics go to
+stderr. Output depends only on flags and seed, never on wall clock, so reruns
+are byte-identical.
 
 A subcommand imports what it runs, inside its own function, so importing
 this module loads only `model` and `writers`. `risk`, `dominance` and `mc
@@ -30,7 +30,8 @@ document goes through the generic writers in `writers`, which load `csv`
 and `json` only for those formats. No module of the package imports
 `dataclasses`. `estimate --data` takes Bain's unbiasing constant k from its
 one source, the exact finite sum `estimators.bain_constant`, so it ignores
---seed.
+--seed. `estimate --t` takes no design: every estimate reads only h and t,
+so n and m print as absent, like the scale estimate and k.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from weibull_shrink.model import (
     WeibullParams,
     lookup_h,
 )
-from weibull_shrink.model import _require_design, _require_h, _require_q
+from weibull_shrink.model import _require_h, _require_q
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +105,8 @@ def _read_failure_times(path: str) -> list:
     # bytes.splitlines breaks at the same \n, \r\n and \r as text mode
     for lineno, raw in enumerate(data.splitlines(), start=1):
         try:
-            line = raw.decode("utf-8")
+            # utf-8-sig drops the byte-order mark some editors write first
+            line = raw.decode("utf-8-sig" if lineno == 1 else "utf-8")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         stripped = line.split("#", 1)[0].strip()
@@ -129,13 +131,6 @@ def _read_failure_times(path: str) -> list:
     return [v for _, v in values]
 
 
-def _m_for_h(n: int, h: float) -> int:
-    for (nn, mm), hh in BUILTIN_H.items():
-        if nn == n and abs(hh - h) <= 1e-4:
-            return mm
-    raise ValueError(f"--t with h={h!r} matches no built-in design for n={n}; give --m")
-
-
 def cmd_estimate(args) -> tuple:
     from weibull_shrink import estimators
 
@@ -143,36 +138,33 @@ def cmd_estimate(args) -> tuple:
         raise ValueError("give exactly one of --t or --data")
     if args.t is not None and args.h is None:
         raise ValueError("--t needs an explicit --h")
+    if args.t is not None and args.n is not None:
+        raise ValueError("--n goes with --data only; --t needs no design")
     if args.data is not None and args.n is None:
         raise ValueError("--data needs --n (number of units on test)")
-    if args.data is not None and args.m is not None:
-        raise ValueError("--m goes with --t only; --data counts m in its file")
     # risk's order: h, q, the guess interval, then p (finite, then admissible
     # once h is known, which --data may look up from its design); last the
-    # design, the data file and t
+    # data file with its design, and t
     h = None if args.h is None else _require_h(args.h, 4.0)
     _require_q(args.q)
     interval = GuessInterval(beta1=args.beta1, beta2=args.beta2)
     cfg = ShrinkageConfig(p=args.p, q=args.q)
     if h is not None:
         estimators.shrink_weight(cfg.p, h)
-    bain_k = None
-    scale = None
+    n = m = bain_k = scale = None
     if args.t is not None:
-        n = args.n if args.n is not None else 20
-        m = args.m if args.m is not None else _m_for_h(n, h)
         t = args.t
     else:
+        # the sample checks its design before the h lookup: one failure time exits 2 either way
         sample = CensoredSample(n=args.n, observations=tuple(_read_failure_times(args.data)))
-        # checked before the h lookup, so one failure time exits 2 with or without --h
-        n, m = _require_design(args.n, sample.m)
+        n, m = sample.n, sample.m
         if h is None:
             h = lookup_h(n, m)
             estimators.shrink_weight(cfg.p, h)
         bain_k = estimators.bain_constant(m, n)
         scale = estimators.bain_scale_estimate(sample, bain_k)
         t = h * scale
-    ctx = PivotalContext(n=n, m=m, h=h, t=t)
+    ctx = PivotalContext(h=h, t=t)
     pairs = [
         ("n", n),
         ("m", m),
@@ -414,10 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", parents=[common],
                            help="estimate the shape from data or a forced pivotal value")
     p_est.add_argument("--data", help="file with one failure time per line")
-    p_est.add_argument("--n", type=int, help="number of units on test")
-    p_est.add_argument("--m", type=int,
-                       help="number of observed failures, for --t only (needed when h is "
-                            "not built in; --data counts them in its file)")
+    p_est.add_argument("--n", type=int, help="number of units on test, for --data only")
     p_est.add_argument("--t", type=float, help="pivotal statistic, bypassing --data")
     p_est.add_argument("--h", type=float, help="pivotal degrees of freedom")
     p_est.add_argument("--beta1", type=float, required=True)

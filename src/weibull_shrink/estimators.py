@@ -78,9 +78,9 @@ def bain_scale_estimate(sample: CensoredSample, k: float) -> float:
 
     Computes -sum_{i<m} (ln x_i - ln x_m) / (n * k) from the m smallest failure
     times, with k > 0 the unbiasing constant of the sample's design (see
-    `bain_constant`). Requires at least two failures.
+    `bain_constant`). The sample has checked its design (2 <= m <= n).
     """
-    _, m = _require_design(sample.n, sample.m)
+    m = sample.m
     k = _require_positive("k", k)
     y = [math.log(x) for x in sample.observations]
     total = sum(y[i] - y[m - 1] for i in range(m - 1))

@@ -5,7 +5,7 @@ constructor, the entry of a public function, the table grid
 (``tables.GridSpec``), or the CLI's data-file parser. Every rule that more
 than one entry point applies lives here, written once with one message:
 ``_require_finite``, ``_require_positive``, ``_require_p``, ``_require_q``,
-``_require_h``, ``_require_interval``, ``_require_design``,
+``_require_h``, ``_require_interval``, ``_require_m``, ``_require_design``,
 ``_require_replicates`` and ``_require_seed``. Code past an entry point
 trusts what it receives; only checks on computed results (a report's
 moments, a range's endpoints, a table cell) run again downstream, because
@@ -179,10 +179,15 @@ def _require_interval(lo_name: str, lo: float, hi_name: str, hi: float) -> tuple
     return lo, hi
 
 
-def _require_design(n: int, m: int) -> tuple[int, int]:
-    """A censoring design: integers m >= 2 failures out of n >= m units."""
+def _require_m(m: int) -> int:
     if int(m) != m or m < 2:
         raise ValueError(f"m must be an integer >= 2, got {m!r}")
+    return int(m)
+
+
+def _require_design(n: int, m: int) -> tuple[int, int]:
+    """A censoring design: integers m >= 2 failures out of n >= m units."""
+    _require_m(m)
     if int(n) != n or n < m:
         raise ValueError(f"n must be an integer >= m, got n={n!r}, m={m!r}")
     return int(n), int(m)
@@ -213,34 +218,24 @@ class WeibullParams(Frozen):
 class CensoredSample(Frozen):
     """The m smallest order statistics out of n independent lifetimes.
 
-    ``observations`` must be positive and nondecreasing; m = len(observations).
+    m = len(observations), and (n, m) must be a design (integers 2 <= m <= n);
+    the observations must be positive and nondecreasing.
     """
 
     __slots__ = ("n", "observations")
 
     def _check(self) -> None:
-        n = self.n
-        if int(n) != n or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
-        n = int(n)
         obs = tuple(float(x) for x in self.observations)
+        n, _ = _require_design(self.n, len(obs))
         _set(self, "n", n)
         _set(self, "observations", obs)
-        if len(obs) < 1:
-            raise ValueError("observations must be nonempty")
-        if len(obs) > n:
-            raise ValueError(
-                f"sample has {len(obs)} observations but n={n}"
-            )
-        prev = 0.0
         for i, x in enumerate(obs):
             _require_positive(f"observation {i + 1}", x)
-            if x < prev:
+            if i and x < obs[i - 1]:
                 raise ValueError(
                     f"observations must be nondecreasing; value {x!r} at position "
                     f"{i + 1} is below its predecessor"
                 )
-            prev = x
 
     @property
     def m(self) -> int:
@@ -248,18 +243,15 @@ class CensoredSample(Frozen):
 
 
 class PivotalContext(Frozen):
-    """Censoring design (n, m), degrees of freedom h, and observed pivot t.
+    """Degrees of freedom h and observed pivot t, all that an estimator reads.
 
     h must exceed 4: the pivot's second inverse moment (and with it every MSE
     in the risk module) is finite only then.
     """
 
-    __slots__ = ("n", "m", "h", "t")
+    __slots__ = ("h", "t")
 
     def _check(self) -> None:
-        n, m = _require_design(self.n, self.m)
-        _set(self, "n", n)
-        _set(self, "m", m)
         _require_h(self.h, 4.0)
         _require_positive("t", self.t)
 

@@ -42,7 +42,7 @@ from itertools import repeat
 from weibull_shrink import reference_data as ref
 from weibull_shrink.estimators import shrink_weight
 from weibull_shrink.model import BUILTIN_H, Frozen, GridValidationError, _set
-from weibull_shrink.model import _require_h, _require_interval, _require_p, _require_q
+from weibull_shrink.model import _require_h, _require_interval, _require_m, _require_p, _require_q
 from weibull_shrink.risk import (
     DominanceRange,
     _bias_shrink_given_w,
@@ -73,7 +73,7 @@ class GridSpec(Frozen):
     __slots__ = ("h_values", "p_values", "q_values", "delta_rows")
 
     def _check(self) -> None:
-        h_values = tuple((int(m), float(h)) for m, h in self.h_values)
+        h_values = tuple((m, float(h)) for m, h in self.h_values)
         p_values = tuple(float(p) for p in self.p_values)
         q_values = tuple(float(q) for q in self.q_values)
         delta_rows = tuple((float(a), float(b)) for a, b in self.delta_rows)
@@ -95,8 +95,11 @@ class GridSpec(Frozen):
                 return False
             return True
 
+        # a table design has no n, so only the m rule applies; int() follows it, never truncating m
         designs = [
-            (m, h) for m, h in h_values if passes(f"design (m={m}, h={h})", _require_h, h, 4.0)
+            (int(m), h) for m, h in h_values
+            if passes(f"design (m={m}, h={h})", _require_m, m)
+            and passes(f"design (m={m}, h={h})", _require_h, h, 4.0)
         ]
         for p in p_values:
             if passes(f"p={p}", _require_p, p):
@@ -111,6 +114,7 @@ class GridSpec(Frozen):
             raise GridValidationError(
                 "invalid grid:\n  " + "\n  ".join(problems)
             )
+        _set(self, "h_values", tuple(designs))
 
     @classmethod
     def default_31(cls) -> "GridSpec":

@@ -298,7 +298,7 @@ def test_criterion_7_unbiasedness_identities(criterion_report):
     worst = 0.0
     for _ in range(1000):
         h_f = rng.uniform(4.5, 45.0)
-        ctx = PivotalContext(n=25, m=12, h=h_f, t=rng.uniform(1e-3, 4.0 * h_f))
+        ctx = PivotalContext(h=h_f, t=rng.uniform(1e-3, 4.0 * h_f))
         b1 = rng.uniform(0.05, 5.0)
         iv = GuessInterval(beta1=b1, beta2=b1 * rng.uniform(1.0, 4.0))
         worst = max(worst, abs(estimate_departure(ctx, iv) * suggest_q(ctx, iv) - 1.0))

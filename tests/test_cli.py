@@ -56,7 +56,7 @@ def test_estimate_json_keys(capsys):
     assert data["bain_k"] is None
     assert data["beta_shrink"] == pytest.approx(1.835451054124296, rel=1e-13)
     assert data["p_admissible"] is True
-    assert data["m"] == 6  # recovered from the built-in h for n = 20
+    assert data["n"] is None and data["m"] is None  # a forced pivot has no design
 
 
 def test_estimate_from_data(tmp_path, capsys):
@@ -132,16 +132,46 @@ def test_estimate_flag_problems_exit_2(capsys, argv):
     assert err != ""
 
 
-def test_estimate_t_needs_m_when_h_is_not_built_in(capsys):
+def test_estimate_t_takes_no_design(capsys):
+    # no output value depends on the design, so any h > 4 works and n and m
+    # print as absent, like scale_estimate and bain_k
     args = ("estimate", "--t", "5", "--h", "33.3", "--beta1", "1", "--beta2", "2",
-            "--p", "1", "--q", "0.5", "--format", "json")
+            "--p", "1", "--q", "0.5")
     code, out, err = run(capsys, *args)
-    assert code == 2
-    assert out == ""
-    assert "--m" in err
-    code, out, err = run(capsys, *args, "--m", "14")
     assert code == 0, err
-    assert json.loads(out)["m"] == 14
+    assert out.startswith("n = -\nm = -\nh = 33.3000\n")
+    code, out, err = run(capsys, *args, "--format", "csv")
+    assert code == 0, err
+    header, row = csv.reader(io.StringIO(out))
+    assert header[:2] == ["n", "m"] and row[:2] == ["", ""]
+    code, out, err = run(capsys, *args, "--format", "json")
+    assert code == 0, err
+    data = json.loads(out)
+    assert (data["n"], data["m"], data["h"]) == (None, None, 33.3)
+
+
+def test_estimate_t_with_n_is_a_flag_error(capsys):
+    # reported with the other flag combinations, before h and p are checked
+    code, out, err = run(
+        capsys, "estimate", "--t", "5", "--h", "3", "--n", "20",
+        "--beta1", "1", "--beta2", "2", "--p", "0", "--q", "0.5",
+    )
+    assert (code, out) == (2, "")
+    assert err == "--n goes with --data only; --t needs no design\n"
+
+
+def test_n_below_m_has_one_message(tmp_path, capsys):
+    f = tmp_path / "seven.dat"
+    f.write_text("".join(f"{x}.0\n" for x in range(1, 8)))
+    code, _, err = run(
+        capsys, "estimate", "--data", str(f), "--n", "6",
+        "--beta1", "1", "--beta2", "2", "--p", "1", "--q", "0.5",
+    )
+    assert code == 2
+    assert err == "n must be an integer >= m, got n=6, m=7\n"
+    code, _, err_k = run(capsys, "mc", "estimate-k", "--n", "6", "--m", "7", "--reps", "1000")
+    assert code == 2
+    assert err_k == err
 
 
 def test_estimate_data_needs_n(tmp_path, capsys):
@@ -699,8 +729,10 @@ _EST = ("--beta1", "1", "--beta2", "2")
 _VER = ("mc", "verify", "--reps", "2000")
 
 # data files for `estimate --data` rows, written per test under these names
+_SIX = b"".join(b"%d.0\n" % x for x in range(1, 7))
 _DATA = {
-    "@six": b"".join(b"%d.0\n" % x for x in range(1, 7)),
+    "@six": _SIX,
+    "@bom": b"\xef\xbb\xbf" + _SIX,  # a UTF-8 byte-order mark, as some editors save
     "@tied": b"2.0\n" * 6,  # a zero scale estimate: no t exists
     "@one": b"1.0\n",  # m = 1 breaks the design rule
     "@latin1": b"1.0\n2.0\n# caf\xe9\n4.0\n",  # line 3 is not UTF-8
@@ -711,7 +743,7 @@ _DATA = {
 # pair, both bad: the exit code and the first stderr line name the earlier one.
 _ESTIMATE_ORDER = [
     # h / q
-    (2, "need a finite h > 4", ("estimate", "--t", "5", "--h", "3", "--m", "6", *_EST,
+    (2, "need a finite h > 4", ("estimate", "--t", "5", "--h", "3", *_EST,
                                 "--p", "1", "--q", "1.5")),
     (2, "need a finite h > 4", ("estimate", "--data", "@six", "--n", "20", "--h", "3", *_EST,
                                 "--p", "1", "--q", "1.5")),
@@ -731,10 +763,6 @@ _ESTIMATE_ORDER = [
     (3, "p must be nonzero", ("estimate", "--data", "@tied", "--n", "20", *_EST,
                               "--p", "0", "--q", "0.5")),
     # p / design, and p / data file
-    (2, "p must be finite", ("estimate", "--t", "5", "--h", H6, "--m", "1", *_EST,
-                             "--p", "nan", "--q", "0.5")),
-    (3, "p must be nonzero", ("estimate", "--t", "5", "--h", H6, "--m", "1", *_EST,
-                              "--p", "0", "--q", "0.5")),
     (3, "p must be nonzero", ("estimate", "--t", "5", "--h", "33.3", *_EST,
                               "--p", "0", "--q", "0.5")),
     (3, "p must be nonzero", ("estimate", "--data", "@one", "--n", "20", *_EST,
@@ -810,21 +838,21 @@ def _with_data_files(tmp_path, argv) -> list:
         (3, ("table", "31", "--p", "0")),
         (3, ("table", "51", "--q", "2")),
         (2, ("table", "31", "--design", "x")),
+        # a table design's m follows the design's m rule
+        (3, ("table", "31", "--design=-3:10.85", "--rows", "1:2", "--p", "1", "--q", "0.5")),
         (2, ("table", "41")),
         # estimate --t
         (2, ("estimate", "--t", "0", "--h", H6, *_EST, "--p", "1", "--q", "0.5")),
         (2, ("estimate", "--t", "nan", "--h", H6, *_EST, "--p", "1", "--q", "0.5")),
         (2, ("estimate", "--t", "5", "--h", "nan", *_EST, "--p", "1", "--q", "0.5")),
-        (2, ("estimate", "--t", "5", "--h", H6, "--m", "1", *_EST, "--p", "1", "--q", "0.5")),
-        (2, ("estimate", "--t", "5", "--h", H6, "--m", "21", *_EST, "--p", "1", "--q", "0.5")),
-        (2, ("estimate", "--t", "5", "--h", H6, "--n", "0", "--m", "6", *_EST,
-             "--p", "1", "--q", "0.5")),
+        # --t takes no design, and estimate has no --m
+        (2, ("estimate", "--t", "5", "--h", H6, "--m", "6", *_EST, "--p", "1", "--q", "0.5")),
         (2, ("estimate", "--t", "5", "--h", H6, "--beta1", "-1", "--beta2", "2",
              "--p", "1", "--q", "0.5")),
         (2, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "nan", "--q", "0.5")),
         (3, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "-6", "--q", "0.5")),
         (2, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "1", "--q", "0")),
-        (2, ("estimate", "--t", "5", "--h", "3", "--m", "6", *_EST, "--p", "0", "--q", "0.5")),
+        (2, ("estimate", "--t", "5", "--h", "3", *_EST, "--p", "0", "--q", "0.5")),
         (3, ("estimate", "--t", "0", "--h", H6, *_EST, "--p", "0", "--q", "0.5")),
         (3, ("estimate", "--t", "0", "--h", H6, *_EST, "--p", "-6", "--q", "0.5")),
         (2, ("estimate", "--t", "5", "--h", H6, "--beta1", "-1", "--beta2", "2",
@@ -834,7 +862,8 @@ def _with_data_files(tmp_path, argv) -> list:
         (2, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "-6", "--q", "0")),
         (2, ("estimate", "--t", "5", "--h", H6, *_EST, "--p", "0", "--q", "1.5")),
         *((code, argv) for code, _, argv in _ESTIMATE_ORDER),
-        # --m with --data is a flag-combination error, reported before every value check
+        # estimate has no --m (--data counts m in its file), so argparse rejects it
+        # before every value check
         (2, ("estimate", "--data", "@six", "--n", "20", "--m", "8", *_EST,
              "--p", "1", "--q", "0.5")),
         (2, ("estimate", "--data", "@six", "--n", "20", "--m", "6", *_EST,
@@ -884,6 +913,14 @@ def test_bad_input_exit_code(tmp_path, capsys, code, argv):
     assert got == code, err
     assert out == ""
     assert err != ""
+
+
+def test_byte_order_mark_is_ignored(tmp_path, capsys):
+    argv = ("estimate", "--data", "@six", "--n", "20", *_EST, "--p", "1", "--q", "0.5")
+    got, six, err = run(capsys, *_with_data_files(tmp_path, argv))
+    assert got == 0, err
+    bom = ["@bom" if arg == "@six" else arg for arg in argv]
+    assert run(capsys, *_with_data_files(tmp_path, bom)) == (0, six, "")
 
 
 def test_undecodable_data_file_names_its_line(tmp_path, capsys):

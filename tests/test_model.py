@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weibull_shrink import risk
-from weibull_shrink.estimators import shrink_weight
+from weibull_shrink.estimators import bain_constant, shrink_weight
 from weibull_shrink.model import (
     BUILTIN_H,
     CensoredSample,
@@ -78,21 +78,21 @@ class TestCensoredSample:
             CensoredSample(n=10, observations=(-1.0, 2.0))
 
     def test_rejects_m_exceeding_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got n=2, m=3"):
             CensoredSample(n=2, observations=(1.0, 2.0, 3.0))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="m must be an integer >= 2, got 0"):
             CensoredSample(n=5, observations=())
 
     def test_rejects_bad_n(self):
-        with pytest.raises(ValueError):
-            CensoredSample(n=0, observations=(1.0,))
-        with pytest.raises(ValueError):
-            CensoredSample(n=2.5, observations=(1.0,))
+        with pytest.raises(ValueError, match="n must be an integer >= m"):
+            CensoredSample(n=0, observations=(1.0, 2.0))
+        with pytest.raises(ValueError, match="n must be an integer >= m"):
+            CensoredSample(n=2.5, observations=(1.0, 2.0))
 
     @given(
-        values=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=12),
+        values=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=12),
         extra=st.integers(min_value=0, max_value=10),
     )
     @settings(max_examples=80, deadline=None)
@@ -104,30 +104,24 @@ class TestCensoredSample:
 
 class TestPivotalContext:
     def test_basic(self):
-        ctx = PivotalContext(n=20, m=6, h=10.8519, t=8.8519)
+        ctx = PivotalContext(h=10.8519, t=8.8519)
         assert ctx.h == 10.8519
 
     @pytest.mark.parametrize("h", [4.0, 3.9, 0.0, -1.0])
     def test_rejects_h_at_or_below_four(self, h):
         # finite second inverse moment of the pivot needs h > 4
         with pytest.raises(ValueError):
-            PivotalContext(n=20, m=6, h=h, t=5.0)
+            PivotalContext(h=h, t=5.0)
 
     def test_accepts_h_just_above_four(self):
-        ctx = PivotalContext(n=20, m=6, h=4.0001, t=5.0)
+        ctx = PivotalContext(h=4.0001, t=5.0)
         assert ctx.h == 4.0001
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
-            PivotalContext(n=20, m=6, h=10.8519, t=0.0)
+            PivotalContext(h=10.8519, t=0.0)
         with pytest.raises(ValueError):
-            PivotalContext(n=20, m=6, h=10.8519, t=float("inf"))
-
-    def test_rejects_bad_m_n(self):
-        with pytest.raises(ValueError):
-            PivotalContext(n=20, m=1, h=10.8519, t=5.0)
-        with pytest.raises(ValueError):
-            PivotalContext(n=5, m=6, h=10.8519, t=5.0)
+            PivotalContext(h=10.8519, t=float("inf"))
 
 
 class TestGuessInterval:
@@ -213,7 +207,7 @@ class TestRiskReport:
 
 
 def test_frozen():
-    ctx = PivotalContext(n=20, m=6, h=10.8519, t=8.8519)
+    ctx = PivotalContext(h=10.8519, t=8.8519)
     with pytest.raises(AttributeError):
         ctx.t = 9.0
 
@@ -233,8 +227,8 @@ def _message(call) -> str:
     return str(exc.value)
 
 
-def _grid(h=10.8519, p=1.0, row=(0.8, 1.2)):
-    return GridSpec(((6, h),), (p,), (0.5,), (row,))
+def _grid(h=10.8519, p=1.0, row=(0.8, 1.2), m=6):
+    return GridSpec(((m, h),), (p,), (0.5,), (row,))
 
 
 @pytest.mark.parametrize(
@@ -268,7 +262,7 @@ def test_reversed_interval_has_one_message(call, lo, hi):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: PivotalContext(n=20, m=6, h=4.0, t=5.0),
+        lambda: PivotalContext(h=4.0, t=5.0),
         lambda: risk.rmse_mmse(4.0),
         lambda: _grid(h=4.0),
     ],
@@ -276,6 +270,33 @@ def test_reversed_interval_has_one_message(call, lo, hi):
 )
 def test_h_four_has_one_message(call):
     assert "need a finite h > 4, got 4.0" in _message(call)
+
+
+@pytest.mark.parametrize(
+    "call, m",
+    [
+        (lambda: CensoredSample(n=20, observations=(1.0,)), "1"),
+        (lambda: bain_constant(1, 20), "1"),
+        (lambda: _grid(m=-3), "-3"),
+        (lambda: _grid(m=6.5), "6.5"),
+    ],
+    ids=["CensoredSample", "bain_constant", "GridSpec", "GridSpec-fractional"],
+)
+def test_bad_m_has_one_message(call, m):
+    # a table design has no n, but its m follows the design's m rule
+    assert f"m must be an integer >= 2, got {m}" in _message(call)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CensoredSample(n=6, observations=tuple(range(1, 8))),
+        lambda: bain_constant(7, 6),
+    ],
+    ids=["CensoredSample", "bain_constant"],
+)
+def test_n_below_m_has_one_message(call):
+    assert "n must be an integer >= m, got n=6, m=7" in _message(call)
 
 
 def test_grid_labels_each_rule_message():

@@ -216,7 +216,7 @@ CFG = ShrinkageConfig(p=-1.0, q=0.5)
 
 
 def scalar_ctx(t):
-    return PivotalContext(n=20, m=6, h=H6, t=t)
+    return PivotalContext(h=H6, t=t)
 
 
 @given(t=st.floats(min_value=0.01, max_value=200.0))

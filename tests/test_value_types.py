@@ -41,7 +41,7 @@ RANGE = DominanceRange(0.5, 1.5)
 SAMPLES = {
     WeibullParams: (dict(alpha=1.5, beta=2.0), dict(beta=3.0)),
     CensoredSample: (dict(n=20, observations=(0.5, 1.0, 1.5)), dict(n=21)),
-    PivotalContext: (dict(n=20, m=6, h=10.8519, t=8.8519), dict(t=9.0)),
+    PivotalContext: (dict(h=10.8519, t=8.8519), dict(t=9.0)),
     GuessInterval: (dict(beta1=0.8, beta2=1.2), dict(beta1=0.9)),
     ShrinkageConfig: (dict(p=-1.0, q=0.5), dict(q=0.25)),
     RiskReport: (
@@ -83,11 +83,12 @@ SAMPLES = {
     ),
 }
 
-# the field order of each type's former dataclass
+# the field order of each type's former dataclass (PivotalContext has
+# since dropped n and m, which no estimator read)
 FIELDS = {
     WeibullParams: ("alpha", "beta"),
     CensoredSample: ("n", "observations"),
-    PivotalContext: ("n", "m", "h", "t"),
+    PivotalContext: ("h", "t"),
     GuessInterval: ("beta1", "beta2"),
     ShrinkageConfig: ("p", "q"),
     RiskReport: ("estimator_id", "bias_over_beta", "arb", "rmse", "pre_vs_mmse"),
@@ -247,8 +248,6 @@ def test_constructors_still_normalise_and_check():
     sample = CensoredSample(n=20.0, observations=[1, 2])
     assert sample.n == 20 and type(sample.n) is int
     assert sample.observations == (1.0, 2.0) and sample.m == 2
-    ctx = PivotalContext(n=20.0, m=6.0, h=10.8519, t=8.8519)
-    assert (type(ctx.n), type(ctx.m)) == (int, int)
     assert SimulationPlan(1000.0, 3.0, WeibullParams(1, 1), 20, 6).replicates == 1000
     spec = GridSpec([(6.0, 10)], [1], [0.5], [(1, 2)])
     assert spec.h_values == ((6, 10.0),) and spec.delta_rows == ((1.0, 2.0),)

@@ -15,7 +15,9 @@ verify` and `estimate` check h, q, the departures (for `estimate`, the guess
 interval), then p (a non-finite p exits 2), then their trailing inputs: the
 simulation flags, or `estimate`'s data file with its design, then t. A
 numerical overflow, or an efficiency left unbounded by a zero MSE, is a data
-problem too, and exits 2. Data goes to stdout (or --out); diagnostics go to
+problem too, and exits 2: `estimate` refuses an estimate that overflows in
+every format, and `risk` names --h when a report that reads h alone
+overflows. Data goes to stdout (or --out); diagnostics go to
 stderr. Output depends only on flags and seed, never on wall clock, so reruns
 are byte-identical.
 
@@ -120,15 +122,15 @@ def _read_failure_times(path: str) -> list:
             ) from None
         if not math.isfinite(value) or value <= 0.0:
             raise ValueError(f"{path}:{lineno}: failure times must be finite and > 0")
-        if values and value < values[-1][1]:
+        if values and value < values[-1]:
             raise ValueError(
                 f"{path}:{lineno}: failure times must be nondecreasing "
-                f"({value:g} after {values[-1][1]:g})"
+                f"({value:g} after {values[-1]:g})"
             )
-        values.append((lineno, value))
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: no failure times found")
-    return [v for _, v in values]
+    return values
 
 
 def cmd_estimate(args) -> tuple:
@@ -165,6 +167,23 @@ def cmd_estimate(args) -> tuple:
         scale = estimators.bain_scale_estimate(sample, bain_k)
         t = h * scale
     ctx = PivotalContext(h=h, t=t)
+    estimates = [
+        ("beta_unbiased", estimators.beta_unbiased(ctx)),
+        ("beta_mmse", estimators.beta_mmse(ctx)),
+        ("beta_shrink", estimators.beta_shrink(ctx, interval, cfg)),
+        ("beta_shrink_truncated", estimators.beta_shrink_truncated(ctx, interval, cfg)),
+        ("delta_hat", estimators.estimate_departure(ctx, interval)),
+        ("q_select", estimators.suggest_q(ctx, interval)),
+    ]
+    overflowed = [name for name, value in estimates if not math.isfinite(value)]
+    if overflowed:
+        # every format refuses it alike, as json must; a tiny t or a huge
+        # guess interval can each overflow, so the message names them all
+        source = f"--t {t!r}" if args.t is not None else f"t = {t!r} from {args.data}"
+        raise OverflowError(
+            f"{', '.join(overflowed)} overflow at {source}, h = {h!r} and the "
+            f"guess interval ({interval.beta1!r}, {interval.beta2!r})"
+        )
     pairs = [
         ("n", n),
         ("m", m),
@@ -172,12 +191,7 @@ def cmd_estimate(args) -> tuple:
         ("t", float(t)),
         ("scale_estimate", scale),
         ("bain_k", bain_k),
-        ("beta_unbiased", estimators.beta_unbiased(ctx)),
-        ("beta_mmse", estimators.beta_mmse(ctx)),
-        ("beta_shrink", estimators.beta_shrink(ctx, interval, cfg)),
-        ("beta_shrink_truncated", estimators.beta_shrink_truncated(ctx, interval, cfg)),
-        ("delta_hat", estimators.estimate_departure(ctx, interval)),
-        ("q_select", estimators.suggest_q(ctx, interval)),
+        *estimates,
         ("p_admissible", True),
     ]
     return _emit_kv(args.format, pairs), 0
@@ -193,11 +207,12 @@ def _point_reports(args, delta: float, pair: bool) -> list:
     its arguments in the order h, q, departures, then p."""
     from weibull_shrink import risk
 
-    reports = [
-        risk.report_unbiased(args.h),
-        risk.report_mmse(args.h),
-        risk.report_shrink(args.h, args.p, args.q, delta),
-    ]
+    try:
+        # these two read h alone, so an overflow in them is the flag's
+        reports = [risk.report_unbiased(args.h), risk.report_mmse(args.h)]
+    except OverflowError as exc:
+        raise OverflowError(f"--h {args.h!r} is too large: {exc}") from None
+    reports.append(risk.report_shrink(args.h, args.p, args.q, delta))
     if pair:
         reports.append(risk.report_modified(args.h, args.p, args.q, args.delta1, args.delta2))
     return reports
@@ -259,12 +274,20 @@ def cmd_dominance(args) -> tuple:
 
 def _parse_design(text: str):
     m, _, h = text.partition(":")
-    return int(m), float(h)
+    try:
+        return int(m), float(h)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected M:H with an integer M and a number H, got {text!r}"
+        ) from None
 
 
 def _parse_row(text: str):
     a, _, b = text.partition(":")
-    return float(a), float(b)
+    try:
+        return float(a), float(b)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected D1:D2 with two numbers, got {text!r}") from None
 
 
 def cmd_table(args) -> tuple:

@@ -342,12 +342,16 @@ def pre_modified(
 
 
 def report_unbiased(h: float) -> RiskReport:
+    rmse = rmse_unbiased(h)
+    pre = 100.0 * (h - 4.0) / (h - 2.0)
+    if pre == math.inf:
+        raise OverflowError("the efficiency 100(h - 4)/(h - 2) overflows")
     return RiskReport(
         estimator_id="UNBIASED",
         bias_over_beta=0.0,
         arb=0.0,
-        rmse=rmse_unbiased(h),
-        pre_vs_mmse=100.0 * (h - 4.0) / (h - 2.0),
+        rmse=rmse,
+        pre_vs_mmse=pre,
     )
 
 

@@ -24,14 +24,23 @@ disagreement with its relative error. `printed_audit` picks out the records
 of the printed cells among any selection of cells.
 
 The table-cell writers `cells_to_csv`, `cells_to_json` and `cells_to_text`
-live here. All three are specialised to TableCell's fixed shape, one format
-call per cell. The first two are byte-equal to the generic writers in
-`writers` (`rows_to_csv`, `to_json` over `TableCell.to_dict`), and the text
-writer to a writer that formats and right-justifies every field on its own;
-the oracle tests in tests/test_tables.py enforce both. Like the rest of the
-analytic layer this module never imports numpy. Of the CLI subcommands only
-`table` imports this module, and with it the transcribed printed tables in
-`reference_data`.
+live here. Only pre and arb are a cell's own: (m, h, p, q) repeats across a
+design block, (delta1, delta2, delta) across a departure row (the walk
+shares one delta object per row) and the three dominance ranges across a
+(p, q, h) block. So each writer first collects the distinct shared
+fragments of its call, `_fragments`, in dicts that live only for that call,
+formats each fragment once (the text writer after its width pass), and per
+cell formats pre and arb and joins the pieces. A fragment is keyed by the
+identity of its objects, not their values: one object always prints the
+same bytes, but equal values need not (0.0 == -0.0, 6 == 6.0, and a NaN
+equals nothing), so a value key would print one cell's spelling in
+another's place. The CSV and JSON writers are byte-equal to the generic
+writers in `writers` (`rows_to_csv`, `to_json` over `TableCell.to_dict`),
+and the text writer to a writer that formats and right-justifies every
+field on its own; the oracle tests in tests/test_tables.py enforce both.
+Like the rest of the analytic layer this module never imports numpy. Of the
+CLI subcommands only `table` imports this module, and with it the
+transcribed printed tables in `reference_data`.
 """
 
 from __future__ import annotations
@@ -170,24 +179,26 @@ class TableCell(Frozen):
 
 
 def _walk(designs, p_values, q_values, rows):
-    """(q, i, delta1, delta2, p, m, h, w) for every cell of a grid, w = w(p)
-    at h taken once per (p, h).
+    """(q, i, delta1, delta2, delta, p, m, h, w) for every cell of a grid,
+    delta = (delta1 + delta2)/2 taken once per departure row and w = w(p) at h
+    once per (p, h).
 
     The order is q outermost, then departure row i, then p, then design,
     mirroring the printed layout; the builders and the audit grader all
-    follow it.
+    follow it. Every cell of a row holds the same delta object, so the cell
+    writers format it once.
     """
     weights = {(p, h): shrink_weight(p, h) for p in p_values for _, h in designs}
     points = [(p, m, h, weights[p, h]) for p in p_values for m, h in designs]
+    rows = [(d1, d2, 0.5 * (d1 + d2)) for d1, d2 in rows]
     for q in q_values:
-        for i, (d1, d2) in enumerate(rows):
+        for i, (d1, d2, delta) in enumerate(rows):
             for p, m, h, w in points:
-                yield q, i, d1, d2, p, m, h, w
+                yield q, i, d1, d2, delta, p, m, h, w
 
 
-def _evaluate_31(h: float, q: float, d1: float, d2: float, w: float) -> tuple:
+def _evaluate_31(h: float, q: float, d1: float, d2: float, delta: float, w: float) -> tuple:
     """(pre, arb) of a table 3.1 cell at weight w."""
-    delta = 0.5 * (d1 + d2)
     return _pre_shrink_given_w(h, q, delta, w), abs(_bias_shrink_given_w(q, delta, w))
 
 
@@ -197,7 +208,7 @@ def _evaluator_51(designs, rows):
     once per (h, delta1, delta2) of the grid."""
     terms = {(h, d1, d2): _interval_terms(h, d1, d2) for _, h in designs for d1, d2 in rows}
 
-    def evaluate(h, q, d1, d2, w):
+    def evaluate(h, q, d1, d2, delta, w):
         return _pre_modified_given_terms(h, q, d1, d2, w, terms[h, d1, d2]), None
 
     return evaluate
@@ -207,13 +218,13 @@ def table_31(spec: GridSpec) -> list:
     """Plain-shrinkage efficiency/bias cells with per-(p,q,h) dominance ranges."""
     cells = []
     ranges = {}
-    for q, _, d1, d2, p, m, h, w in _walk(
+    for q, _, d1, d2, delta, p, m, h, w in _walk(
         spec.h_values, spec.p_values, spec.q_values, spec.delta_rows
     ):
         key = (p, q, h)
         if key not in ranges:
             ranges[key] = _ranges_given_w(h, q, _nondegenerate_w(p, h, w))
-        pre, arb = _evaluate_31(h, q, d1, d2, w)
+        pre, arb = _evaluate_31(h, q, d1, d2, delta, w)
         cells.append(
             TableCell(
                 m=m,
@@ -222,7 +233,7 @@ def table_31(spec: GridSpec) -> list:
                 q=q,
                 delta1=d1,
                 delta2=d2,
-                delta=0.5 * (d1 + d2),
+                delta=delta,
                 pre=pre,
                 arb=arb,
                 mse_range=ranges[key]["mse"],
@@ -244,10 +255,10 @@ def table_51(spec: GridSpec) -> list:
             q=q,
             delta1=d1,
             delta2=d2,
-            delta=0.5 * (d1 + d2),
-            pre=evaluate(h, q, d1, d2, w)[0],
+            delta=delta,
+            pre=evaluate(h, q, d1, d2, delta, w)[0],
         )
-        for q, _, d1, d2, p, m, h, w in _walk(
+        for q, _, d1, d2, delta, p, m, h, w in _walk(
             spec.h_values, spec.p_values, spec.q_values, spec.delta_rows
         )
     ]
@@ -262,86 +273,85 @@ CSV_HEADER = [
 ]
 
 
-# Each cell is one %-format on a template chosen by which optional fields it
-# carries. "%r" is the float repr json uses, "%.17g" is writers._full's float
-# format, and "%.0s" consumes a value (None) without printing it.
+def _fragments(cells) -> tuple:
+    """The cells' shared columns, each distinct one once: (heads, rows,
+    tails, picks).
 
-_CSV_NUM = ",%.17g"
-_CSV_GAP = ",%.0s"
-_CSV_ROWS = {
-    (has_arb, has_mse, has_best): "%.17g"
-    + _CSV_NUM * 7
-    + (_CSV_NUM if has_arb else _CSV_GAP)
-    + (_CSV_NUM if has_mse else _CSV_GAP) * 2
-    + (_CSV_NUM if has_best else _CSV_GAP) * 2
-    + "\r\n"
-    for has_arb in (False, True)
-    for has_mse in (False, True)
-    for has_best in (False, True)
-}
+    `heads` maps a key to a cell's (m, h, p, q), `rows` to its (delta1,
+    delta2, delta) and `tails` to its (mse_range, arb_range, best); `picks`
+    holds (head key, row key, tail key, pre, arb) per cell, in order. A key is
+    the identities of its objects, not their values: one object always prints
+    the same bytes, but equal values need not (0.0 == -0.0, 6 == 6.0, and a
+    NaN equals nothing). The dicts hold the objects, so no identity is reused
+    while they live.
+    """
+    heads, rows, tails, picks = {}, {}, {}, []
+    for c in cells:
+        head = (id(c.m), id(c.h), id(c.p), id(c.q))
+        if head not in heads:
+            heads[head] = (c.m, c.h, c.p, c.q)
+        row = (id(c.delta1), id(c.delta2), id(c.delta))
+        if row not in rows:
+            rows[row] = (c.delta1, c.delta2, c.delta)
+        tail = (id(c.mse_range), id(c.arb_range), id(c.best))
+        if tail not in tails:
+            tails[tail] = (c.mse_range, c.arb_range, c.best)
+        picks.append((head, row, tail, c.pre, c.arb))
+    return heads, rows, tails, picks
+
+
+# "%r" is the float repr json uses and "%.17g" is writers._full's float format
 
 
 def cells_to_csv(cells) -> str:
     """RFC-4180 CSV at full precision; range_lo/range_hi hold the MSE range."""
-    rows = [",".join(CSV_HEADER) + "\r\n"]
-    for c in cells:
-        lo, hi = span_ends(c.mse_range)
-        blo, bhi = span_ends(c.best)
-        rows.append(
-            _CSV_ROWS[c.arb is not None, lo is not None, blo is not None]
-            % (c.m, c.h, c.p, c.q, c.delta1, c.delta2, c.delta, c.pre, c.arb,
-               lo, hi, blo, bhi)
-        )
-    return "".join(rows)
+    heads, rows, tails, picks = _fragments(cells)
+    head = {k: "%.17g,%.17g,%.17g,%.17g," % v for k, v in heads.items()}
+    row = {k: "%.17g,%.17g,%.17g," % v for k, v in rows.items()}
+    tail = {
+        k: "".join("," if v is None else ",%.17g" % v
+                   for v in (*span_ends(mse), *span_ends(best))) + "\r\n"
+        for k, (mse, _, best) in tails.items()
+    }
+    lines = [",".join(CSV_HEADER) + "\r\n"]
+    lines += [
+        head[h] + row[r] + ("%.17g," % pre if arb is None else "%.17g,%.17g" % (pre, arb))
+        + tail[t]
+        for h, r, t, pre, arb in picks
+    ]
+    return "".join(lines)
 
 
-_JSON_KEYS = ("m", "h", "p", "q", "delta1", "delta2", "delta", "pre")
-# a span is null, [] or [lo, hi]; each form consumes the two values (lo, hi)
-_JSON_SPANS = ("null%.0s%.0s", "[]%.0s%.0s", "[\n      %r,\n      %r\n    ]")
-_JSON_CELLS = {
-    (has_arb, mse, arb, best): "  {\n"
-    + "".join(f'    "{key}": %r,\n' for key in _JSON_KEYS)
-    + ('    "arb": %r,\n' if has_arb else '    "arb": null%.0s,\n')
-    + f'    "mse_range": {_JSON_SPANS[mse]},\n'
-    + f'    "arb_range": {_JSON_SPANS[arb]},\n'
-    + f'    "best": {_JSON_SPANS[best]}\n'
-    + "  }"
-    for has_arb in (False, True)
-    for mse in range(3)
-    for arb in range(3)
-    for best in range(3)
-}
-
-
-def _span_form(r: DominanceRange | None) -> tuple:
-    """(index into _JSON_SPANS, lo, hi) of a range."""
+def _json_span(r: DominanceRange | None) -> str:
+    """A range as writers.span prints it: null, [] or [lo, hi]."""
     if r is None:
-        return 0, None, None
+        return "null"
     if r.is_empty:
-        return 1, None, None
-    return 2, r.lo, r.hi
+        return "[]"
+    return "[\n      %r,\n      %r\n    ]" % (r.lo, r.hi)
 
 
 def cells_to_json(cells) -> str:
     """The JSON list of TableCell.to_dict, indented by two; non-finite floats raise."""
-    items = []
-    for c in cells:
-        mse, mlo, mhi = _span_form(c.mse_range)
-        arb, alo, ahi = _span_form(c.arb_range)
-        best, blo, bhi = _span_form(c.best)
-        items.append(
-            _JSON_CELLS[c.arb is not None, mse, arb, best]
-            % (c.m, c.h, c.p, c.q, c.delta1, c.delta2, c.delta, c.pre, c.arb,
-               mlo, mhi, alo, ahi, blo, bhi)
-        )
-    if not items:
-        return "[]\n"
-    text = "[\n" + ",\n".join(items) + "\n]\n"
-    # no key and no literal of the templates contains "nan" or "inf", so
-    # either one here is a non-finite float, which json rejects the same way
-    if "nan" in text or "inf" in text:
+    heads, rows, tails, picks = _fragments(cells)
+    head = {k: '  {\n    "m": %r,\n    "h": %r,\n    "p": %r,\n    "q": %r,\n' % v
+            for k, v in heads.items()}
+    row = {k: '    "delta1": %r,\n    "delta2": %r,\n    "delta": %r,\n' % v
+           for k, v in rows.items()}
+    tail = {k: '    "mse_range": %s,\n    "arb_range": %s,\n    "best": %s\n  }'
+            % tuple(map(_json_span, v)) for k, v in tails.items()}
+    # TableCell keeps pre and arb finite, so only a shared fragment can hold
+    # a NaN or an infinity; no key of the fragments contains "nan" or "inf"
+    if any("nan" in s or "inf" in s for d in (head, row, tail) for s in d.values()):
         raise ValueError("Out of range float values are not JSON compliant")
-    return text
+    if not picks:
+        return "[]\n"
+    items = [
+        head[h] + row[r] + ('    "pre": %r,\n    "arb": null,\n' % pre if arb is None
+                            else '    "pre": %r,\n    "arb": %r,\n' % (pre, arb)) + tail[t]
+        for h, r, t, pre, arb in picks
+    ]
+    return "[\n" + ",\n".join(items) + "\n]\n"
 
 
 _TEXT_HEADER = ("m", "h", "p", "q", "d1", "d2", "delta", "pre", "arb",
@@ -373,42 +383,47 @@ def _fixed_width(values) -> int:
 def cells_to_text(cells) -> str:
     """Aligned plain text, four decimals, '-' where a column does not apply.
 
-    The column widths come from one pass over the cells (a fixed-point
-    column's least and greatest value, the distinct values of m, p and q);
-    then each row is one %-format on a template chosen by which optional
-    fields it carries, as in the CSV and JSON writers.
+    The column widths come from one pass over the distinct shared fragments
+    and the cells' own pre and arb (a fixed-point column's least and greatest
+    value, every other column's widest); then each fragment is formatted
+    once at those widths, as in the CSV and JSON writers.
     """
-    rows = []
-    for c in cells:
-        lo, hi = span_ends(c.mse_range)
-        blo, bhi = span_ends(c.best)
-        rows.append((c.m, c.h, c.p, c.q, c.delta1, c.delta2, c.delta, c.pre, c.arb,
-                     lo, hi, blo, bhi))
-    columns = list(zip(*rows)) if rows else [()] * len(_TEXT_HEADER)
+    heads, rows, tails, picks = _fragments(cells)
+    spans = {k: (*span_ends(mse), *span_ends(best)) for k, (mse, _, best) in tails.items()}
+    columns = [
+        *(zip(*heads.values()) if heads else [()] * 4),
+        *(zip(*rows.values()) if rows else [()] * 3),
+        [pick[3] for pick in picks],
+        [pick[4] for pick in picks],
+        *(zip(*spans.values()) if spans else [()] * 4),
+    ]
     widths = []
     for name, kind, column in zip(_TEXT_HEADER, _TEXT_KINDS, columns):
         if kind == "f":
             present = [v for v in column if v is not None] if None in column else column
             width = _fixed_width(present)
         else:
-            width = max(map(len, map(f"%{kind}".__mod__, set(column))), default=0)
+            width = max(map(len, map(f"%{kind}".__mod__, column)), default=0)
         widths.append(max(len(name), width))
     fields = [f"%{w}{'.4f' if k == 'f' else k}" for w, k in zip(widths, _TEXT_KINDS)]
-    # an absent value prints as a right-aligned '-'; "%.0s" consumes its None
-    gaps = [" " * (w - 1) + "-%.0s" for w in widths]
-    templates = {
-        (has_arb, has_mse, has_best): "  ".join(
-            fields[:8]
-            + [fields[8] if has_arb else gaps[8]]
-            + (fields[9:11] if has_mse else gaps[9:11])
-            + (fields[11:] if has_best else gaps[11:])
-        )
-        for has_arb in (False, True)
-        for has_mse in (False, True)
-        for has_best in (False, True)
+    # an absent value prints as a right-aligned '-'
+    gaps = [" " * (w - 1) + "-" for w in widths]
+    head_fmt = "  ".join(fields[:4]) + "  "
+    head = {k: head_fmt % v for k, v in heads.items()}
+    row_fmt = "  ".join(fields[4:7]) + "  "
+    row = {k: row_fmt % v for k, v in rows.items()}
+    own_fmt = fields[7] + "  " + fields[8]
+    bare_fmt = fields[7] + "  " + gaps[8]
+    tail = {
+        k: "".join("  " + (gap if end is None else field % end)
+                   for end, field, gap in zip(ends, fields[9:], gaps[9:]))
+        for k, ends in spans.items()
     }
     lines = ["  ".join(name.rjust(w) for name, w in zip(_TEXT_HEADER, widths))]
-    lines += [templates[r[8] is not None, r[9] is not None, r[11] is not None] % r for r in rows]
+    lines += [
+        head[h] + row[r] + (bare_fmt % pre if arb is None else own_fmt % (pre, arb)) + tail[t]
+        for h, r, t, pre, arb in picks
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -455,12 +470,13 @@ def _grade(table: str, rows, printed, rtol: float, evaluate) -> list:
         )
 
     audits = []
-    for q, i, d1, d2, p, m, h, w in _walk(DEFAULT_DESIGNS, ref.GRID_P, ref.GRID_Q, rows):
+    for q, i, d1, d2, delta, p, m, h, w in _walk(DEFAULT_DESIGNS, ref.GRID_P, ref.GRID_Q, rows):
         printed_pre, printed_arb = printed(p, q, i, m)
-        pre, arb = evaluate(h, q, d1, d2, w)
+        pre, arb = evaluate(h, q, d1, d2, delta, w)
         if within(pre, arb, printed_pre, printed_arb):
             status = PASS
-        elif within(*evaluate(h, q, d1, d2, ref.W_PRINTED[p][m]), printed_pre, printed_arb):
+        elif within(*evaluate(h, q, d1, d2, delta, ref.W_PRINTED[p][m]),
+                    printed_pre, printed_arb):
             status = ARTIFACT
         else:
             status = DISAGREE

@@ -150,6 +150,26 @@ def test_estimate_t_takes_no_design(capsys):
     assert (data["n"], data["m"], data["h"]) == (None, None, 33.3)
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "t, beta2, overflowed",
+    [("1e-320", "2", "beta_unbiased, beta_mmse, beta_shrink, q_select"),
+     ("5", "1.7e308", "delta_hat")],
+)
+def test_estimate_overflow_is_refused_in_every_format(capsys, fmt, t, beta2, overflowed):
+    # json cannot spell an infinity, and text and csv printed it with exit 0,
+    # so every format refuses it alike, naming t, h and the interval
+    code, out, err = run(
+        capsys, "estimate", "--t", t, "--h", "10", "--p", "1", "--q", "0.5",
+        "--beta1", "1", "--beta2", beta2, "--format", fmt,
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"inputs out of floating-point range: {overflowed} overflow at --t {float(t)!r}, "
+        f"h = 10.0 and the guess interval (1.0, {float(beta2)!r})\n"
+    )
+
+
 def test_estimate_t_with_n_is_a_flag_error(capsys):
     # reported with the other flag combinations, before h and p are checked
     code, out, err = run(
@@ -401,6 +421,13 @@ def test_zero_mse_exits_2_naming_the_interval(capsys, argv):
     assert "(1.0, 1.0)" in err and "Traceback" not in err
 
 
+def test_risk_overflowing_h_names_the_flag(capsys):
+    code, out, err = run(capsys, "risk", "--h", "1e308", "--p", "1", "--q", "0.5", "--delta", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("inputs out of floating-point range: --h 1e+308 is too large")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_zero_mse_message_is_the_one_in_risk(capsys):
     with pytest.raises(ValueError) as exc:
         risk.pre_modified(10.8519, 1.0, 0.5, 1.0, 1.0)
@@ -493,6 +520,19 @@ def test_table_31_ranges_follow_h_not_m(capsys):
     assert second == alone.split("\r\n")[1]
     lo, hi = (float(x) for x in second.split(",")[9:11])
     assert (round(lo, 4), round(hi, 4)) == (0.2004, 3.7996)
+
+
+@pytest.mark.parametrize(
+    "flag, value, form",
+    [("--design", "6.5:10.85", "M:H with an integer M"),
+     ("--design", "6", "M:H with an integer M"),
+     ("--rows", "1", "D1:D2")],
+)
+def test_table_parse_errors_name_the_form(capsys, flag, value, form):
+    code, out, err = run(capsys, "table", "31", flag, value)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: expected {form}" in err and repr(value) in err
+    assert "_parse_" not in err
 
 
 def test_table_invalid_design_exits_3(capsys):

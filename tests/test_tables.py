@@ -350,6 +350,21 @@ def _hand_built_cells():
     ]
 
 
+def _equal_but_distinct_cells():
+    # shared columns equal in value but distinct as objects, each pair
+    # printing differently: a writer that keyed its fragments by value would
+    # print one cell's spelling in the other's place
+    def spans(lo):
+        return {kind: DominanceRange(lo, 2.0) for kind in ("mse_range", "best")}
+
+    return [
+        _odd_cell(h=0.0, delta=0.0, **spans(0.0)),
+        _odd_cell(h=-0.0, delta=-0.0, **spans(-0.0)),
+        _odd_cell(m=6.0, arb=0.5, arb_range=DominanceRange(-0.0, 2.0)),
+        _odd_cell(arb=0.5, arb_range=DominanceRange(0.0, 2.0)),
+    ]
+
+
 ORACLE_CASES = {
     "stock-31": lambda: table_31(GridSpec.default_31()),
     "stock-51": lambda: table_51(GridSpec.default_51()),
@@ -360,6 +375,7 @@ ORACLE_CASES = {
     "empty": lambda: [],
     "single": lambda: table_31(GridSpec.default_31())[:1],
     "hand-built": _hand_built_cells,
+    "equal-but-distinct": _equal_but_distinct_cells,
 }
 
 

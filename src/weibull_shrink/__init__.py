@@ -25,7 +25,7 @@ from weibull_shrink.model import (
     WeibullParams,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CensoredSample",

@@ -226,8 +226,8 @@ def cmd_risk(args) -> tuple:
         raise ValueError("--modified needs --delta1 and --delta2")
     reports = _point_reports(args, delta, args.modified)
     if math.isinf(reports[-1].pre_vs_mmse):
-        # a zero MSE leaves the efficiency unbounded, which risk rejects with
-        # the same error as pre_modified
+        # a zero MSE leaves the efficiency unbounded; raise the error that
+        # table 51 raises for the same interval
         risk._pre_from_mse(args.h, reports[-1].rmse, args.delta1, args.delta2)
     header = ["estimator", "bias", "arb", "rmse", "pre"]
     rows = [
@@ -291,13 +291,19 @@ def _parse_row(text: str):
 
 
 def cmd_table(args) -> tuple:
+    from weibull_shrink import reference_data as ref
     from weibull_shrink import tables
 
-    spec = tables.GridSpec.default_31() if args.which == "31" else tables.GridSpec.default_51()
-    h_values = spec.h_values if not args.design else tuple(args.design)
-    delta_rows = spec.delta_rows if not args.rows else tuple(args.rows)
-    spec = tables.GridSpec(h_values, spec.p_values, spec.q_values, delta_rows)
-    spec = spec.subset(m=args.m, p=args.p, q=args.q)
+    # --m, --p and --q select from the design list and the stock p and q
+    # lists, so the one grid built and checked is the grid that runs
+    designs = args.design or tables.DEFAULT_DESIGNS
+    rows = args.rows or (tables.ROWS_31 if args.which == "31" else ref.TABLE_51_INTERVALS)
+    spec = tables.GridSpec(
+        [(m, h) for m, h in designs if args.m is None or m in args.m],
+        [p for p in ref.GRID_P if args.p is None or p in args.p],
+        [q for q in ref.GRID_Q if args.q is None or q in args.q],
+        rows,
+    )
     cells = tables.table_31(spec) if args.which == "31" else tables.table_51(spec)
     if not args.diff:
         writer = {"csv": tables.cells_to_csv, "json": tables.cells_to_json,

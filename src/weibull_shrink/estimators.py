@@ -107,9 +107,13 @@ def shrink_weight(p: float, h: float) -> float:
         raise InadmissibleParameterError(
             f"p={p} violates the gamma-argument bound p > {-h / 4.0:.6g} for h={h}"
         )
-    w = math.exp(
-        p * math.log((h - 2.0) / 2.0) + ln_gamma(h / 2.0 + p) - ln_gamma(h / 2.0 + 2.0 * p)
-    )
+    try:
+        w = math.exp(
+            p * math.log((h - 2.0) / 2.0) + ln_gamma(h / 2.0 + p) - ln_gamma(h / 2.0 + 2.0 * p)
+        )
+    except OverflowError:
+        # ln Gamma(h/2 + p) leaves the float range once h is near 5e305
+        raise OverflowError(f"the shrinkage weight w(p={p}) overflows at h={h}") from None
     if w > 1.0 + 4.0 * 2.220446049250313e-16:
         raise InadmissibleParameterError(
             f"p={p} gives weight w={w:.6g} > 1 (inadmissible for h={h})"

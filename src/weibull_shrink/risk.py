@@ -10,10 +10,13 @@ Each public function is an entry point: it checks its raw arguments once,
 with the rules in `model` and in the order h, q, departures, then the
 admissibility of p, and computes w(p) once. The formulas themselves are the
 `_given_w` kernels, which take the weight as an argument and trust their
-inputs. Composite functions (`pre_modified`, `dominance_ranges`,
-`report_shrink`, `report_modified`) call the kernels rather than other public
-functions, and `mse_dominance_range` and `best_range` are entries of
-`dominance_ranges`, so nothing is checked or computed twice.
+inputs. The CLI and the table builders read every quantity of the paper,
+efficiency, ARB and the three dominance ranges, from `report_shrink`,
+`report_modified` and `dominance_ranges` or from the kernels directly; those
+entries call the kernels rather than other public functions, so nothing is
+checked or computed twice. The remaining scalar risks (`arb_mmse`,
+`bias_shrink`, `rmse_shrink`, `bias_modified`, `mse_modified`) are kept
+because the benchmark's `simulate` workload reads them.
 
 The truncated estimator's risks are split in two. `_interval_terms` evaluates
 the incomplete-gamma values P(h/2 - j, (h/2 - 1)/delta_i), j = 0, 1, 2, which
@@ -144,22 +147,9 @@ def bias_shrink(h: float, p: float, q: float, delta: float) -> float:
     return _bias_shrink_given_w(q, delta, w)
 
 
-def arb_shrink(h: float, p: float, q: float, delta: float) -> float:
-    return abs(bias_shrink(h, p, q, delta))
-
-
 def rmse_shrink(h: float, p: float, q: float, delta: float) -> float:
     """Relative MSE (q*delta - 1)^2 (1 - w)^2 + 2 w^2 / (h - 4)."""
     return _rmse_shrink_given_w(*_shrink_point(h, p, q, delta))
-
-
-def pre_shrink(h: float, p: float, q: float, delta: float) -> float:
-    """Efficiency relative to (h - 4)/t, in percent.
-
-    Closed form; it agrees with 100 * rmse_mmse(h) / rmse_shrink(h, ...) to
-    rounding, and tests keep both routes honest.
-    """
-    return _pre_shrink_given_w(*_shrink_point(h, p, q, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +167,13 @@ def _nondegenerate_w(p: float, h: float, w: float) -> float:
 
 
 def _mse_range_given_w(h: float, q: float, w: float) -> DominanceRange:
+    """Departures where the shrinkage MSE beats the MMSE multiple's.
+
+    Solving rmse_shrink < rmse_mmse for delta gives an interval centered at
+    1/q with half-width sqrt(G)/q, G = (2/(1-w)^2) (1/(h-2) - w^2/(h-4));
+    G < 0 means no delta qualifies. A negative lower endpoint clamps to 0
+    since departures are positive.
+    """
     gain = (2.0 / (1.0 - w) ** 2) * (1.0 / (h - 2.0) - w * w / (h - 4.0))
     if gain < 0.0:
         return DominanceRange.empty()
@@ -185,6 +182,12 @@ def _mse_range_given_w(h: float, q: float, w: float) -> DominanceRange:
 
 
 def _arb_range_given_w(h: float, q: float, w: float) -> DominanceRange:
+    """Departures where the shrinkage ARB beats 2/(h - 2).
+
+    Solving |q*delta - 1|(1 - w) < 2/(h - 2) gives an interval centered at 1/q
+    with half-width c/q, c = 2 / ((h - 2)(1 - w)). Never empty; the lower
+    endpoint clamps to 0 when c >= 1.
+    """
     half = 2.0 / ((h - 2.0) * (1.0 - w)) / q
     return DominanceRange(max(0.0, 1.0 / q - half), 1.0 / q + half)
 
@@ -202,34 +205,6 @@ def dominance_ranges(h: float, p: float, q: float) -> dict:
     h = _require_h(h, 4.0)
     q = _require_q(q)
     return _ranges_given_w(h, q, _nondegenerate_w(p, h, shrink_weight(p, h)))
-
-
-def mse_dominance_range(h: float, p: float, q: float) -> DominanceRange:
-    """Departure interval on which the shrinkage MSE beats the MMSE multiple.
-
-    Solves rmse_shrink < rmse_mmse for delta. The interval is centered at 1/q
-    with half-width sqrt(G)/q where G = (2/(1-w)^2) (1/(h-2) - w^2/(h-4));
-    G < 0 means no delta qualifies. A negative lower endpoint clamps to 0
-    since departures are positive.
-    """
-    return dominance_ranges(h, p, q)["mse"]
-
-
-def arb_dominance_range(h: float, p: float, q: float) -> DominanceRange:
-    """Departure interval on which the shrinkage ARB beats 2/(h - 2).
-
-    Solves |q*delta - 1|(1 - w) < 2/(h - 2): centered at 1/q with half-width
-    c/q where c = 2 / ((h - 2)(1 - w)). Never empty; the lower endpoint
-    clamps to 0 when c >= 1.
-    """
-    h = _require_h(h, 2.0)
-    q = _require_q(q)
-    return _arb_range_given_w(h, q, _nondegenerate_w(p, h, shrink_weight(p, h)))
-
-
-def best_range(h: float, p: float, q: float) -> DominanceRange:
-    """Departures where the shrinkage estimator wins on both MSE and ARB."""
-    return dominance_ranges(h, p, q)["best"]
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +302,6 @@ def mse_modified(
     """Relative MSE of the truncated shrinkage estimator."""
     h, q, delta1, delta2, w = _modified_point(h, p, q, delta1, delta2)
     return _mse_modified_given_terms(h, q, delta1, delta2, w, _interval_terms(h, delta1, delta2))
-
-
-def pre_modified(
-    h: float, p: float, q: float, delta1: float, delta2: float
-) -> float:
-    """Efficiency of the truncated estimator relative to (h - 4)/t, percent."""
-    h, q, delta1, delta2, w = _modified_point(h, p, q, delta1, delta2)
-    return _pre_modified_given_terms(h, q, delta1, delta2, w, _interval_terms(h, delta1, delta2))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ from weibull_shrink.risk import (
 from weibull_shrink.writers import span, span_ends
 
 DEFAULT_DESIGNS = tuple(sorted((m, h) for (n, m), h in BUILTIN_H.items() if n == 20))
-_ROWS_31 = tuple((d1, d2) for d1, d2, _ in ref.TABLE_31_DEPARTURES)
+ROWS_31 = tuple((d1, d2) for d1, d2, _ in ref.TABLE_31_DEPARTURES)
 
 # audit tolerances: efficiencies are compared relatively, biases absolutely,
 # range endpoints with an allowance for the source's truncate-vs-round habit
@@ -127,24 +127,11 @@ class GridSpec(Frozen):
 
     @classmethod
     def default_31(cls) -> "GridSpec":
-        return cls(DEFAULT_DESIGNS, ref.GRID_P, ref.GRID_Q, _ROWS_31)
+        return cls(DEFAULT_DESIGNS, ref.GRID_P, ref.GRID_Q, ROWS_31)
 
     @classmethod
     def default_51(cls) -> "GridSpec":
         return cls(DEFAULT_DESIGNS, ref.GRID_P, ref.GRID_Q, ref.TABLE_51_INTERVALS)
-
-    def subset(self, m=None, p=None, q=None) -> "GridSpec":
-        """Restrict the grid to the given m, p, or q values (None keeps all)."""
-        h_values = self.h_values if m is None else tuple(
-            (mm, hh) for mm, hh in self.h_values if mm in set(int(x) for x in m)
-        )
-        p_values = self.p_values if p is None else tuple(
-            x for x in self.p_values if x in set(float(v) for v in p)
-        )
-        q_values = self.q_values if q is None else tuple(
-            x for x in self.q_values if x in set(float(v) for v in q)
-        )
-        return GridSpec(h_values, p_values, q_values, self.delta_rows)
 
 
 class TableCell(Frozen):
@@ -504,7 +491,7 @@ def _grade(table: str, rows, printed, rtol: float, evaluate) -> list:
 
 def audit_table_31() -> list:
     """Classify every printed efficiency/bias cell of the nine-row table."""
-    return _grade("31", _ROWS_31, ref.printed_pre_arb, PRE_RTOL_31, _evaluate_31)
+    return _grade("31", ROWS_31, ref.printed_pre_arb, PRE_RTOL_31, _evaluate_31)
 
 
 def audit_table_51() -> list:

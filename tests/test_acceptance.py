@@ -99,8 +99,8 @@ def test_criterion_2_dominance_ranges(criterion_report):
     n_inconsistent = sum(a.status == tables.INCONSISTENT for a in audits)
     n_disagree = sum(a.status == tables.DISAGREE for a in audits)
 
-    mse_r = risk.mse_dominance_range(H[6], -2.0, 0.25)
-    best_r = risk.best_range(H[6], -2.0, 0.25)
+    ranges = risk.dominance_ranges(H[6], -2.0, 0.25)
+    mse_r, best_r = ranges["mse"], ranges["best"]
     worst_anchor = max(
         abs(mse_r.lo - 1.74),
         abs(mse_r.hi - 6.26),

@@ -428,9 +428,33 @@ def test_risk_overflowing_h_names_the_flag(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, h",
+    [
+        (("dominance", "--h", "1e308", "--p", "1", "--q", "0.5"), "1e+308"),
+        (("risk", "--h", "1e306", "--p", "1", "--q", "0.5", "--delta", "1"), "1e+306"),
+        (("mc", "verify", "--h", "1e306", "--p", "1", "--q", "0.5", "--delta", "1",
+          "--reps", "1000"), "1e+306"),
+        (("estimate", "--t", "5", "--h", "1e306", "--p", "1", "--q", "0.5",
+          "--beta1", "1", "--beta2", "2"), "1e+306"),
+        (("table", "31", "--design", "6:1e306", "--rows", "1:2", "--p", "1", "--q", "0.5"),
+         "1e+306"),
+    ],
+    ids=["dominance", "risk", "mc-verify", "estimate", "table"],
+)
+def test_overflowing_weight_names_h(capsys, argv, h):
+    # ln Gamma(h/2 + p) overflows inside the shrinkage weight w(p)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"inputs out of floating-point range: the shrinkage weight w(p=1.0) overflows at h={h}"
+    ]
+
+
 def test_zero_mse_message_is_the_one_in_risk(capsys):
+    mse = risk.report_modified(10.8519, 1.0, 0.5, 1.0, 1.0).rmse
     with pytest.raises(ValueError) as exc:
-        risk.pre_modified(10.8519, 1.0, 0.5, 1.0, 1.0)
+        risk._pre_from_mse(10.8519, mse, 1.0, 1.0)
     code, out, err = run(capsys, "risk", "--h", H6, "--p", "1", "--q", "0.5",
                          "--delta1", "1", "--delta2", "1", "--modified")
     assert (code, out, err) == (2, "", f"{exc.value}\n")
@@ -539,6 +563,30 @@ def test_table_invalid_design_exits_3(capsys):
     code, _, err = run(capsys, "table", "31", "--design", "6:3.5")
     assert code == 3
     assert "h > 4" in err
+
+
+def test_selection_filtering(capsys):
+    # --m and --p select from the stock lists
+    code, out, _ = run(capsys, "table", "31", "--m", "6", "--p", "-1", "--format", "csv")
+    assert code == 0
+    rows = [l.split(",") for l in out.split("\r\n")[1:] if l]
+    assert len(rows) == 27  # 3 q * 9 rows
+    assert all(r[0] == "6" and r[2] == "-1" for r in rows)
+
+
+@pytest.mark.parametrize(
+    "designs, head",
+    [(("--design", "6:5"), ["6", "5", "1", "0.5"]),
+     (("--design", "6:5", "--design", "8:10", "--m", "8"), ["8", "10", "1", "0.5"])],
+    ids=["one-design", "m-selects-a-design"],
+)
+def test_selection_precedes_the_grid_check(capsys, designs, head):
+    # p = -2 is inadmissible at h = 5, but the selection leaves it out
+    code, out, err = run(capsys, "table", "31", *designs,
+                         "--rows", "1:2", "--p", "1", "--q", "0.5", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = [l.split(",") for l in out.split("\r\n")[1:] if l]
+    assert [r[:4] for r in rows] == [head]
 
 
 def test_table_empty_grid_exits_3(capsys):

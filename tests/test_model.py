@@ -237,10 +237,10 @@ def _grid(h=10.8519, p=1.0, row=(0.8, 1.2), m=6):
         lambda: ShrinkageConfig(p=0.0, q=0.5),
         lambda: shrink_weight(0.0, 10.8519),
         lambda: risk.report_shrink(10.8519, 0.0, 0.5, 1.0),
-        lambda: risk.mse_dominance_range(10.8519, 0.0, 0.5),
+        lambda: risk.dominance_ranges(10.8519, 0.0, 0.5),
         lambda: _grid(p=0.0),
     ],
-    ids=["ShrinkageConfig", "shrink_weight", "report_shrink", "mse_dominance_range", "GridSpec"],
+    ids=["ShrinkageConfig", "shrink_weight", "report_shrink", "dominance_ranges", "GridSpec"],
 )
 def test_p_zero_has_one_message(call):
     assert "p must be nonzero, got 0.0" in _message(call)

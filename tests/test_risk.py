@@ -115,8 +115,10 @@ def test_reference_risks_domain():
 
 
 def test_shrink_risk_frozen_values():
-    assert risk.pre_shrink(H6, -2.0, 0.25, 4.0) == pytest.approx(2482.1512645341, rel=1e-12)
-    assert risk.pre_shrink(H6, -1.0, 0.25, 1.0) == pytest.approx(110.96917348844778, rel=1e-12)
+    pre = risk.report_shrink(H6, -2.0, 0.25, 4.0).pre_vs_mmse
+    assert pre == pytest.approx(2482.1512645341, rel=1e-12)
+    pre = risk.report_shrink(H6, -1.0, 0.25, 1.0).pre_vs_mmse
+    assert pre == pytest.approx(110.96917348844778, rel=1e-12)
 
 
 def test_shrink_bias_structure():
@@ -132,7 +134,7 @@ def test_shrink_bias_structure():
        delta=st.floats(min_value=0.05, max_value=20.0))
 @settings(max_examples=200, deadline=None)
 def test_pre_is_mse_ratio(p, h, q, delta):
-    lhs = risk.pre_shrink(h, p, q, delta)
+    lhs = risk.report_shrink(h, p, q, delta).pre_vs_mmse
     rhs = 100.0 * risk.rmse_mmse(h) / risk.rmse_shrink(h, p, q, delta)
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -141,7 +143,7 @@ def test_pre_is_mse_ratio(p, h, q, delta):
        delta=st.floats(min_value=0.05, max_value=20.0))
 @settings(max_examples=200, deadline=None)
 def test_arb_is_abs_bias(p, h, q, delta):
-    assert risk.arb_shrink(h, p, q, delta) == abs(risk.bias_shrink(h, p, q, delta))
+    assert risk.report_shrink(h, p, q, delta).arb == abs(risk.bias_shrink(h, p, q, delta))
 
 
 @given(h=grid_h, q=st.sampled_from([0.25, 0.5, 0.75]),
@@ -161,7 +163,8 @@ def test_inverse_exponent_recovers_mmse_risk():
     # collapses to the MMSE risk exactly, so the efficiency is 100.
     for h in (H6, H8, H10, H12):
         for q in (0.25, 0.5, 0.75):
-            assert risk.pre_shrink(h, -1.0, q, 2.0 / q) == pytest.approx(100.0, rel=1e-12)
+            pre = risk.report_shrink(h, -1.0, q, 2.0 / q).pre_vs_mmse
+            assert pre == pytest.approx(100.0, rel=1e-12)
             assert risk.rmse_shrink(h, -1.0, q, 2.0 / q) == pytest.approx(
                 risk.rmse_mmse(h), rel=1e-12
             )
@@ -191,32 +194,19 @@ RANGES_Q25_H6 = {
 @pytest.mark.parametrize("p", sorted(RANGES_Q25_H6))
 def test_dominance_ranges_frozen(p):
     (mse_lo, mse_hi), (arb_lo, arb_hi) = RANGES_Q25_H6[p]
-    r = risk.mse_dominance_range(H6, p, 0.25)
-    a = risk.arb_dominance_range(H6, p, 0.25)
+    ranges = risk.dominance_ranges(H6, p, 0.25)
+    assert sorted(ranges) == ["arb", "best", "mse"]
+    r, a, b = ranges["mse"], ranges["arb"], ranges["best"]
     assert (r.lo, r.hi) == (pytest.approx(mse_lo, rel=1e-12), pytest.approx(mse_hi, rel=1e-12))
     assert (a.lo, a.hi) == (pytest.approx(arb_lo, rel=1e-12), pytest.approx(arb_hi, rel=1e-12))
-    # here the ARB range is the narrower one, so it is also the joint range
-    b = risk.best_range(H6, p, 0.25)
+    # the best range is the intersection of the other two; here the ARB
+    # range is the narrower one, so it is also the joint range
+    assert b == r.intersect(a)
     assert (b.lo, b.hi) == (pytest.approx(arb_lo, rel=1e-12), pytest.approx(arb_hi, rel=1e-12))
 
 
-@pytest.mark.parametrize("p", sorted(RANGES_Q25_H6))
-def test_dominance_ranges_agree_with_the_separate_arb_route(p):
-    # dominance_ranges takes w(p) once for all three ranges; its ARB range
-    # must equal the one arb_dominance_range works out on its own, and the
-    # best range must be the intersection of the other two
-    (mse_lo, mse_hi), _ = RANGES_Q25_H6[p]
-    ranges = risk.dominance_ranges(H6, p, 0.25)
-    assert sorted(ranges) == ["arb", "best", "mse"]
-    r = ranges["mse"]
-    assert (r.lo, r.hi) == (pytest.approx(mse_lo, rel=1e-12), pytest.approx(mse_hi, rel=1e-12))
-    assert ranges["arb"] == risk.arb_dominance_range(H6, p, 0.25)
-    assert ranges["best"] == ranges["mse"].intersect(ranges["arb"])
-
-
 def test_dominance_ranges_input_checks():
-    # the MSE range needs h > 4, although the ARB range alone is defined at h = 4
-    assert not risk.arb_dominance_range(4.0, 1.0, 0.25).is_empty
+    # the MSE range needs h > 4
     with pytest.raises(ValueError, match="h > 4"):
         risk.dominance_ranges(4.0, 1.0, 0.25)
     for q in (0.0, 1.5, float("nan")):
@@ -229,8 +219,8 @@ def test_dominance_ranges_input_checks():
 def test_dominance_range_inverse_exponent():
     # p = -1 makes both half-widths exactly 1/q: ranges are (0, 2/q)
     for q in (0.25, 0.5, 0.75):
-        r = risk.mse_dominance_range(H6, -1.0, q)
-        a = risk.arb_dominance_range(H6, -1.0, q)
+        ranges = risk.dominance_ranges(H6, -1.0, q)
+        r, a = ranges["mse"], ranges["arb"]
         assert r.lo == 0.0
         assert r.hi == pytest.approx(2.0 / q, rel=1e-12)
         assert a.lo == 0.0
@@ -241,7 +231,7 @@ def test_dominance_range_inverse_exponent():
        u=st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
 @settings(max_examples=300, deadline=None)
 def test_mse_range_is_where_shrinkage_wins(p, h, q, u):
-    r = risk.mse_dominance_range(h, p, q)
+    r = risk.dominance_ranges(h, p, q)["mse"]
     if r.is_empty:
         return
     inside = r.lo + u * (r.hi - r.lo)
@@ -255,30 +245,29 @@ def test_mse_range_is_where_shrinkage_wins(p, h, q, u):
        u=st.floats(min_value=1e-6, max_value=1.0 - 1e-6))
 @settings(max_examples=300, deadline=None)
 def test_arb_range_is_where_bias_wins(p, h, q, u):
-    a = risk.arb_dominance_range(h, p, q)
+    a = risk.dominance_ranges(h, p, q)["arb"]
     inside = a.lo + u * (a.hi - a.lo)
     if inside > 0.0:
-        assert risk.arb_shrink(h, p, q, inside) < risk.arb_mmse(h) + 1e-15
+        assert risk.report_shrink(h, p, q, inside).arb < risk.arb_mmse(h) + 1e-15
     outside = a.hi * (1.0 + u)
-    assert risk.arb_shrink(h, p, q, outside) > risk.arb_mmse(h) - 1e-15
+    assert risk.report_shrink(h, p, q, outside).arb > risk.arb_mmse(h) - 1e-15
 
 
 def test_mse_range_empty_near_zero_exponent():
     # w(0.05) sits so close to 1 that the variance saving cannot pay for the
     # squared bias anywhere: the MSE range is empty, the ARB range is not.
-    r = risk.mse_dominance_range(H6, 0.05, 0.5)
-    assert r.is_empty
-    a = risk.arb_dominance_range(H6, 0.05, 0.5)
-    assert not a.is_empty
-    assert risk.best_range(H6, 0.05, 0.5).is_empty
+    ranges = risk.dominance_ranges(H6, 0.05, 0.5)
+    assert ranges["mse"].is_empty
+    assert not ranges["arb"].is_empty
+    assert ranges["best"].is_empty
 
 
 def test_dominance_rejects_inadmissible_p():
     with pytest.raises(InadmissibleParameterError):
-        risk.mse_dominance_range(H6, 0.0, 0.5)
+        risk.dominance_ranges(H6, 0.0, 0.5)
     with pytest.raises(InadmissibleParameterError):
         # the w > 1 band of small negative p
-        risk.arb_dominance_range(H6, -0.1, 0.5)
+        risk.dominance_ranges(H6, -0.1, 0.5)
 
 
 def test_admissible_p_helper():
@@ -304,7 +293,7 @@ MODIFIED_FROZEN = [
 def test_modified_risk_frozen(h, p, q, d1, d2, bias, mse):
     assert risk.bias_modified(h, p, q, d1, d2) == pytest.approx(bias, rel=1e-12)
     assert risk.mse_modified(h, p, q, d1, d2) == pytest.approx(mse, rel=1e-12)
-    assert risk.pre_modified(h, p, q, d1, d2) == pytest.approx(
+    assert risk.report_modified(h, p, q, d1, d2).pre_vs_mmse == pytest.approx(
         100.0 * risk.rmse_mmse(h) / mse, rel=1e-12
     )
 
@@ -418,10 +407,8 @@ def test_composite_risks_evaluate_once(monkeypatch):
     monkeypatch.setattr(risk, "shrink_weight", counted("w", risk.shrink_weight))
     for fn, args, want in (
         (risk.report_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 6, "w": 1}),
-        (risk.pre_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 6, "w": 1}),
         (risk.bias_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 4, "w": 1}),
         (risk.report_shrink, (H6, -1.0, 0.25, 4.0), {"P": 0, "w": 1}),
-        (risk.best_range, (H6, -2.0, 0.25), {"P": 0, "w": 1}),
         (risk.dominance_ranges, (H6, -2.0, 0.25), {"P": 0, "w": 1}),
     ):
         calls.update(P=0, w=0)

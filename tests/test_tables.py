@@ -67,20 +67,6 @@ def test_default_grid_cardinalities(cells31, cells51):
     assert len(cells51) == 336
 
 
-def test_subset_filtering():
-    spec = GridSpec.default_31().subset(q=[0.5])
-    assert len(table_31(spec)) == 144
-    spec = GridSpec.default_31().subset(m=[6], p=[-1.0])
-    cells = table_31(spec)
-    assert len(cells) == 27  # 3 q * 9 rows
-    assert all(c.m == 6 and c.p == -1.0 for c in cells)
-
-
-def test_subset_to_nothing_is_invalid():
-    with pytest.raises(GridValidationError):
-        GridSpec.default_31().subset(m=[7])
-
-
 def test_cell_iteration_order(cells31):
     # q outermost, then departure row, then p, then design
     first = cells31[0]
@@ -138,9 +124,10 @@ def test_cells_match_risk_functions(cells31):
     spot = [c for c in cells31 if c.q == 0.25 and c.delta == 1.0 and c.p == -1.0 and c.m == 6]
     assert len(spot) == 1
     c = spot[0]
-    assert c.pre == risk.pre_shrink(H6, -1.0, 0.25, 1.0)
-    assert c.arb == risk.arb_shrink(H6, -1.0, 0.25, 1.0)
-    r = risk.mse_dominance_range(H6, -1.0, 0.25)
+    report = risk.report_shrink(H6, -1.0, 0.25, 1.0)
+    assert c.pre == report.pre_vs_mmse
+    assert c.arb == report.arb
+    r = risk.dominance_ranges(H6, -1.0, 0.25)["mse"]
     assert (c.mse_range.lo, c.mse_range.hi) == (r.lo, r.hi)
 
 
@@ -163,12 +150,14 @@ def _fresh_spec(seed):
 
 def test_table51_hoisted_terms_match_per_point_route(cells51, a51):
     # table_51 and the audit share incomplete-gamma terms across cells; each
-    # value must equal the one pre_modified computes for its point alone
+    # value must equal the one report_modified computes for its point alone
     for c in cells51 + table_51(_fresh_spec(0)) + table_51(_fresh_spec(1)):
-        assert c.pre == risk.pre_modified(c.h, c.p, c.q, c.delta1, c.delta2), c
+        report = risk.report_modified(c.h, c.p, c.q, c.delta1, c.delta2)
+        assert c.pre == report.pre_vs_mmse, c
     for a in a51:
         h = dict(tables.DEFAULT_DESIGNS)[a.m]
-        assert a.computed_pre == risk.pre_modified(h, a.p, a.q, a.delta1, a.delta2), a
+        report = risk.report_modified(h, a.p, a.q, a.delta1, a.delta2)
+        assert a.computed_pre == report.pre_vs_mmse, a
 
 
 def test_table31_cells_carry_ranges(cells31):

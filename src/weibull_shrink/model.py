@@ -34,9 +34,11 @@ class Frozen:
     A value type names its fields in ``__slots__``, in positional order, and
     the defaults of its trailing fields in ``_defaults``. From these the base
     writes the type's ``__init__``, a function with one named parameter per
-    field, as ``namedtuple`` does: it stores each field with ``_set`` (the
-    read-only ``__setattr__`` refuses every assignment), then calls
-    ``_check``, so a type writes no ``__init__`` of its own. A type's
+    field, as ``namedtuple`` does. It stores each field through the slot's
+    own descriptor setter, bound once when the class is created (the
+    read-only ``__setattr__`` refuses every assignment), and then calls
+    ``_check``, but only when the type or an ancestor below ``Frozen``
+    defines one; so a type writes no ``__init__`` of its own. A type's
     ``_check`` raises on a broken rule and stores a normalised field again
     with ``_set``. Equality, hashing, ``repr``, ``to_dict`` and pickling
     follow the slot order, with the semantics and text of a frozen
@@ -51,13 +53,13 @@ class Frozen:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         names = cls.__slots__
-        source = "\n".join(
-            [f"def __init__(self, {', '.join(names)}):"]
-            + [f"    _set(self, {name!r}, {name})" for name in names]
-            + ["    self._check()"]
-        )
-        # the source holds only slot names, which Python has checked to be identifiers
-        namespace = {"_set": _set}
+        body = [f"    _set_{name}(self, {name})" for name in names]
+        if cls._check is not Frozen._check:
+            body.append("    self._check()")
+        source = "\n".join([f"def __init__(self, {', '.join(names)}):"] + (body or ["    pass"]))
+        # the source holds only slot names, which Python has checked to be
+        # identifiers; getattr finds a slot's descriptor on the class or a parent
+        namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
         exec(source, namespace)
         init = namespace["__init__"]
         init.__defaults__ = cls._defaults

@@ -20,7 +20,8 @@ because the benchmark's `simulate` workload reads them.
 
 The truncated estimator's risks are split in two. `_interval_terms` evaluates
 the incomplete-gamma values P(h/2 - j, (h/2 - 1)/delta_i), j = 0, 1, 2, which
-depend only on (h, delta1, delta2) and carry nearly all of the cost. The
+depend only on (h, delta1, delta2) and carry nearly all of the cost: one
+incomplete-gamma evaluation per threshold, the lower shapes by recurrence. The
 `_given_terms` kernels are the cheap polynomials in q and w that take those
 values as an argument. A caller evaluates the terms once per guess interval
 and design: `report_modified` shares them between bias and MSE, and the table
@@ -42,7 +43,7 @@ from weibull_shrink.model import (
     _require_positive,
     _require_q,
 )
-from weibull_shrink.specfun import reg_lower_inc_gamma
+from weibull_shrink.specfun import reg_lower_inc_gamma_down
 
 
 class DominanceRange(Frozen):
@@ -221,13 +222,16 @@ def _interval_terms(h: float, delta1: float, delta2: float, depth: int = 3) -> t
     i1_dd, i2_dd) cut to 2 * depth entries.
 
     These depend only on (h, delta1, delta2); the bias needs depth 2 and the
-    MSE depth 3, whose last shape argument h/2 - 2 needs h > 4.
+    MSE depth 3, whose last shape argument h/2 - 2 needs h > 4. Each
+    threshold eta_i costs one incomplete-gamma evaluation, at shape h/2: the
+    lower shapes follow from it by the downward recurrence of
+    `specfun.reg_lower_inc_gamma_down`, which adds only positive terms.
     """
     eta1 = (h / 2.0 - 1.0) / delta1
     eta2 = (h / 2.0 - 1.0) / delta2
-    return tuple(
-        reg_lower_inc_gamma(eta, h / 2.0 - j) for j in range(depth) for eta in (eta1, eta2)
-    )
+    at1 = reg_lower_inc_gamma_down(eta1, h / 2.0, depth - 1)
+    at2 = reg_lower_inc_gamma_down(eta2, h / 2.0, depth - 1)
+    return tuple(v for pair in zip(at1, at2) for v in pair)
 
 
 def _bias_modified_given_terms(
@@ -336,12 +340,15 @@ def report_mmse(h: float) -> RiskReport:
 def report_shrink(h: float, p: float, q: float, delta: float) -> RiskReport:
     h, q, delta, w = _shrink_point(h, p, q, delta)
     bias = _bias_shrink_given_w(q, delta, w)
+    pre = _pre_shrink_given_w(h, q, delta, w)
+    if pre == math.inf:  # 200(h - 4) leaves the float range near h = 9e305
+        raise OverflowError(f"the efficiency of the shrinkage estimator overflows at h={h}")
     return RiskReport(
         estimator_id="SHRINK_PQ",
         bias_over_beta=bias,
         arb=abs(bias),
         rmse=_rmse_shrink_given_w(h, q, delta, w),
-        pre_vs_mmse=_pre_shrink_given_w(h, q, delta, w),
+        pre_vs_mmse=pre,
     )
 
 

@@ -15,6 +15,19 @@ of omega, the absolute error is at most 6.3e-13 for omega <= 2000 and 4.5e-12
 for omega <= 1e4. Beyond the bound it grows about in proportion to omega
 (5e-11 near 1e5, relative 1e-9 at 1e6), and near omega = 5e15 the series runs
 for more than 20 s. The test suite also checks against adaptive quadrature.
+
+The risk formulas need P at shapes omega, omega - 1, omega - 2 and one eta.
+``reg_lower_inc_gamma_down`` evaluates P once, at the top shape, and steps
+down by the recurrence P(a - 1, eta) = P(a, eta) + eta^(a-1) e^(-eta) /
+Gamma(a) (Abramowitz & Stegun 6.5.21; DiDonato & Morris 1986, ACM TOMS 12).
+Taken downward it only adds positive terms, so each step keeps the relative
+accuracy of its two summands and no digits cancel; the upward direction
+subtracts and would. The stepped values carry the error of P at the top
+shape and add almost nothing to it. Against 40-digit mpmath at the truncated
+estimator's thresholds (omega = h/2, eta = (h/2 - 1)/delta), 400 random points
+with h in [4.5, 2000] and delta in [0.3, 3.2] gave a worst absolute error of
+2.2e-13 stepped against 3.3e-13 for separate evaluations of P at each shape;
+with eta within three standard deviations of omega, 6.9e-13 against 6.8e-13.
 """
 
 from __future__ import annotations
@@ -109,3 +122,28 @@ def reg_lower_inc_gamma(eta: float, omega: float) -> float:
         if err <= _MACHEP:
             break
     return 1.0 - ans * ax
+
+
+def reg_lower_inc_gamma_down(eta: float, omega: float, steps: int) -> tuple:
+    """(P(omega, eta), P(omega - 1, eta), ..., P(omega - steps, eta)).
+
+    One ``reg_lower_inc_gamma`` call at the top shape, then one term of the
+    downward recurrence per step (see the module docstring). Each term
+    eta^a e^(-eta) / Gamma(a + 1), a the new shape, is formed in log form and
+    exponentiated on its own, so an underflow at a high shape cannot zero a
+    lower one: at omega = 2.0001 and eta = 1e-200, P(omega, eta) is 0 while
+    P(omega - 2, eta) is 0.955. Values are clamped to [0, 1]. Requires
+    omega - steps > 0 besides the conditions of ``reg_lower_inc_gamma``.
+    """
+    if not omega - steps > 0.0:
+        raise ValueError(f"omega - steps must be > 0, got omega={omega!r}, steps={steps!r}")
+    value = reg_lower_inc_gamma(eta, omega)
+    if eta == 0.0:
+        return (0.0,) * (steps + 1)
+    values = [value]
+    log_eta = math.log(eta)
+    for k in range(1, steps + 1):
+        a = omega - k
+        value = min(1.0, value + math.exp(a * log_eta - eta - math.lgamma(a + 1.0)))
+        values.append(value)
+    return tuple(values)

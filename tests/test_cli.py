@@ -431,24 +431,72 @@ def test_risk_overflowing_h_names_the_flag(capsys):
 @pytest.mark.parametrize(
     "argv, h",
     [
-        (("dominance", "--h", "1e308", "--p", "1", "--q", "0.5"), "1e+308"),
-        (("risk", "--h", "1e306", "--p", "1", "--q", "0.5", "--delta", "1"), "1e+306"),
-        (("mc", "verify", "--h", "1e306", "--p", "1", "--q", "0.5", "--delta", "1",
-          "--reps", "1000"), "1e+306"),
-        (("estimate", "--t", "5", "--h", "1e306", "--p", "1", "--q", "0.5",
-          "--beta1", "1", "--beta2", "2"), "1e+306"),
-        (("table", "31", "--design", "6:1e306", "--rows", "1:2", "--p", "1", "--q", "0.5"),
-         "1e+306"),
+        (("dominance", "--h", "30", "--p", "1e308", "--q", "0.5"), "30.0"),
+        (("dominance", "--h", "20", "--p", "1e308", "--q", "0.5"), "20.0"),
+        (("risk", "--h", "30", "--p", "1e308", "--q", "0.5", "--delta", "1"), "30.0"),
+        (("mc", "verify", "--h", "30", "--p", "1e308", "--q", "0.5", "--delta", "1",
+          "--reps", "1000"), "30.0"),
+        (("estimate", "--t", "5", "--h", "30", "--p", "1e308", "--q", "0.5",
+          "--beta1", "1", "--beta2", "2"), "30.0"),
     ],
-    ids=["dominance", "risk", "mc-verify", "estimate", "table"],
+    ids=["dominance", "dominance-lgamma", "risk", "mc-verify", "estimate"],
 )
 def test_overflowing_weight_names_h(capsys, argv, h):
-    # ln Gamma(h/2 + p) overflows inside the shrinkage weight w(p)
+    # a p near the float range overflows w(p) on both of its routes: the
+    # Stirling form from h = 27 and the lgamma form below
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.splitlines() == [
-        f"inputs out of floating-point range: the shrinkage weight w(p=1.0) overflows at h={h}"
+        f"inputs out of floating-point range: the shrinkage weight w(p=1e+308) overflows at h={h}"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("dominance", "--h", "1e308", "--p", "1", "--q", "0.5"), 3,
+         "w(p=1.0) rounds to 1 at h=1e+308"),
+        (("risk", "--h", "1e306", "--p", "1", "--q", "0.5", "--delta", "1"), 2,
+         "inputs out of floating-point range: the efficiency of the shrinkage "
+         "estimator overflows at h=1e+306"),
+        (("mc", "verify", "--h", "1e306", "--p", "1", "--q", "0.5", "--delta", "1",
+          "--reps", "1000"), 2,
+         "inputs out of floating-point range: the efficiency of the shrinkage "
+         "estimator overflows at h=1e+306"),
+        (("estimate", "--t", "5", "--h", "1e306", "--p", "1", "--q", "0.5",
+          "--beta1", "1", "--beta2", "2", "--format", "json"), 0, None),
+        (("table", "31", "--design", "6:1e306", "--rows", "1:2", "--p", "1", "--q", "0.5"),
+         3, "w(p=1.0) rounds to 1 at h=1e+306"),
+    ],
+    ids=["dominance", "risk", "mc-verify", "estimate", "table"],
+)
+def test_weight_near_the_float_range_is_finite(capsys, argv, code, message):
+    # w(1) = 1 - O(1/h) is representable for every finite h; what fails at
+    # these h is what the weight feeds, each with its own message
+    got, out, err = run(capsys, *argv)
+    assert got == code, err
+    if message is None:
+        assert json.loads(out)["beta_shrink"] == pytest.approx(2e305, rel=1e-12)
+    else:
+        assert out == "" and err.startswith(message) and len(err.splitlines()) == 1
+
+
+def test_dominance_at_large_h_keeps_its_ranges(capsys):
+    # w(1) = 1 - 2/(h/2) + ..., so at h = 1e9 the weight is below 1 and the
+    # ranges exist; the arb range is 1/q -+ 2/((h - 2)(1 - w))/q
+    code, out, err = run(capsys, "dominance", "--h", "1e9", "--p", "1", "--q", "0.5",
+                         "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["arb_range"] == pytest.approx([1.0, 3.0], rel=1e-6)
+
+
+def test_risk_at_large_h_has_vanishing_bias(capsys):
+    # the shrinkage bias (q delta - 1)(1 - w) is of order 1/h: 1e-15 at h = 1e15
+    code, out, err = run(capsys, "risk", "--h", "1e15", "--p", "1", "--q", "0.5",
+                         "--delta", "1", "--format", "json")
+    assert code == 0, err
+    shrink = {r["estimator_id"]: r for r in json.loads(out)}["SHRINK_PQ"]
+    assert abs(shrink["bias_over_beta"]) < 1e-12
 
 
 def test_zero_mse_message_is_the_one_in_risk(capsys):

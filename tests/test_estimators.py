@@ -73,6 +73,51 @@ def test_shrink_weight_closed_forms(h):
         )
 
 
+def _weight_50_digits(p, h):
+    with mpmath.workdps(50):
+        p, h = mpmath.mpf(p), mpmath.mpf(h)
+        return mpmath.exp(
+            p * mpmath.log((h - 2) / 2) + mpmath.loggamma(h / 2 + p) - mpmath.loggamma(h / 2 + 2 * p)
+        )
+
+
+# h on a log grid from 4.5 to 1e15, and densely where the two routes meet
+WEIGHT_H = sorted({4.5 * (1e15 / 4.5) ** (k / 240) for k in range(241)}
+                  | {4.5 + 0.25 * k for k in range(130)})
+
+
+@pytest.mark.parametrize("p", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+def test_shrink_weight_vs_50_digit_mpmath(p):
+    # from h = 27 the Stirling form keeps every term O(1), where a difference
+    # of two lgamma values of size (h/2) ln(h/2) would lose 1e-9 of w near
+    # h = 1e6 and all of 1 - w near 1e9. Below 27 the lgamma form stays, so
+    # the stock tables keep their digits; it measures up to 1.8e-14 there
+    # (near h = 25.6 at p = 2).
+    for h in WEIGHT_H:
+        if h / 2 + 2 * p <= 0:  # inadmissible
+            continue
+        want = _weight_50_digits(p, h)
+        rel = float(abs(shrink_weight(p, h) - want) / want)
+        assert rel <= (1e-14 if h >= 27.0 else 2e-14), (p, h, rel)
+
+
+def test_shrink_weight_keeps_lgamma_digits_on_the_stock_designs():
+    for h in (H6, H8, H10, H12):
+        for p in (-2.0, -1.0, 1.0, 2.0):
+            lgamma_form = math.exp(
+                p * math.log((h - 2.0) / 2.0) + math.lgamma(h / 2.0 + p)
+                - math.lgamma(h / 2.0 + 2.0 * p)
+            )
+            assert shrink_weight(p, h) == lgamma_form, (p, h)
+
+
+def test_shrink_weight_one_minus_w_at_huge_h():
+    # w(1) = (h - 2)/(h + 2) exactly, so 1 - w = 4/(h + 2) must not round to
+    # 0; w stays within a few units in the last place below 1 (2^-53 each)
+    for h in (1e9, 1e12, 1e15):
+        assert abs((1.0 - shrink_weight(1.0, h)) - 4.0 / (h + 2.0)) <= 8 * 2.0**-53, h
+
+
 def test_shrink_weight_rejects_p_zero():
     with pytest.raises(InadmissibleParameterError):
         shrink_weight(0.0, H6)

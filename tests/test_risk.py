@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weibull_shrink import cli, risk, tables
+from weibull_shrink import cli, risk, specfun, tables
 from weibull_shrink.model import (
     GuessInterval,
     InadmissibleParameterError,
@@ -393,6 +393,52 @@ def test_report_builders():
     assert r.rmse == pytest.approx(0.041122780155689265, rel=1e-12)
 
 
+def _direct_terms(h, d1, d2):
+    """The six incomplete gammas of the truncated estimator, one call each."""
+    etas = ((h / 2.0 - 1.0) / d1, (h / 2.0 - 1.0) / d2)
+    return tuple(specfun.reg_lower_inc_gamma(eta, h / 2.0 - j) for j in range(3) for eta in etas)
+
+
+def test_interval_terms_match_six_direct_calls():
+    # Both routes carry the error of P at shape h/2, which grows about in
+    # proportion to omega (see specfun): they agree to 1e-13 up to h = 100
+    # and within 1e-13 per 100 of h beyond, up to h = 2e4 (omega = OMEGA_MAX).
+    import random
+
+    rng = random.Random(20261019)
+    branches = set()
+    for _ in range(600):
+        h = min(4.0 + math.exp(rng.uniform(math.log(1e-4), math.log(2e4))), 2e4)
+        if rng.random() < 0.5:  # thresholds near omega, on either side
+            d1 = max(0.05, 1.0 + rng.gauss(0.0, 3.0 / math.sqrt(h / 2.0)))
+            d2 = d1 * (1.0 + abs(rng.gauss(0.0, 2.0 / math.sqrt(h))))
+        else:
+            d1 = math.exp(rng.uniform(-1.5, 1.5))
+            d2 = d1 * math.exp(rng.uniform(0.0, 1.0))
+        branches.update((h / 2.0 - 1.0) / d < h / 2.0 + 1.0 for d in (d1, d2))
+        got = risk._interval_terms(h, d1, d2)
+        want = _direct_terms(h, d1, d2)
+        tol = 1e-13 * max(1.0, h / 100.0)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= tol, (h, d1, d2)
+        assert risk._interval_terms(h, d1, d2, depth=2) == got[:4]
+    assert branches == {True, False}  # both the series and the continued fraction
+
+
+@pytest.mark.parametrize(
+    "h, d1, d2",
+    [
+        (4.0002, 1e200, 2e200),  # P(h/2 - 2, eta) near 1 while P(h/2, eta) underflows
+        (4.0002, 0.5, 1e200),
+        (30.0, 1e-4, 1e-3),  # eta far above omega: every term is 1
+        (2000.0, 1e-6, 1e-5),
+    ],
+)
+def test_interval_terms_corners(h, d1, d2):
+    got = risk._interval_terms(h, d1, d2)
+    assert max(abs(a - b) for a, b in zip(got, _direct_terms(h, d1, d2))) <= 1e-13
+    assert all(0.0 <= v <= 1.0 for v in got)
+
+
 def test_composite_risks_evaluate_once(monkeypatch):
     calls = {"P": 0, "w": 0}
 
@@ -403,11 +449,12 @@ def test_composite_risks_evaluate_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(risk, "reg_lower_inc_gamma", counted("P", risk.reg_lower_inc_gamma))
+    # P is counted where the downward recurrence calls it, once per threshold
+    monkeypatch.setattr(specfun, "reg_lower_inc_gamma", counted("P", specfun.reg_lower_inc_gamma))
     monkeypatch.setattr(risk, "shrink_weight", counted("w", risk.shrink_weight))
     for fn, args, want in (
-        (risk.report_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 6, "w": 1}),
-        (risk.bias_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 4, "w": 1}),
+        (risk.report_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 2, "w": 1}),
+        (risk.bias_modified, (H6, -1.0, 0.25, 0.8, 1.2), {"P": 2, "w": 1}),
         (risk.report_shrink, (H6, -1.0, 0.25, 4.0), {"P": 0, "w": 1}),
         (risk.dominance_ranges, (H6, -2.0, 0.25), {"P": 0, "w": 1}),
     ):
@@ -420,20 +467,24 @@ def test_composite_risks_evaluate_once(monkeypatch):
         assert cli.main(["dominance", "--h", str(H6), "--p", "-2", "--q", "0.25"]) == 0
     assert calls == {"P": 0, "w": 1}
     # w(p) once per (p, h) of the 4 x 4 stock grid, the dominance ranges
-    # included, and six P values per (h, delta1, delta2): 4 designs x 7
+    # included, and two P values per (h, delta1, delta2): 4 designs x 7
     # intervals, once per table build and once per audit, whatever the number
-    # of p and q values
+    # of p and q values. The ranges are evaluated once per (p, q, h) block,
+    # 4 x 3 x 4 = 48, and the range audit evaluates a block again at the
+    # printed weight only when some printed range misses: 10 of the 48.
     monkeypatch.setattr(tables, "shrink_weight", counted("table_w", tables.shrink_weight))
-    for fn, args, want_p in (
-        (tables.table_51, (tables.GridSpec.default_51(),), 6 * 4 * 7),
-        (tables.audit_table_51, (), 6 * 4 * 7),
-        (tables.audit_table_31, (), 0),
-        (tables.table_31, (tables.GridSpec.default_31(),), 0),
-        (tables.audit_ranges_31, (), 0),
+    monkeypatch.setattr(tables, "_ranges_given_w", counted("ranges", tables._ranges_given_w))
+    for fn, args, want_p, want_ranges in (
+        (tables.table_51, (tables.GridSpec.default_51(),), 2 * 4 * 7, 0),
+        (tables.audit_table_51, (), 2 * 4 * 7, 0),
+        (tables.audit_table_31, (), 0, 0),
+        (tables.table_31, (tables.GridSpec.default_31(),), 0, 48),
+        (tables.audit_ranges_31, (), 0, 48 + 10),
     ):
-        calls.update(P=0, w=0, table_w=0)
+        calls.update(P=0, w=0, table_w=0, ranges=0)
         fn(*args)
-        assert (calls["P"], calls["table_w"], calls["w"]) == (want_p, 16, 0), fn.__name__
+        got = (calls["P"], calls["table_w"], calls["w"], calls["ranges"])
+        assert got == (want_p, 16, 0, want_ranges), fn.__name__
 
 
 def test_bias_modified_below_h_4():

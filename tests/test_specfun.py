@@ -17,6 +17,7 @@ from weibull_shrink.specfun import (
     OMEGA_MAX,
     ln_gamma,
     reg_lower_inc_gamma,
+    reg_lower_inc_gamma_down,
 )
 
 mpmath.mp.dps = 40
@@ -158,6 +159,52 @@ def test_reg_lower_inc_gamma_omega_bound():
     for omega in (math.nextafter(OMEGA_MAX, math.inf), 5e15, 5e299):
         with pytest.raises(ValueError, match="omega must be <="):
             reg_lower_inc_gamma(omega, omega)
+
+
+def _p_40_digits(eta, omega):
+    return mpmath.gammainc(mpmath.mpf(omega), 0, mpmath.mpf(eta), regularized=True)
+
+
+@pytest.mark.parametrize(
+    "eta, omega",
+    [
+        (4.42595, 5.42595),  # series branch at every shape
+        (13.0, 6.0),  # continued fraction at the top, series below
+        (7.5, 6.0),
+        (0.3, 2.5),
+        (990.0, 1000.0),  # omega near 1000, eta within a standard deviation
+        (1040.0, 1000.0),
+        (1.0001e-200, 2.0001),  # h = 4.0002, delta1 = 1e200: 0, 1e-200, then 0.955
+        (1e5, 3.0),  # eta far above omega: 1 at every shape
+        (0.0, 4.0),
+    ],
+)
+def test_reg_lower_inc_gamma_down_vs_mpmath(eta, omega):
+    # the downward steps add positive terms, so each value keeps the accuracy
+    # of P at the top shape (within 5e-13 at omega = 1000, 1e-15 below 10)
+    got = reg_lower_inc_gamma_down(eta, omega, 2)
+    assert len(got) == 3
+    tol = 1e-15 if omega < 10 else 5e-13
+    for j, value in enumerate(got):
+        want = _p_40_digits(eta, omega - j)
+        assert abs(value - float(want)) <= tol, (j, value, want)
+        assert 0.0 <= value <= 1.0
+
+
+def test_reg_lower_inc_gamma_down_keeps_low_shapes_past_an_underflow():
+    # at shape 2.0001 the density term underflows, at 0.0001 it is 0.955: the
+    # log-form step keeps it, as a direct evaluation does
+    top, middle, bottom = reg_lower_inc_gamma_down(1.0001e-200, 2.0001, 2)
+    assert top == 0.0
+    assert bottom == pytest.approx(float(_p_40_digits(1.0001e-200, 0.0001)), rel=1e-13)
+    assert bottom == pytest.approx(reg_lower_inc_gamma(1.0001e-200, 0.0001), rel=1e-13)
+
+
+def test_reg_lower_inc_gamma_down_needs_a_positive_bottom_shape():
+    assert reg_lower_inc_gamma_down(1.0, 2.5, 2)[2] > 0.0
+    for omega, steps in ((2.0, 2), (1.5, 2), (0.5, 1)):
+        with pytest.raises(ValueError, match="omega - steps"):
+            reg_lower_inc_gamma_down(1.0, omega, steps)
 
 
 def test_ln_gamma_exact_points():

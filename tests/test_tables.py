@@ -120,15 +120,81 @@ def test_table_cell_validation():
 # --- cell contents ----------------------------------------------------------
 
 
-def test_cells_match_risk_functions(cells31):
-    spot = [c for c in cells31 if c.q == 0.25 and c.delta == 1.0 and c.p == -1.0 and c.m == 6]
-    assert len(spot) == 1
-    c = spot[0]
-    report = risk.report_shrink(H6, -1.0, 0.25, 1.0)
-    assert c.pre == report.pre_vs_mmse
-    assert c.arb == report.arb
-    r = risk.dominance_ranges(H6, -1.0, 0.25)["mse"]
-    assert (c.mse_range.lo, c.mse_range.hi) == (r.lo, r.hi)
+def _grid_points(spec):
+    """(m, h, p, q, delta1, delta2) of each cell of `spec`, in table order."""
+    return [(m, h, p, q, d1, d2) for q in spec.q_values for d1, d2 in spec.delta_rows
+            for p in spec.p_values for m, h in spec.h_values]
+
+
+def _check_cells_by_name(which, spec, cells):
+    points = _grid_points(spec)
+    assert len(cells) == len(points)
+    for c, (m, h, p, q, d1, d2) in zip(cells, points):
+        assert (c.m, c.h, c.p, c.q, c.delta1, c.delta2) == (m, h, p, q, d1, d2), c
+        assert c.delta == 0.5 * (d1 + d2), c
+        if which == "31":
+            report = risk.report_shrink(h, p, q, c.delta)
+            ranges = risk.dominance_ranges(h, p, q)
+            assert (c.pre, c.arb) == (report.pre_vs_mmse, report.arb), c
+            assert (c.mse_range, c.arb_range, c.best) == (
+                ranges["mse"], ranges["arb"], ranges["best"]), c
+        else:
+            report = risk.report_modified(h, p, q, d1, d2)
+            assert (c.pre, c.arb) == (report.pre_vs_mmse, None), c
+            assert (c.mse_range, c.arb_range, c.best) == (None, None, None), c
+
+
+@pytest.mark.parametrize("which", ["31", "51"])
+def test_every_cell_field_comes_from_its_name(which, cells31, cells51):
+    # table_31 and table_51 pass TableCell's twelve fields by position; every
+    # field is checked against the quantity it names, over the stock table
+    # and a seeded fresh grid, so any two arguments swapped fail here
+    build = table_31 if which == "31" else table_51
+    stock = GridSpec.default_31() if which == "31" else GridSpec.default_51()
+    _check_cells_by_name(which, stock, cells31 if which == "31" else cells51)
+    fresh = _fresh_spec(7)
+    _check_cells_by_name(which, fresh, build(fresh))
+
+
+@pytest.mark.parametrize("which", ["31", "51"])
+def test_every_audit_field_comes_from_its_name(which, a31, a51):
+    audits = a31 if which == "31" else a51
+    rows = tables.ROWS_31 if which == "31" else ref.TABLE_51_INTERVALS
+    stock_h = dict(tables.DEFAULT_DESIGNS)
+    points = [(m, p, q, i) for q in ref.GRID_Q for i in range(len(rows))
+              for p in ref.GRID_P for m, _ in tables.DEFAULT_DESIGNS]
+    assert len(audits) == len(points)
+    for a, (m, p, q, i) in zip(audits, points):
+        d1, d2 = rows[i]
+        h = stock_h[m]
+        assert (a.table, a.m, a.p, a.q, a.delta1, a.delta2) == (which, m, p, q, d1, d2), a
+        if which == "31":
+            printed_pre, printed_arb = ref.printed_pre_arb(p, q, i, m)
+            report = risk.report_shrink(h, p, q, 0.5 * (d1 + d2))
+            assert a.abs_err_arb == abs(report.arb - printed_arb), a
+        else:
+            printed_pre, printed_arb = ref.TABLE_51[(q, p, m)][i], None
+            report = risk.report_modified(h, p, q, d1, d2)
+            assert a.abs_err_arb is None, a
+        assert (a.printed_pre, a.printed_arb) == (printed_pre, printed_arb), a
+        assert a.computed_pre == report.pre_vs_mmse, a
+        assert a.computed_arb == (report.arb if which == "31" else None), a
+        assert a.rel_err_pre == abs(a.computed_pre - printed_pre) / printed_pre, a
+        assert a.large is (a.rel_err_pre > tables.LARGE_DISAGREEMENT), a
+        assert a.status in (PASS, ARTIFACT, DISAGREE), a
+
+
+def test_every_range_audit_field_comes_from_its_name():
+    audits = audit_ranges_31()
+    stock_h = dict(tables.DEFAULT_DESIGNS)
+    points = [(kind, m, p, q) for p in ref.GRID_P for q in ref.GRID_Q
+              for m, _ in tables.DEFAULT_DESIGNS for kind in ("mse", "arb", "best")]
+    assert [(r.kind, r.m, r.p, r.q) for r in audits] == points
+    for r in audits:
+        assert r.printed == ref.RANGES_31[r.p, r.q][r.kind][r.m], r
+        assert r.computed == risk.dominance_ranges(stock_h[r.m], r.p, r.q)[r.kind], r
+        assert r.status in (PASS, ARTIFACT, UNVERIFIABLE, INCONSISTENT, DISAGREE), r
+        assert (r.status == UNVERIFIABLE) == (r.printed is None), r
 
 
 def _fresh_spec(seed):

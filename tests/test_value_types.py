@@ -25,11 +25,13 @@ import weibull_shrink
 from weibull_shrink import cli
 from weibull_shrink.model import (
     CensoredSample,
+    Frozen,
     GuessInterval,
     PivotalContext,
     RiskReport,
     ShrinkageConfig,
     WeibullParams,
+    _set,
 )
 from weibull_shrink.montecarlo import EmpiricalRisk, SimulationPlan
 from weibull_shrink.risk import DominanceRange
@@ -264,6 +266,66 @@ def test_constructors_still_normalise_and_check():
     audit = CellAudit("51", 6, 1.0, 0.5, 0.8, 1.2, 50.0, 49.0, 0.02, "pass")
     assert (audit.printed_arb, audit.computed_arb, audit.abs_err_arb, audit.large) == (
         None, None, None, False)
+
+
+def _runs_check(cls) -> bool:
+    """Whether the generated constructor calls _check."""
+    return "_check" in cls.__init__.__code__.co_names
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+def test_constructor_calls_check_only_where_a_type_defines_one(cls):
+    assert _runs_check(cls) == (cls._check is not Frozen._check)
+
+
+@pytest.mark.parametrize("cls", [CellAudit, RangeAudit], ids=lambda c: c.__name__)
+def test_types_without_rules_still_behave_as_frozen_records(cls):
+    assert "_check" not in vars(cls) and not _runs_check(cls)
+    kwargs, change = SAMPLES[cls]
+    obj = cls(**kwargs)
+    assert _values(obj) == tuple(kwargs.values())
+    for name in FIELDS[cls]:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(obj, name)
+    assert obj == cls(*kwargs.values()) and hash(obj) == hash(_reference(obj))
+    assert obj != cls(**{**kwargs, **change})
+    assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_an_inherited_check_still_runs():
+    class Interval(GuessInterval):
+        pass
+
+    class Audit(CellAudit):
+        def _check(self) -> None:
+            if self.status not in ("pass", "fail"):
+                raise ValueError(f"bad status {self.status!r}")
+
+    assert _runs_check(Interval) and _runs_check(Audit)
+    assert Interval(1.0, 2.0).midpoint == 1.5
+    with pytest.raises(ValueError, match="beta1 must not exceed beta2"):
+        Interval(2.0, 1.0)
+    kwargs = SAMPLES[CellAudit][0]
+    assert Audit(**kwargs).status == "pass"
+    with pytest.raises(ValueError, match="bad status 'odd'"):
+        Audit(**{**kwargs, "status": "odd"})
+
+
+def test_a_normalising_check_stores_the_normalised_value():
+    class Rounded(Frozen):
+        __slots__ = ("x", "tags")
+
+        def _check(self) -> None:
+            _set(self, "x", round(self.x, 1))
+            _set(self, "tags", tuple(self.tags))
+
+    obj = Rounded(1.26, ["a"])
+    assert (obj.x, obj.tags) == (1.3, ("a",))
+    assert obj == Rounded(x=1.3, tags=("a",))
+    with pytest.raises(AttributeError, match="cannot assign to field 'x'"):
+        obj.x = 2.0
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)

@@ -7,7 +7,7 @@ is a function of (h, t) plus the prior guess interval (beta1, beta2).
 
 Modules:
     model       -- validated value types and the one copy of each input rule
-    specfun     -- log-gamma, regularized lower incomplete gamma
+    specfun     -- regularized lower incomplete gamma and its downward recurrence
     estimators  -- point estimators of the shape parameter
     risk        -- exact relative bias / relative MSE / efficiency formulas
     montecarlo  -- seeded simulation: empirical risk, calibration constants
@@ -25,7 +25,7 @@ from weibull_shrink.model import (
     WeibullParams,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "CensoredSample",

@@ -212,9 +212,15 @@ def _point_reports(args, delta: float, pair: bool) -> list:
         reports = [risk.report_unbiased(args.h), risk.report_mmse(args.h)]
     except OverflowError as exc:
         raise OverflowError(f"--h {args.h!r} is too large: {exc}") from None
-    reports.append(risk.report_shrink(args.h, args.p, args.q, delta))
-    if pair:
-        reports.append(risk.report_modified(args.h, args.p, args.q, args.delta1, args.delta2))
+    try:
+        reports.append(risk.report_shrink(args.h, args.p, args.q, delta))
+        if pair:
+            reports.append(risk.report_modified(args.h, args.p, args.q, args.delta1, args.delta2))
+    except risk.DepartureOverflowError as exc:
+        given = [f"--{name} {value!r}" for name, value in
+                 (("delta", args.delta), ("delta1", args.delta1), ("delta2", args.delta2))
+                 if value is not None]
+        raise OverflowError(f"{' '.join(given)}: {exc}") from None
     return reports
 
 
@@ -254,7 +260,10 @@ def cmd_risk(args) -> tuple:
 def cmd_dominance(args) -> tuple:
     from weibull_shrink import risk
 
-    ranges = risk.dominance_ranges(args.h, args.p, args.q)
+    try:
+        ranges = risk.dominance_ranges(args.h, args.p, args.q)
+    except risk.DepartureOverflowError as exc:
+        raise OverflowError(f"--q {args.q!r}: {exc}") from None
     named = [("mse_range", ranges["mse"]), ("arb_range", ranges["arb"]), ("best", ranges["best"])]
     if args.format == "csv":
         rows = [[name, *writers.span_ends(r)] for name, r in named]

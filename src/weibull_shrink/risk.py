@@ -16,7 +16,9 @@ efficiency, ARB and the three dominance ranges, from `report_shrink`,
 entries call the kernels rather than other public functions, so nothing is
 checked or computed twice. The remaining scalar risks (`arb_mmse`,
 `bias_shrink`, `rmse_shrink`, `bias_modified`, `mse_modified`) are kept
-because the benchmark's `simulate` workload reads them.
+because the benchmark's `simulate` workload reads them. The kernels square by
+multiplying, so an overflow is an inf rather than a raise; the entries then
+raise `DepartureOverflowError`, naming the departure or q.
 
 The truncated estimator's risks are split in two. `_interval_terms` evaluates
 the incomplete-gamma values P(h/2 - j, (h/2 - 1)/delta_i), j = 0, 1, 2, which
@@ -82,13 +84,9 @@ class DominanceRange(Frozen):
         return DominanceRange.empty()
 
 
-def admissible_p(p: float, h: float) -> bool:
-    """True when a finite p yields a usable shrinkage weight for this h."""
-    try:
-        shrink_weight(p, h)
-    except InadmissibleParameterError:
-        return False
-    return True
+class DepartureOverflowError(OverflowError):
+    """A departure, or 1/q, carries a risk or a range end past the float
+    range; h and w(p) have passed, so a caller can name where those came from."""
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +120,13 @@ def _bias_shrink_given_w(q: float, delta: float, w: float) -> float:
 
 
 def _rmse_shrink_given_w(h: float, q: float, delta: float, w: float) -> float:
-    return (q * delta - 1.0) ** 2 * (1.0 - w) ** 2 + 2.0 * w * w / (h - 4.0)
+    pull = q * delta - 1.0
+    return pull * pull * (1.0 - w) ** 2 + 2.0 * w * w / (h - 4.0)
 
 
 def _pre_shrink_given_w(h: float, q: float, delta: float, w: float) -> float:
-    denom = (h - 2.0) * (
-        (q * delta - 1.0) ** 2 * (1.0 - w) ** 2 * (h - 4.0) + 2.0 * w * w
-    )
+    pull = q * delta - 1.0
+    denom = (h - 2.0) * (pull * pull * (1.0 - w) ** 2 * (h - 4.0) + 2.0 * w * w)
     return 100.0 * 2.0 * (h - 4.0) / denom
 
 
@@ -167,36 +165,26 @@ def _nondegenerate_w(p: float, h: float, w: float) -> float:
     return w
 
 
-def _mse_range_given_w(h: float, q: float, w: float) -> DominanceRange:
-    """Departures where the shrinkage MSE beats the MMSE multiple's.
-
-    Solving rmse_shrink < rmse_mmse for delta gives an interval centered at
-    1/q with half-width sqrt(G)/q, G = (2/(1-w)^2) (1/(h-2) - w^2/(h-4));
-    G < 0 means no delta qualifies. A negative lower endpoint clamps to 0
-    since departures are positive.
-    """
-    gain = (2.0 / (1.0 - w) ** 2) * (1.0 / (h - 2.0) - w * w / (h - 4.0))
-    if gain < 0.0:
-        return DominanceRange.empty()
-    half = math.sqrt(gain) / q
-    return DominanceRange(max(0.0, 1.0 / q - half), 1.0 / q + half)
-
-
-def _arb_range_given_w(h: float, q: float, w: float) -> DominanceRange:
-    """Departures where the shrinkage ARB beats 2/(h - 2).
-
-    Solving |q*delta - 1|(1 - w) < 2/(h - 2) gives an interval centered at 1/q
-    with half-width c/q, c = 2 / ((h - 2)(1 - w)). Never empty; the lower
-    endpoint clamps to 0 when c >= 1.
-    """
-    half = 2.0 / ((h - 2.0) * (1.0 - w)) / q
-    return DominanceRange(max(0.0, 1.0 / q - half), 1.0 / q + half)
+def _range_about(q: float, half: float) -> DominanceRange:
+    """(1/q - half, 1/q + half), the lower end clamped to 0: departures are positive."""
+    hi = 1.0 / q + half
+    if hi == math.inf:
+        raise DepartureOverflowError(f"the dominance ranges reach past the float range at q={q!r}")
+    return DominanceRange(max(0.0, 1.0 / q - half), hi)
 
 
 def _ranges_given_w(h: float, q: float, w: float) -> dict:
-    """The MSE, ARB and best ranges, keyed "mse", "arb" and "best"."""
-    r_mse = _mse_range_given_w(h, q, w)
-    r_arb = _arb_range_given_w(h, q, w)
+    """The MSE, ARB and best ranges, keyed "mse", "arb" and "best".
+
+    The MSE range holds the departures where the shrinkage MSE beats the MMSE
+    multiple's: solving rmse_shrink < rmse_mmse for delta gives half-width
+    sqrt(G)/q about 1/q, G = (2/(1-w)^2) (1/(h-2) - w^2/(h-4)), and no range
+    when G < 0. The ARB range, where the shrinkage ARB beats 2/(h - 2), has
+    half-width c/q, c = 2/((h - 2)(1 - w)), and is never empty.
+    """
+    gain = (2.0 / (1.0 - w) ** 2) * (1.0 / (h - 2.0) - w * w / (h - 4.0))
+    r_mse = DominanceRange.empty() if gain < 0.0 else _range_about(q, math.sqrt(gain) / q)
+    r_arb = _range_about(q, 2.0 / ((h - 2.0) * (1.0 - w)) / q)
     return {"mse": r_mse, "arb": r_arb, "best": r_mse.intersect(r_arb)}
 
 
@@ -255,7 +243,7 @@ def _mse_modified_given_terms(
     pull = q * delta * (1.0 - w)
     i1_full, i2_full, i1_down, i2_down, i1_dd, i2_dd = terms
     return (
-        (delta1 - 1.0) ** 2
+        (delta1 - 1.0) * (delta1 - 1.0)
         - delta1 * (delta1 - 2.0) * i1_full
         + delta2 * (delta2 - 2.0) * i2_full
         + w * w * ((h - 2.0) / (h - 4.0)) * (i1_dd - i2_dd)
@@ -272,13 +260,6 @@ def _pre_from_mse(h: float, mse: float, delta1: float, delta2: float) -> float:
             f"({delta1!r}, {delta2!r}), so its efficiency is unbounded"
         )
     return 100.0 * (2.0 / (h - 2.0)) / mse
-
-
-def _pre_modified_given_terms(
-    h: float, q: float, delta1: float, delta2: float, w: float, terms: tuple
-) -> float:
-    mse = _mse_modified_given_terms(h, q, delta1, delta2, w, terms)
-    return _pre_from_mse(h, mse, delta1, delta2)
 
 
 def _modified_point(
@@ -343,11 +324,14 @@ def report_shrink(h: float, p: float, q: float, delta: float) -> RiskReport:
     pre = _pre_shrink_given_w(h, q, delta, w)
     if pre == math.inf:  # 200(h - 4) leaves the float range near h = 9e305
         raise OverflowError(f"the efficiency of the shrinkage estimator overflows at h={h}")
+    rmse = _rmse_shrink_given_w(h, q, delta, w)
+    if not math.isfinite(rmse):
+        raise DepartureOverflowError(f"the shrinkage estimator's MSE overflows at delta={delta!r}")
     return RiskReport(
         estimator_id="SHRINK_PQ",
         bias_over_beta=bias,
         arb=abs(bias),
-        rmse=_rmse_shrink_given_w(h, q, delta, w),
+        rmse=rmse,
         pre_vs_mmse=pre,
     )
 
@@ -359,6 +343,10 @@ def report_modified(
     terms = _interval_terms(h, delta1, delta2)
     bias = _bias_modified_given_terms(q, delta1, delta2, w, terms)
     mse = _mse_modified_given_terms(h, q, delta1, delta2, w, terms)
+    if not (math.isfinite(bias) and math.isfinite(mse)):
+        raise DepartureOverflowError(
+            f"the truncated estimator's risks overflow on ({delta1!r}, {delta2!r})"
+        )
     return RiskReport(
         estimator_id="SHRINK_PQ_MODIFIED",
         bias_over_beta=bias,

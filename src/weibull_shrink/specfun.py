@@ -1,7 +1,6 @@
 """Special functions needed by the exact risk formulas.
 
-Only two primitives are required: the log-gamma function and the regularized
-lower incomplete gamma function
+The one primitive required is the regularized lower incomplete gamma function
 
     P(omega, eta) = (1 / Gamma(omega)) * integral_0^eta u^(omega-1) e^(-u) du.
 
@@ -42,14 +41,6 @@ _MIN_LOG = -745.0
 # Largest omega accepted by reg_lower_inc_gamma: its absolute error stays
 # within 5e-12 up to here (see the module docstring).
 OMEGA_MAX = 1e4
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def reg_lower_inc_gamma(eta: float, omega: float) -> float:

@@ -62,11 +62,11 @@ from weibull_shrink.risk import (
     DominanceRange,
     _bias_shrink_given_w,
     _interval_terms,
+    _mse_modified_given_terms,
     _nondegenerate_w,
-    _pre_modified_given_terms,
+    _pre_from_mse,
     _pre_shrink_given_w,
     _ranges_given_w,
-    admissible_p,
 )
 from weibull_shrink.writers import span, span_ends
 
@@ -119,8 +119,7 @@ class GridSpec(Frozen):
         for p in p_values:
             if passes(f"p={p}", _require_p, p):
                 for m, h in designs:
-                    if not admissible_p(p, h):
-                        problems.append(f"p={p} is inadmissible at h={h} (m={m})")
+                    passes(f"p={p} is inadmissible at h={h} (m={m})", shrink_weight, p, h)
         for q in q_values:
             passes(f"q={q}", _require_q, q)
         for i, (d1, d2) in enumerate(delta_rows):
@@ -202,7 +201,8 @@ def _evaluator_51(designs, rows):
     terms = {(h, d1, d2): _interval_terms(h, d1, d2) for _, h in designs for d1, d2 in rows}
 
     def evaluate(h, q, d1, d2, delta, w):
-        return _pre_modified_given_terms(h, q, d1, d2, w, terms[h, d1, d2]), None
+        mse = _mse_modified_given_terms(h, q, d1, d2, w, terms[h, d1, d2])
+        return _pre_from_mse(h, mse, d1, d2), None
 
     return evaluate
 
@@ -222,7 +222,8 @@ def table_31(spec: GridSpec) -> list:
         pre, arb = _evaluate_31(h, q, d1, d2, delta, w)
         # positional, in slot order: m, h, p, q, delta1, delta2, delta, pre,
         # arb, mse_range, arb_range, best
-        cells.append(TableCell(m, h, p, q, d1, d2, delta, pre, arb, *block))
+        cells.append(TableCell(m, h, p, q, d1, d2, delta, _finite_mse(pre, m, h, p, q, d1, d2),
+                               arb, *block))
     return cells
 
 
@@ -231,11 +232,20 @@ def table_51(spec: GridSpec) -> list:
     evaluate = _evaluator_51(spec.h_values, spec.delta_rows)
     # positional, in slot order: m, h, p, q, delta1, delta2, delta, pre
     return [
-        TableCell(m, h, p, q, d1, d2, delta, evaluate(h, q, d1, d2, delta, w)[0])
+        TableCell(m, h, p, q, d1, d2, delta,
+                  _finite_mse(evaluate(h, q, d1, d2, delta, w)[0], m, h, p, q, d1, d2))
         for q, _, d1, d2, delta, p, m, h, w in _walk(
             spec.h_values, spec.p_values, spec.q_values, spec.delta_rows
         )
     ]
+
+
+def _finite_mse(pre, m, h, p, q, d1, d2) -> float:
+    """pre, unless the cell's MSE overflowed: then PRE = 100 mse_mmse / mse is 0 or NaN."""
+    if pre > 0.0:
+        return pre
+    raise OverflowError(f"the MSE overflows at design (m={m}, h={h}), row ({d1!r}, {d2!r}), "
+                        f"p={p} and q={q} (PRE {pre!r})")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from weibull_shrink.model import (
     ShrinkageConfig,
     WeibullParams,
 )
-from weibull_shrink.reference_data import MC_POINTS
+from weibull_shrink.reference_data import MC_POINTS, MMSE_ARB_PRINTED
 from weibull_shrink.specfun import reg_lower_inc_gamma
 
 H = dict(tables.DEFAULT_DESIGNS)
@@ -122,9 +122,8 @@ def test_criterion_2_dominance_ranges(criterion_report):
 
 
 def test_criterion_3_mmse_footer(criterion_report):
-    printed = {6: 0.2259, 8: 0.1463, 10: 0.1061, 12: 0.0820}
-    got = {m: round(risk.arb_mmse(H[m]), 4) for m in printed}
-    ok = got == printed
+    got = {m: round(risk.arb_mmse(H[m]), 4) for m in MMSE_ARB_PRINTED}
+    ok = got == MMSE_ARB_PRINTED
     line = (
         f"criterion 3: {'PASS' if ok else 'FAIL'} - MMSE ARB footer "
         + "/".join(f"{got[m]:.4f}" for m in (6, 8, 10, 12))

@@ -388,21 +388,35 @@ def test_risk_flag_problems_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ("risk", "--h", "20", "--p", "1", "--q", "0.5",
-         "--delta1", "1e-300", "--delta2", "1e300", "--modified"),
-        ("risk", "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1e300"),
-        ("mc", "verify", "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1e300",
-         "--reps", "2000"),
+        (("risk", "--h", "20", "--p", "1", "--q", "0.5",
+          "--delta1", "1e-300", "--delta2", "1e300", "--modified"),
+         "--delta1 1e-300 --delta2 1e+300: "),
+        (("risk", "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1e300"),
+         "--delta 1e+300: "),
+        (("mc", "verify", "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1e300",
+          "--reps", "2000"),
+         "--delta 1e+300: "),
+        (("table", "31", "--design", "6:10.8519", "--rows", "1e200:1e200", "--p", "1",
+          "--q", "0.5"),
+         "at design (m=6, h=10.8519), row (1e+200, 1e+200)"),
+        (("table", "51", "--design", "6:10.8519", "--rows", "1e-300:1e300"),
+         "at design (m=6, h=10.8519), row (1e-300, 1e+300)"),
+        (("dominance", "--h", "10", "--p", "1", "--q", "1e-320"),
+         "--q 1e-320: "),
     ],
+    ids=[f"argv{i}" for i in range(6)],
 )
-def test_overflow_exits_2_without_traceback(capsys, argv):
+def test_overflow_exits_2_without_traceback(capsys, argv, named):
+    # each line names the flag, or the table's design and row, whose value
+    # carries a risk or a range end past the float range
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    assert named in err, err
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,16 @@ of such a class, must be named somewhere in the package, `scripts/` or
 `bench/`: by an `ast.Name`, an `ast.Attribute` or a `from ... import`. A
 string literal does not count, so a name that only appears in a table of
 strings (such as the benchmark tracer's layer list) has no caller.
+
+The version the package reports is the one `pyproject.toml` declares.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
+
+import weibull_shrink
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "weibull_shrink"
@@ -54,3 +60,10 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unused = [f"{module}.{qualname}" for module, qualname, name in definitions
               if name not in referenced]
     assert unused == []
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["version"]
+    assert weibull_shrink.__version__ == declared

@@ -270,12 +270,15 @@ def test_dominance_rejects_inadmissible_p():
         risk.dominance_ranges(H6, -0.1, 0.5)
 
 
-def test_admissible_p_helper():
-    assert risk.admissible_p(-1.0, H6)
-    assert risk.admissible_p(2.0, H6)
-    assert not risk.admissible_p(0.0, H6)
-    assert not risk.admissible_p(-0.1, H6)
-    assert not risk.admissible_p(-3.0, H6)
+def test_departure_overflow_names_the_input():
+    # a departure, or 1/q, that carries a risk or a range end past the float
+    # range is refused by name; the kernels give inf or NaN rather than raise
+    with pytest.raises(risk.DepartureOverflowError, match=r"delta=1e\+300"):
+        risk.report_shrink(H6, 1.0, 0.5, 1e300)
+    with pytest.raises(risk.DepartureOverflowError, match=r"\(1e-300, 1e\+300\)"):
+        risk.report_modified(20.0, 1.0, 0.5, 1e-300, 1e300)
+    with pytest.raises(risk.DepartureOverflowError, match="q=1e-320"):
+        risk.dominance_ranges(10.0, 1.0, 1e-320)
 
 
 # --- truncated estimator risks ----------------------------------------------
@@ -474,6 +477,8 @@ def test_composite_risks_evaluate_once(monkeypatch):
     # printed weight only when some printed range misses: 10 of the 48.
     monkeypatch.setattr(tables, "shrink_weight", counted("table_w", tables.shrink_weight))
     monkeypatch.setattr(tables, "_ranges_given_w", counted("ranges", tables._ranges_given_w))
+    # building each GridSpec below checks its p through tables.shrink_weight
+    calls.update(table_w=0, ranges=0)
     for fn, args, want_p, want_ranges in (
         (tables.table_51, (tables.GridSpec.default_51(),), 2 * 4 * 7, 0),
         (tables.audit_table_51, (), 2 * 4 * 7, 0),

@@ -15,7 +15,6 @@ from scipy.integrate import quad
 
 from weibull_shrink.specfun import (
     OMEGA_MAX,
-    ln_gamma,
     reg_lower_inc_gamma,
     reg_lower_inc_gamma_down,
 )
@@ -42,7 +41,7 @@ def quad_reference(eta, omega):
     The u^(omega-1) factor is folded into an algebraic weight so the
     integrand stays smooth even when omega < 1.
     """
-    norm = math.exp(-ln_gamma(omega))
+    norm = math.exp(-math.lgamma(omega))
     val, err = quad(
         lambda u: norm * math.exp(-u),
         0.0,
@@ -103,7 +102,7 @@ def test_reg_lower_inc_gamma_recurrence():
         eta = rng.uniform(1e-3, 50.0)
         lhs = reg_lower_inc_gamma(eta, omega + 1.0)
         rhs = reg_lower_inc_gamma(eta, omega) - math.exp(
-            omega * math.log(eta) - eta - ln_gamma(omega + 1.0)
+            omega * math.log(eta) - eta - math.lgamma(omega + 1.0)
         )
         assert abs(lhs - rhs) <= 1e-10, (eta, omega, lhs, rhs)
 
@@ -206,31 +205,3 @@ def test_reg_lower_inc_gamma_down_needs_a_positive_bottom_shape():
         with pytest.raises(ValueError, match="omega - steps"):
             reg_lower_inc_gamma_down(1.0, omega, steps)
 
-
-def test_ln_gamma_exact_points():
-    assert ln_gamma(1.0) == 0.0
-    assert ln_gamma(2.0) == 0.0
-    assert ln_gamma(5.0) == pytest.approx(3.1780538303479456, rel=1e-15)  # ln 24
-    assert ln_gamma(0.5) == pytest.approx(0.57236494292470009, rel=1e-15)  # ln sqrt(pi)
-    assert ln_gamma(87.65) == pytest.approx(303.12248221082829, rel=1e-14)
-
-
-@given(x=st.floats(min_value=0.1, max_value=100.0))
-@settings(max_examples=100, deadline=None)
-def test_ln_gamma_recurrence(x):
-    # ln Gamma(x+1) = ln Gamma(x) + ln x
-    lhs = ln_gamma(x + 1.0)
-    rhs = ln_gamma(x) + math.log(x)
-    assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
-
-
-@given(x=st.floats(min_value=0.1, max_value=100.0))
-@settings(max_examples=60, deadline=None)
-def test_ln_gamma_vs_mpmath(x):
-    assert ln_gamma(x) == pytest.approx(float(mpmath.loggamma(x)), rel=1e-12, abs=1e-12)
-
-
-def test_ln_gamma_domain():
-    for bad in (0.0, -1.0, -0.5, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            ln_gamma(bad)

@@ -20,6 +20,7 @@ import pytest
 
 from weibull_shrink import reference_data as ref
 from weibull_shrink import risk, tables, writers
+from weibull_shrink.estimators import shrink_weight
 from weibull_shrink.model import InadmissibleParameterError
 from weibull_shrink.risk import DominanceRange
 from weibull_shrink.tables import (
@@ -98,8 +99,13 @@ def test_grid_validation_rejects_q_above_one():
 
 
 def test_grid_validation_rejects_inadmissible_p():
-    # p = -2 needs h > 8; h = 7 is a legal design but not for this exponent
-    with pytest.raises(GridValidationError, match="inadmissible"):
+    # p = -2 needs h > 8; h = 7 is a legal design but not for this exponent,
+    # and the message carries shrink_weight's reason
+    with pytest.raises(
+        GridValidationError,
+        match=r"p=-2\.0 is inadmissible at h=7\.0 \(m=4\): p=-2\.0 violates the "
+        r"gamma-argument bound p > -1\.75 for h=7\.0",
+    ):
         GridSpec(
             h_values=((4, 7.0),),
             p_values=(-2.0,),
@@ -197,6 +203,14 @@ def test_every_range_audit_field_comes_from_its_name():
         assert (r.status == UNVERIFIABLE) == (r.printed is None), r
 
 
+def _admissible(p, h):
+    try:
+        shrink_weight(p, h)
+    except InadmissibleParameterError:
+        return False
+    return True
+
+
 def _fresh_spec(seed):
     """A seeded grid with large designs (h/2 up to 1000) and random intervals."""
     rng = random.Random(seed)
@@ -205,7 +219,7 @@ def _fresh_spec(seed):
     ps = []
     while len(ps) < 3:
         p = rng.uniform(-2.5, 3.0)
-        if all(risk.admissible_p(p, h) for _, h in designs):
+        if all(_admissible(p, h) for _, h in designs):
             ps.append(p)
     rows = []
     for _ in range(4):

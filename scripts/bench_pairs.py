@@ -4,7 +4,10 @@
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload grid \\
         --seeds 801 802 ... --out BENCH_<n>.json
 
-Each seed is one pair: `python3 bench/run.py --workload W --seed S --seconds T
+Before the first pair, `src/` and `bench/` of both trees are byte-compiled
+afresh (`compile_trees`), so that neither side imports from a warmer or
+staler `__pycache__` than the other; only the caches are written. Each seed
+is one pair: `python3 bench/run.py --workload W --seed S --seconds T
 --trace 0` runs once in each tree, the parent first on even pairs and the
 change first on odd ones. T is `run_seconds` from the change tree's
 BENCHMARK.json. The result files the runs leave in each tree's bench/out/
@@ -17,11 +20,21 @@ every run.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+
+def compile_trees(trees) -> None:
+    """Byte-compile every module under `src/` and `bench/` of each tree,
+    rewriting caches that are already there; raises if a module fails."""
+    for tree in trees:
+        for sub in ("src", "bench"):
+            if not compileall.compile_dir(str(tree / sub), quiet=1, force=True):
+                raise RuntimeError(f"cannot byte-compile {tree / sub}")
 
 
 def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -100,6 +113,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
+    print(f"byte-compiling src/ and bench/ in {args.parent} and {args.change}",
+          file=sys.stderr, flush=True)
+    compile_trees([args.parent, args.change])
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")

@@ -14,12 +14,14 @@ subcommands let the package's own checks raise. `risk`, `dominance`, `mc
 verify` and `estimate` check h, q, the departures (for `estimate`, the guess
 interval), then p (a non-finite p exits 2), then their trailing inputs: the
 simulation flags, or `estimate`'s data file with its design, then t. A
-numerical overflow, or an efficiency left unbounded by a zero MSE, is a data
-problem too, and exits 2: `estimate` refuses an estimate that overflows in
-every format, and `risk` names --h when a report that reads h alone
-overflows. Data goes to stdout (or --out); diagnostics go to
-stderr. Output depends only on flags and seed, never on wall clock, so reruns
-are byte-identical.
+numerical overflow, or an efficiency left unbounded by a zero or vanishing
+MSE, is a data problem too, and exits 2: `estimate` refuses an estimate that
+overflows in every format, `risk` names the departure flags when a risk
+overflows, and `risk` refuses a report of infinite efficiency with one line
+naming the estimator and its departure (`mc verify` checks such a report's
+bias and MSE). Data goes to stdout (or --out); diagnostics go to stderr.
+Output depends only on flags and seed, never on wall clock, so reruns are
+byte-identical.
 
 A subcommand imports what it runs, inside its own function, so importing
 this module loads only `model` and `writers`. `risk`, `dominance` and `mc
@@ -207,11 +209,7 @@ def _point_reports(args, delta: float, pair: bool) -> list:
     its arguments in the order h, q, departures, then p."""
     from weibull_shrink import risk
 
-    try:
-        # these two read h alone, so an overflow in them is the flag's
-        reports = [risk.report_unbiased(args.h), risk.report_mmse(args.h)]
-    except OverflowError as exc:
-        raise OverflowError(f"--h {args.h!r} is too large: {exc}") from None
+    reports = [risk.report_unbiased(args.h), risk.report_mmse(args.h)]
     try:
         reports.append(risk.report_shrink(args.h, args.p, args.q, delta))
         if pair:
@@ -225,16 +223,18 @@ def _point_reports(args, delta: float, pair: bool) -> list:
 
 
 def cmd_risk(args) -> tuple:
-    from weibull_shrink import risk
-
     delta, have_pair = _resolve_delta(args)
     if args.modified and not have_pair:
         raise ValueError("--modified needs --delta1 and --delta2")
     reports = _point_reports(args, delta, args.modified)
-    if math.isinf(reports[-1].pre_vs_mmse):
-        # a zero MSE leaves the efficiency unbounded; raise the error that
-        # table 51 raises for the same interval
-        risk._pre_from_mse(args.h, reports[-1].rmse, args.delta1, args.delta2)
+    # a zero or vanishing MSE leaves the efficiency unbounded; only the
+    # shrinkage estimators, whose MSE reads a departure, can have one
+    for r in reports:
+        if r.pre_vs_mmse == math.inf:
+            where = (f"at delta={delta!r}" if r.estimator_id == "SHRINK_PQ"
+                     else f"on the interval ({args.delta1!r}, {args.delta2!r})")
+            raise ValueError(f"{r.estimator_id} has MSE {r.rmse!r} {where}, "
+                             "so its efficiency is unbounded")
     header = ["estimator", "bias", "arb", "rmse", "pre"]
     rows = [
         [r.estimator_id, r.bias_over_beta, r.arb, r.rmse, r.pre_vs_mmse]

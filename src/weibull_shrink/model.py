@@ -23,6 +23,7 @@ before it computes anything.
 from __future__ import annotations
 
 import math
+import sys
 
 _set = object.__setattr__
 
@@ -293,7 +294,9 @@ class RiskReport(Frozen):
     rmse:           relative mean squared error, E(est - beta)^2 / beta^2.
     pre_vs_mmse:    percent relative efficiency against the minimum-MSE
                     multiple of the pivot (100 = same MSE); +inf only
-                    when rmse is 0.
+                    when rmse * sys.float_info.max <= 100. At h > 4 the
+                    MMSE risk 2/(h - 2) is below 1, so only these MSEs,
+                    0 among them, can carry the quotient past the float range.
     """
 
     __slots__ = ("estimator_id", "bias_over_beta", "arb", "rmse", "pre_vs_mmse")
@@ -314,7 +317,7 @@ class RiskReport(Frozen):
             )
         if _require_finite("rmse", rmse) < 0.0:
             raise ValueError(f"rmse must be >= 0, got {rmse!r}")
-        if pre_vs_mmse == math.inf and rmse == 0.0:
+        if pre_vs_mmse == math.inf and rmse * sys.float_info.max <= 100.0:
             return
         if _require_finite("pre_vs_mmse", pre_vs_mmse) < 0.0:
             raise ValueError(f"pre_vs_mmse must be >= 0, got {pre_vs_mmse!r}")

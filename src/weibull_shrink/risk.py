@@ -2,9 +2,12 @@
 
 Every quantity here is dimensionless: biases are E[estimate]/beta - 1, MSEs
 are E[(estimate - beta)^2]/beta^2, and efficiencies compare against the
-minimum-MSE multiple (h - 4)/t at 100 * mse_mmse / mse. The risks of the
-shrinkage estimators depend on the unknown shape only through the departure
-ratios delta1 = beta1/beta, delta2 = beta2/beta and their mean delta.
+minimum-MSE multiple (h - 4)/t at 100 * mse_mmse / mse, mse_mmse = 2/(h - 2).
+That quotient has one expression, `_efficiency`, which every report and both
+table evaluators call: it is +inf when the MSE is 0 or so small that the
+quotient overflows, and exactly 100 when the MSE is the MMSE one. The risks
+of the shrinkage estimators depend on the unknown shape only through the
+departure ratios delta1 = beta1/beta, delta2 = beta2/beta and their mean delta.
 
 Each public function is an entry point: it checks its raw arguments once,
 with the rules in `model` and in the order h, q, departures, then the
@@ -17,8 +20,11 @@ entries call the kernels rather than other public functions, so nothing is
 checked or computed twice. The remaining scalar risks (`arb_mmse`,
 `bias_shrink`, `rmse_shrink`, `bias_modified`, `mse_modified`) are kept
 because the benchmark's `simulate` workload reads them. The kernels square by
-multiplying, so an overflow is an inf rather than a raise; the entries then
-raise `DepartureOverflowError`, naming the departure or q.
+multiplying, so an overflow is an inf rather than a raise. All four reports
+are built by `_report`, which holds the one finiteness rule: a non-finite
+bias or MSE raises `DepartureOverflowError` naming the departure or the
+interval (`dominance_ranges` names q the same way). A report whose MSE
+vanishes is kept, with efficiency +inf; refusing it is the caller's choice.
 
 The truncated estimator's risks are split in two. `_interval_terms` evaluates
 the incomplete-gamma values P(h/2 - j, (h/2 - 1)/delta_i), j = 0, 1, 2, which
@@ -45,7 +51,7 @@ from weibull_shrink.model import (
     _require_positive,
     _require_q,
 )
-from weibull_shrink.specfun import reg_lower_inc_gamma_down
+from weibull_shrink.specfun import OMEGA_MAX, reg_lower_inc_gamma_down
 
 
 class DominanceRange(Frozen):
@@ -111,6 +117,22 @@ def rmse_mmse(h: float) -> float:
     return 2.0 / (h - 2.0)
 
 
+def _efficiency(h: float, mse: float) -> float:
+    """Percent efficiency 100 * mse_mmse / mse of an estimator with relative
+    MSE `mse` >= 0 at h > 4; +inf when mse is 0 or the quotient overflows.
+
+    An MSE equal to the MMSE one gives exactly 100, which the rounded
+    quotient (100 * mse_mmse) / mse can miss by an ulp. An overflowed (inf)
+    MSE gives 0 and a NaN gives NaN, for the caller to refuse.
+    """
+    mmse = 2.0 / (h - 2.0)
+    if mse == mmse:
+        return 100.0
+    if mse == 0.0:
+        return math.inf
+    return 100.0 * mmse / mse
+
+
 # ---------------------------------------------------------------------------
 # plain shrinkage estimator
 
@@ -122,12 +144,6 @@ def _bias_shrink_given_w(q: float, delta: float, w: float) -> float:
 def _rmse_shrink_given_w(h: float, q: float, delta: float, w: float) -> float:
     pull = q * delta - 1.0
     return pull * pull * (1.0 - w) ** 2 + 2.0 * w * w / (h - 4.0)
-
-
-def _pre_shrink_given_w(h: float, q: float, delta: float, w: float) -> float:
-    pull = q * delta - 1.0
-    denom = (h - 2.0) * (pull * pull * (1.0 - w) ** 2 * (h - 4.0) + 2.0 * w * w)
-    return 100.0 * 2.0 * (h - 4.0) / denom
 
 
 def _shrink_point(
@@ -213,8 +229,15 @@ def _interval_terms(h: float, delta1: float, delta2: float, depth: int = 3) -> t
     MSE depth 3, whose last shape argument h/2 - 2 needs h > 4. Each
     threshold eta_i costs one incomplete-gamma evaluation, at shape h/2: the
     lower shapes follow from it by the downward recurrence of
-    `specfun.reg_lower_inc_gamma_down`, which adds only positive terms.
+    `specfun.reg_lower_inc_gamma_down`, which adds only positive terms. That
+    shape may not pass `specfun.OMEGA_MAX`, the accuracy bound of P, so h
+    may not pass twice that bound; the check names h.
     """
+    if h > 2.0 * OMEGA_MAX:
+        raise ValueError(
+            f"the truncated estimator needs h <= {2.0 * OMEGA_MAX:g}, twice the accuracy "
+            f"bound of its incomplete gammas, got h={h!r}"
+        )
     eta1 = (h / 2.0 - 1.0) / delta1
     eta2 = (h / 2.0 - 1.0) / delta2
     at1 = reg_lower_inc_gamma_down(eta1, h / 2.0, depth - 1)
@@ -252,16 +275,6 @@ def _mse_modified_given_terms(
     )
 
 
-def _pre_from_mse(h: float, mse: float, delta1: float, delta2: float) -> float:
-    """Efficiency in percent of the truncated estimator with relative MSE `mse`."""
-    if mse <= 0.0:  # at delta1 = delta2 = 1 it always returns the true shape
-        raise ValueError(
-            f"the truncated estimator has MSE {mse!r} on the interval "
-            f"({delta1!r}, {delta2!r}), so its efficiency is unbounded"
-        )
-    return 100.0 * (2.0 / (h - 2.0)) / mse
-
-
 def _modified_point(
     h: float, p: float, q: float, delta1: float, delta2: float, h_min: float = 4.0
 ) -> tuple[float, float, float, float, float]:
@@ -293,47 +306,29 @@ def mse_modified(
 # report builders
 
 
+def _report(estimator_id: str, h: float, bias: float, mse: float, where: str) -> RiskReport:
+    """The report of an estimator with relative bias `bias` and MSE `mse` at
+    h, its efficiency from `_efficiency`; a non-finite risk raises
+    `DepartureOverflowError` naming `where`, the departure or interval."""
+    if not (math.isfinite(bias) and math.isfinite(mse)):
+        raise DepartureOverflowError(f"the risks of {estimator_id} overflow {where}")
+    return RiskReport(estimator_id, bias, abs(bias), mse, _efficiency(h, mse))
+
+
 def report_unbiased(h: float) -> RiskReport:
-    rmse = rmse_unbiased(h)
-    pre = 100.0 * (h - 4.0) / (h - 2.0)
-    if pre == math.inf:
-        raise OverflowError("the efficiency 100(h - 4)/(h - 2) overflows")
-    return RiskReport(
-        estimator_id="UNBIASED",
-        bias_over_beta=0.0,
-        arb=0.0,
-        rmse=rmse,
-        pre_vs_mmse=pre,
-    )
+    return _report("UNBIASED", h, 0.0, rmse_unbiased(h), f"at h={h!r}")
 
 
 def report_mmse(h: float) -> RiskReport:
     value = rmse_mmse(h)  # the ARB of (h - 4)/t is 2/(h - 2) as well
-    return RiskReport(
-        estimator_id="MMSE",
-        bias_over_beta=-value,
-        arb=value,
-        rmse=value,
-        pre_vs_mmse=100.0,
-    )
+    return _report("MMSE", h, -value, value, f"at h={h!r}")
 
 
 def report_shrink(h: float, p: float, q: float, delta: float) -> RiskReport:
     h, q, delta, w = _shrink_point(h, p, q, delta)
     bias = _bias_shrink_given_w(q, delta, w)
-    pre = _pre_shrink_given_w(h, q, delta, w)
-    if pre == math.inf:  # 200(h - 4) leaves the float range near h = 9e305
-        raise OverflowError(f"the efficiency of the shrinkage estimator overflows at h={h}")
-    rmse = _rmse_shrink_given_w(h, q, delta, w)
-    if not math.isfinite(rmse):
-        raise DepartureOverflowError(f"the shrinkage estimator's MSE overflows at delta={delta!r}")
-    return RiskReport(
-        estimator_id="SHRINK_PQ",
-        bias_over_beta=bias,
-        arb=abs(bias),
-        rmse=rmse,
-        pre_vs_mmse=pre,
-    )
+    mse = _rmse_shrink_given_w(h, q, delta, w)
+    return _report("SHRINK_PQ", h, bias, mse, f"at delta={delta!r}")
 
 
 def report_modified(
@@ -343,15 +338,4 @@ def report_modified(
     terms = _interval_terms(h, delta1, delta2)
     bias = _bias_modified_given_terms(q, delta1, delta2, w, terms)
     mse = _mse_modified_given_terms(h, q, delta1, delta2, w, terms)
-    if not (math.isfinite(bias) and math.isfinite(mse)):
-        raise DepartureOverflowError(
-            f"the truncated estimator's risks overflow on ({delta1!r}, {delta2!r})"
-        )
-    return RiskReport(
-        estimator_id="SHRINK_PQ_MODIFIED",
-        bias_over_beta=bias,
-        arb=abs(bias),
-        rmse=mse,
-        # an estimator that never errs is infinitely efficient
-        pre_vs_mmse=math.inf if mse == 0.0 else _pre_from_mse(h, mse, delta1, delta2),
-    )
+    return _report("SHRINK_PQ_MODIFIED", h, bias, mse, f"on ({delta1!r}, {delta2!r})")

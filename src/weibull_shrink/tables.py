@@ -11,7 +11,10 @@ visits the cells of any grid in the printed order (q, departure row, p,
 design) and takes w(p) once per (p, h). Each table has one evaluator of a
 cell at a weight w, `_evaluate_31` and `_evaluator_51` (which evaluates the
 truncated estimator's incomplete-gamma terms once per (h, delta1, delta2)),
-and both the table's builder and its audit use it.
+and both the table's builder and its audit use it. Both take a cell's
+efficiency from the cell's MSE through `risk._efficiency`, as the reports
+do, and the builders refuse, by `_finite_mse`, a cell whose MSE overflows or
+vanishes, naming its design, row, p and q.
 `table_31`, `table_51` and the grader construct each TableCell and CellAudit
 positionally, in slot order: with CPython 3.11 on a 2-core Intel Xeon, a
 keyword call to the twelve- or fourteen-field constructor took about 1.8 us
@@ -61,12 +64,12 @@ from weibull_shrink.model import _require_h, _require_interval, _require_m, _req
 from weibull_shrink.risk import (
     DominanceRange,
     _bias_shrink_given_w,
+    _efficiency,
     _interval_terms,
     _mse_modified_given_terms,
     _nondegenerate_w,
-    _pre_from_mse,
-    _pre_shrink_given_w,
     _ranges_given_w,
+    _rmse_shrink_given_w,
 )
 from weibull_shrink.writers import span, span_ends
 
@@ -191,7 +194,8 @@ def _walk(designs, p_values, q_values, rows):
 
 def _evaluate_31(h: float, q: float, d1: float, d2: float, delta: float, w: float) -> tuple:
     """(pre, arb) of a table 3.1 cell at weight w."""
-    return _pre_shrink_given_w(h, q, delta, w), abs(_bias_shrink_given_w(q, delta, w))
+    return (_efficiency(h, _rmse_shrink_given_w(h, q, delta, w)),
+            abs(_bias_shrink_given_w(q, delta, w)))
 
 
 def _evaluator_51(designs, rows):
@@ -202,7 +206,7 @@ def _evaluator_51(designs, rows):
 
     def evaluate(h, q, d1, d2, delta, w):
         mse = _mse_modified_given_terms(h, q, d1, d2, w, terms[h, d1, d2])
-        return _pre_from_mse(h, mse, d1, d2), None
+        return _efficiency(h, mse), None
 
     return evaluate
 
@@ -241,11 +245,14 @@ def table_51(spec: GridSpec) -> list:
 
 
 def _finite_mse(pre, m, h, p, q, d1, d2) -> float:
-    """pre, unless the cell's MSE overflowed: then PRE = 100 mse_mmse / mse is 0 or NaN."""
-    if pre > 0.0:
+    """pre, unless the cell's MSE overflowed (PRE = 100 mse_mmse / mse is 0 or
+    NaN) or vanished (PRE is +inf)."""
+    if 0.0 < pre < math.inf:
         return pre
-    raise OverflowError(f"the MSE overflows at design (m={m}, h={h}), row ({d1!r}, {d2!r}), "
-                        f"p={p} and q={q} (PRE {pre!r})")
+    where = f"at design (m={m}, h={h}), row ({d1!r}, {d2!r}), p={p} and q={q}"
+    if pre == math.inf:
+        raise ValueError(f"the MSE vanishes {where}, so the efficiency is unbounded")
+    raise OverflowError(f"the MSE overflows {where} (PRE {pre!r})")
 
 
 # ---------------------------------------------------------------------------

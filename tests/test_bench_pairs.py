@@ -1,6 +1,8 @@
-"""The summariser of scripts/bench_pairs.py, on hand-made result dicts."""
+"""scripts/bench_pairs.py: the summariser, on hand-made result dicts, and the
+byte-compilation of both trees, on a temporary tree."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -73,3 +75,37 @@ def test_summarise_quartiles_and_alternation():
     assert s["metrics"]["peak_rss_mb"]["within_bound"]
     assert [r["change"]["first"] for r in s["runs"]] == [False, True, False]
     assert "seed" not in s["provenance"]["parent"]  # seeds differ, so it is per run
+
+
+def _files(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and "__pycache__" not in p.parts}
+
+
+def test_compile_trees_writes_only_fresh_caches(tmp_path):
+    sources = [tmp_path / "src" / "pkg" / "__init__.py", tmp_path / "src" / "pkg" / "mod.py",
+               tmp_path / "bench" / "run.py"]
+    for path in sources:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("VALUE = 1\n")
+    (tmp_path / "bench" / "out").mkdir()
+    (tmp_path / "bench" / "out" / "result.json").write_text("{}\n")
+    # a stale cache, older than its source, is rewritten
+    stale = Path(importlib.util.cache_from_source(str(sources[1])))
+    stale.parent.mkdir(exist_ok=True)
+    stale.write_bytes(b"stale")
+    os.utime(stale, (0, 0))
+    before = _files(tmp_path)
+    bench_pairs.compile_trees([tmp_path])
+    assert _files(tmp_path) == before
+    for path in sources:
+        cache = Path(importlib.util.cache_from_source(str(path)))
+        assert cache.read_bytes()[:4] == importlib.util.MAGIC_NUMBER, path
+
+
+def test_compile_trees_refuses_a_broken_module(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "src" / "bad.py").write_text("def (\n")
+    with pytest.raises(RuntimeError, match="cannot byte-compile"):
+        bench_pairs.compile_trees([tmp_path])

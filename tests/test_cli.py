@@ -5,6 +5,7 @@ Everything runs in-process through main(argv) so coverage and capsys work.
 
 import csv
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -17,8 +18,10 @@ import weibull_shrink
 from weibull_shrink import risk
 from weibull_shrink.cli import main
 from weibull_shrink.estimators import bain_constant
+from weibull_shrink.model import BUILTIN_H
 
-H6 = "10.8519"
+# the stock h of m = 6, 10 and 12 (n = 20) as flag values
+H6, H10, H12 = (repr(BUILTIN_H[20, m]) for m in (6, 10, 12))
 
 
 def run(capsys, *argv):
@@ -80,10 +83,10 @@ def test_estimate_from_data(tmp_path, capsys):
     assert code == 0, err
     data = json.loads(out)
     assert data["m"] == 6
-    assert data["h"] == 10.8519  # resolved from the built-in table
+    assert data["h"] == BUILTIN_H[20, 6]  # resolved from the built-in table
     assert data["bain_k"] == bain_constant(6, 20)
     assert data["scale_estimate"] > 0.0
-    assert data["t"] == pytest.approx(10.8519 * data["scale_estimate"], rel=1e-12)
+    assert data["t"] == pytest.approx(BUILTIN_H[20, 6] * data["scale_estimate"], rel=1e-12)
 
     # byte-identical on a rerun
     code2, out2, _ = run(capsys, *args)
@@ -398,11 +401,11 @@ def test_risk_flag_problems_exit_2(capsys, argv):
         (("mc", "verify", "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1e300",
           "--reps", "2000"),
          "--delta 1e+300: "),
-        (("table", "31", "--design", "6:10.8519", "--rows", "1e200:1e200", "--p", "1",
+        (("table", "31", "--design", f"6:{H6}", "--rows", "1e200:1e200", "--p", "1",
           "--q", "0.5"),
-         "at design (m=6, h=10.8519), row (1e+200, 1e+200)"),
-        (("table", "51", "--design", "6:10.8519", "--rows", "1e-300:1e300"),
-         "at design (m=6, h=10.8519), row (1e-300, 1e+300)"),
+         f"at design (m=6, h={H6}), row (1e+200, 1e+200)"),
+        (("table", "51", "--design", f"6:{H6}", "--rows", "1e-300:1e300"),
+         f"at design (m=6, h={H6}), row (1e-300, 1e+300)"),
         (("dominance", "--h", "10", "--p", "1", "--q", "1e-320"),
          "--q 1e-320: "),
     ],
@@ -417,6 +420,51 @@ def test_overflow_exits_2_without_traceback(capsys, argv, named):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert named in err, err
+
+
+def test_extreme_risk_inputs_end_without_a_traceback(capsys):
+    # every extreme of h, p, q and the departure, through dominance, risk and
+    # risk --modified in text and json: a documented exit code, and a refusal
+    # is one stderr line
+    failures = []
+    runs = 0
+    for h, p, q in itertools.product(("4.0000001", "10", "1e6", "1e306"),
+                                     ("-1", "1", "100", "1000", "1e308"),
+                                     ("1e-320", "0.5", "1")):
+        shape = ("--h", h, "--p", p, "--q", q)
+        commands = [("dominance", *shape)]
+        for d in ("1e-300", "2", "1e300"):
+            commands += [("risk", *shape, "--delta", d),
+                         ("risk", *shape, "--delta1", d, "--delta2", repr(2 * float(d)),
+                          "--modified")]
+        for argv, fmt in itertools.product(commands, ("text", "json")):
+            runs += 1
+            try:
+                code, _, err = run(capsys, *argv, "--format", fmt)
+            except Exception as exc:  # what would end the CLI in a traceback
+                failures.append((argv, fmt, repr(exc)))
+                continue
+            if code not in (0, 1, 2, 3) or (code and len(err.splitlines()) != 1):
+                failures.append((argv, fmt, code, err))
+    assert runs == 840
+    assert failures == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("risk", "--h", "30000", "--p", "1", "--q", "0.5", "--delta1", "1", "--delta2", "2",
+         "--modified"),
+        ("mc", "verify", "--h", "30000", "--p", "1", "--q", "0.5", "--delta1", "1",
+         "--delta2", "2", "--reps", "1000"),
+        ("table", "51", "--design", "6:30000", "--rows", "1:2", "--p", "1", "--q", "0.5"),
+    ],
+    ids=["risk", "mc-verify", "table"],
+)
+def test_truncated_estimator_beyond_its_h_bound_names_h(capsys, argv):
+    # its incomplete gammas P(h/2, eta) are accurate only up to shape 1e4
+    assert run(capsys, *argv) == (2, "", "the truncated estimator needs h <= 20000, twice the "
+                                  "accuracy bound of its incomplete gammas, got h=30000.0\n")
 
 
 @pytest.mark.parametrize(
@@ -435,11 +483,17 @@ def test_zero_mse_exits_2_naming_the_interval(capsys, argv):
     assert "(1.0, 1.0)" in err and "Traceback" not in err
 
 
-def test_risk_overflowing_h_names_the_flag(capsys):
-    code, out, err = run(capsys, "risk", "--h", "1e308", "--p", "1", "--q", "0.5", "--delta", "1")
-    assert (code, out) == (2, "")
-    assert err.startswith("inputs out of floating-point range: --h 1e+308 is too large")
-    assert len(err.strip().splitlines()) == 1
+def test_risk_near_the_float_range_of_h_is_100_percent_efficient(capsys):
+    # every MSE is about 2/h there, so every efficiency is 100; formed as
+    # 100 mse_mmse / mse, no step leaves the float range
+    for h in ("1e306", "1e308"):
+        code, out, err = run(capsys, "risk", "--h", h, "--p", "1", "--q", "0.5",
+                             "--delta", "1", "--format", "json")
+        assert code == 0, err
+        reports = json.loads(out)
+        assert [r["estimator_id"] for r in reports] == ["UNBIASED", "MMSE", "SHRINK_PQ"]
+        for r in reports:
+            assert r["pre_vs_mmse"] == pytest.approx(100.0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -470,13 +524,10 @@ def test_overflowing_weight_names_h(capsys, argv, h):
     [
         (("dominance", "--h", "1e308", "--p", "1", "--q", "0.5"), 3,
          "w(p=1.0) rounds to 1 at h=1e+308"),
-        (("risk", "--h", "1e306", "--p", "1", "--q", "0.5", "--delta", "1"), 2,
-         "inputs out of floating-point range: the efficiency of the shrinkage "
-         "estimator overflows at h=1e+306"),
+        (("risk", "--h", "1e306", "--p", "1", "--q", "0.5", "--delta", "1"), 0,
+         "SHRINK_PQ               -0.0000     0.0000     0.0000     100.0000"),
         (("mc", "verify", "--h", "1e306", "--p", "1", "--q", "0.5", "--delta", "1",
-          "--reps", "1000"), 2,
-         "inputs out of floating-point range: the efficiency of the shrinkage "
-         "estimator overflows at h=1e+306"),
+          "--reps", "1000"), 0, "summary: 6/6 checks passed"),
         (("estimate", "--t", "5", "--h", "1e306", "--p", "1", "--q", "0.5",
           "--beta1", "1", "--beta2", "2", "--format", "json"), 0, None),
         (("table", "31", "--design", "6:1e306", "--rows", "1:2", "--p", "1", "--q", "0.5"),
@@ -491,6 +542,8 @@ def test_weight_near_the_float_range_is_finite(capsys, argv, code, message):
     assert got == code, err
     if message is None:
         assert json.loads(out)["beta_shrink"] == pytest.approx(2e305, rel=1e-12)
+    elif code == 0:
+        assert message in out.splitlines()
     else:
         assert out == "" and err.startswith(message) and len(err.splitlines()) == 1
 
@@ -513,13 +566,40 @@ def test_risk_at_large_h_has_vanishing_bias(capsys):
     assert abs(shrink["bias_over_beta"]) < 1e-12
 
 
-def test_zero_mse_message_is_the_one_in_risk(capsys):
-    mse = risk.report_modified(10.8519, 1.0, 0.5, 1.0, 1.0).rmse
-    with pytest.raises(ValueError) as exc:
-        risk._pre_from_mse(10.8519, mse, 1.0, 1.0)
-    code, out, err = run(capsys, "risk", "--h", H6, "--p", "1", "--q", "0.5",
-                         "--delta1", "1", "--delta2", "1", "--modified")
-    assert (code, out, err) == (2, "", f"{exc.value}\n")
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("risk", "--h", H6, "--p", "1", "--q", "0.5", "--delta1", "1", "--delta2", "1",
+          "--modified"),
+         "SHRINK_PQ_MODIFIED has MSE 0.0 on the interval (1.0, 1.0), so its efficiency "
+         "is unbounded"),
+        # w(1000) underflows to 0 at h = 10, and q * delta = 1 removes the bias
+        (("risk", "--h", "10", "--p", "1000", "--q", "0.5", "--delta", "2"),
+         "SHRINK_PQ has MSE 0.0 at delta=2.0, so its efficiency is unbounded"),
+        # w(100)^2 is subnormal, so 100 mse_mmse / mse overflows
+        (("risk", "--h", "10", "--p", "100", "--q", "0.5", "--delta", "2"),
+         "SHRINK_PQ has MSE 5.192111e-317 at delta=2.0, so its efficiency is unbounded"),
+        # the plain estimator's report comes first and is refused first
+        (("risk", "--h", "10", "--p", "1000", "--q", "0.5", "--delta1", "1", "--delta2", "3",
+          "--modified"),
+         "SHRINK_PQ has MSE 0.0 at delta=2.0, so its efficiency is unbounded"),
+    ],
+    ids=["modified", "shrink-zero", "shrink-subnormal", "shrink-before-modified"],
+)
+def test_risk_refuses_an_unbounded_efficiency(capsys, argv, line):
+    # one line naming the estimator and its departure, for either estimator
+    for fmt in ("text", "csv", "json"):
+        assert run(capsys, *argv, "--format", fmt) == (2, "", line + "\n")
+
+
+@pytest.mark.parametrize("p", ["100", "1000"])
+def test_mc_verify_checks_a_vanishing_mse(capsys, p):
+    # risk refuses the efficiency at these points; verify only compares bias
+    # and MSE, and the simulated shrinkage estimate is the true shape
+    code, out, err = run(capsys, "mc", "verify", "--h", "10", "--p", p, "--q", "0.5",
+                         "--delta", "2", "--reps", "1000")
+    assert code == 0, err
+    assert "summary: 6/6 checks passed" in out
 
 
 def test_risk_inadmissible_p_exits_3(capsys):
@@ -588,7 +668,7 @@ def test_table_filter_q(capsys):
 
 def test_table_custom_design_and_rows(capsys):
     code, out, _ = run(
-        capsys, "table", "51", "--design", "6:10.8519", "--rows", "0.8:1.2",
+        capsys, "table", "51", "--design", f"6:{H6}", "--rows", "0.8:1.2",
         "--format", "csv",
     )
     assert code == 0
@@ -599,9 +679,9 @@ def test_table_custom_design_and_rows(capsys):
 def test_table_31_ranges_follow_h_not_m(capsys):
     # two designs with the same m but different h keep their own ranges
     tail = ("--rows", "1:1", "--q", "0.5", "--p", "1", "--format", "csv")
-    _, both, _ = run(capsys, "table", "31", "--design", "6:10.8519",
-                     "--design", "6:26.4026", *tail)
-    _, alone, _ = run(capsys, "table", "31", "--design", "6:26.4026", *tail)
+    _, both, _ = run(capsys, "table", "31", "--design", f"6:{H6}",
+                     "--design", f"6:{H12}", *tail)
+    _, alone, _ = run(capsys, "table", "31", "--design", f"6:{H12}", *tail)
     second = both.split("\r\n")[2]
     assert second == alone.split("\r\n")[1]
     lo, hi = (float(x) for x in second.split(",")[9:11])
@@ -688,7 +768,7 @@ def test_table_diff_follows_the_selection(capsys):
     "selection",
     [
         ("--m", "12", "--p", "1", "--q", "0.25"),  # every cell is a printed-weight artifact
-        ("--design", "6:26.4026"),  # no printed cell at all
+        ("--design", f"6:{H12}"),  # no printed cell at all
     ],
 )
 def test_table_diff_without_unambiguous_cells(capsys, selection):
@@ -762,9 +842,9 @@ def test_mc_estimate_h_reports_builtin_deviation(capsys):
     )
     assert code == 0
     data = json.loads(out)
-    assert data["builtin_h"] == 10.8519
+    assert data["builtin_h"] == BUILTIN_H[20, 6]
     assert abs(data["deviation"]) < 1.0
-    assert data["h"] == pytest.approx(10.8519, rel=0.1)
+    assert data["h"] == pytest.approx(BUILTIN_H[20, 6], rel=0.1)
 
 
 def test_mc_estimate_h_unknown_design_has_no_builtin(capsys):
@@ -817,7 +897,7 @@ def test_mc_verify_passes_when_every_replicate_is_clamped(capsys):
     # the truncated estimator is clamped on every replicate here, so its SE
     # is 0 up to rounding; the analytic values still agree to six decimals
     code, out, err = run(
-        capsys, "mc", "verify", "--h", "20.8442", "--p", "0.9019", "--q", "0.391",
+        capsys, "mc", "verify", "--h", H10, "--p", "0.9019", "--q", "0.391",
         "--delta1", "0.2361", "--delta2", "0.274", "--m", "10", "--seed", "3",
         "--reps", "1000", "--format", "json",
     )

@@ -22,6 +22,7 @@ from weibull_shrink.estimators import (
     suggest_q,
 )
 from weibull_shrink.model import (
+    BUILTIN_H,
     CensoredSample,
     GuessInterval,
     InadmissibleParameterError,
@@ -29,10 +30,7 @@ from weibull_shrink.model import (
     ShrinkageConfig,
 )
 
-H6 = 10.8519
-H8 = 15.6740
-H10 = 20.8442
-H12 = 26.4026
+H6, H8, H10, H12 = (BUILTIN_H[20, m] for m in (6, 8, 10, 12))
 
 
 def ctx(t, h=H6):

@@ -1,6 +1,7 @@
 """Validation and serialization behaviour of the shared value types."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +199,17 @@ class TestRiskReport:
 
     def test_pre_zero_allowed(self):
         assert self._mk(pre_vs_mmse=0.0).pre_vs_mmse == 0.0
+
+    @pytest.mark.parametrize("rmse", [0.0, 5e-324, 5.192111e-317, 100.0 / sys.float_info.max])
+    def test_infinite_pre_allowed_where_the_quotient_can_overflow(self, rmse):
+        # 100 mse_mmse / mse with mse_mmse = 2/(h - 2) < 1 overflows only
+        # when rmse * float max <= 100
+        assert self._mk(bias_over_beta=0.0, arb=0.0, rmse=rmse, pre_vs_mmse=math.inf).rmse == rmse
+
+    @pytest.mark.parametrize("rmse", [1e-300, 0.1])
+    def test_infinite_pre_rejected_where_the_quotient_is_finite(self, rmse):
+        with pytest.raises(ValueError, match="pre_vs_mmse must be finite"):
+            self._mk(rmse=rmse, pre_vs_mmse=math.inf)
 
     @given(bias=st.floats(min_value=-10.0, max_value=10.0))
     @settings(max_examples=50, deadline=None)

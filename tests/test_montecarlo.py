@@ -37,7 +37,7 @@ from weibull_shrink.montecarlo import (
     unbiased_estimator,
 )
 
-H6 = 10.8519
+H6 = BUILTIN_H[20, 6]
 PARAMS = WeibullParams(alpha=1.0, beta=1.0)
 
 

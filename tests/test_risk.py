@@ -7,6 +7,7 @@ simulation, which guards the algebra end to end.
 import contextlib
 import io
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from weibull_shrink import cli, risk, specfun, tables
 from weibull_shrink.model import (
+    BUILTIN_H,
     GuessInterval,
     InadmissibleParameterError,
     ShrinkageConfig,
@@ -27,10 +29,7 @@ from weibull_shrink.montecarlo import (
 )
 from weibull_shrink.risk import DominanceRange
 
-H6 = 10.8519
-H8 = 15.6740
-H10 = 20.8442
-H12 = 26.4026
+H6, H8, H10, H12 = (BUILTIN_H[20, m] for m in (6, 8, 10, 12))
 
 grid_p = st.sampled_from([-2.0, -1.0, 1.0, 2.0])
 grid_h = st.sampled_from([H6, H8, H10, H12])
@@ -394,6 +393,46 @@ def test_report_builders():
     r = risk.report_modified(H6, -1.0, 0.25, 0.8, 1.2)
     assert r.estimator_id == "SHRINK_PQ_MODIFIED"
     assert r.rmse == pytest.approx(0.041122780155689265, rel=1e-12)
+
+
+def _efficiency_points():
+    """(h, p, q, delta1, delta2) at the stock designs and at seeded random
+    points with h log-uniform on [4.5, 1e306], plus points where w(p)
+    underflows and the plain estimator's MSE is 0 or subnormal."""
+    rng = random.Random(20)
+    points = [(h, p, q, 0.8, 1.2) for h in (H6, H8, H10, H12)
+              for p in (-2.0, -1.0, 1.0, 2.0) for q in (0.25, 0.5, 1.0)]
+    for _ in range(400):
+        d1 = rng.uniform(0.1, 3.0)
+        points.append((10.0 ** rng.uniform(math.log10(4.5), 306.0), rng.uniform(-2.4, 2.9),
+                       rng.uniform(0.05, 1.0), d1, d1 * rng.uniform(1.0, 1.8)))
+    points += [(10.0, 1000.0, 0.5, 1.0, 3.0), (10.0, 100.0, 0.5, 1.0, 3.0), (H6, 1.0, 0.5, 1.0, 1.0)]
+    return points
+
+
+def test_every_efficiency_is_100_mmse_risk_over_the_mse():
+    # the one rule behind every PRE, for all four reports: 100 rmse_mmse(h)/rmse,
+    # +inf exactly where that quotient overflows, and exactly 100 for the MMSE
+    # multiple; the truncated estimator's incomplete gammas stop at h = 2e4
+    checked = infinite = 0
+    for h, p, q, d1, d2 in _efficiency_points():
+        try:
+            reports = [risk.report_unbiased(h), risk.report_mmse(h),
+                       risk.report_shrink(h, p, q, 0.5 * (d1 + d2))]
+        except InadmissibleParameterError:
+            continue
+        if h <= 2e4:
+            reports.append(risk.report_modified(h, p, q, d1, d2))
+        assert reports[1].pre_vs_mmse == 100.0
+        for r in reports:
+            want = math.inf if r.rmse == 0.0 else 100.0 * risk.rmse_mmse(h) / r.rmse
+            if want == math.inf:
+                assert r.pre_vs_mmse == math.inf, (r, h)
+                infinite += 1
+            else:
+                assert r.pre_vs_mmse == pytest.approx(want, rel=1e-15, abs=0.0), (r, h)
+            checked += 1
+    assert checked > 1000 and infinite == 3
 
 
 def _direct_terms(h, d1, d2):

@@ -21,7 +21,7 @@ import pytest
 from weibull_shrink import reference_data as ref
 from weibull_shrink import risk, tables, writers
 from weibull_shrink.estimators import shrink_weight
-from weibull_shrink.model import InadmissibleParameterError
+from weibull_shrink.model import BUILTIN_H, InadmissibleParameterError
 from weibull_shrink.risk import DominanceRange
 from weibull_shrink.tables import (
     ARTIFACT,
@@ -45,7 +45,7 @@ from weibull_shrink.tables import (
     table_51,
 )
 
-H6 = 10.8519
+H6 = BUILTIN_H[20, 6]
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +121,29 @@ def test_table_cell_validation():
         TableCell(
             m=6, h=H6, p=1.0, q=0.5, delta1=1.0, delta2=1.0, delta=1.0, pre=50.0, arb=-0.1
         )
+
+
+@pytest.mark.parametrize(
+    "build, spec, error, message",
+    [
+        # w(1000) underflows to 0 at h = 10 and q * delta = 1: the MSE is 0
+        (table_31, GridSpec(((6, 10.0),), (1000.0,), (0.5,), ((2.0, 2.0),)), ValueError,
+         "the MSE vanishes at design (m=6, h=10.0), row (2.0, 2.0), p=1000.0 and q=0.5, "
+         "so the efficiency is unbounded"),
+        # the truncated estimator always returns the true shape on (1, 1)
+        (table_51, GridSpec(((6, H6),), (1.0,), (0.5,), ((1.0, 1.0),)), ValueError,
+         f"the MSE vanishes at design (m=6, h={H6}), row (1.0, 1.0), p=1.0 and q=0.5, "
+         "so the efficiency is unbounded"),
+        (table_31, GridSpec(((6, H6),), (1.0,), (0.5,), ((1e200, 1e200),)), OverflowError,
+         f"the MSE overflows at design (m=6, h={H6}), row (1e+200, 1e+200), p=1.0 and q=0.5 "
+         "(PRE 0.0)"),
+    ],
+    ids=["31-vanishes", "51-vanishes", "31-overflows"],
+)
+def test_cell_without_a_finite_positive_efficiency_names_the_cell(build, spec, error, message):
+    with pytest.raises(error) as exc:
+        build(spec)
+    assert str(exc.value) == message
 
 
 # --- cell contents ----------------------------------------------------------
@@ -493,7 +516,7 @@ def test_csv_spells_non_finite_cell_fields():
     text = cells_to_csv([_odd_cell(h=float("nan")), _odd_cell(delta1=float("inf"))])
     assert text.split("\r\n")[1:] == [
         "6,nan,1,0.5,1,1,1,42,,,,,",
-        "6,10.851900000000001,1,0.5,inf,1,1,42,,,,,",
+        f"6,{H6:.17g},1,0.5,inf,1,1,42,,,,,",
         "",
     ]
 
@@ -624,7 +647,7 @@ def test_analytic_layer_does_not_import_numpy(tmp_path):
     # and cheap to start, without numpy; mc still brings it in
     data = tmp_path / "times.dat"
     data.write_text("0.5\n1.0\n1.5\n2.0\n2.5\n3.0\n")
-    shape = ["--h", "10.8519", "--p", "1", "--q", "0.5"]
+    shape = ["--h", repr(H6), "--p", "1", "--q", "0.5"]
     guess = ["--beta1", "0.8", "--beta2", "1.2", "--p", "-1", "--q", "0.5"]
     analytic = [
         ["risk", *shape, "--delta", "1.2"],
@@ -634,7 +657,7 @@ def test_analytic_layer_does_not_import_numpy(tmp_path):
         ["table", "31", "--diff"],
         ["table", "51"],
         ["table", "51", "--diff"],
-        ["estimate", "--t", "8.8519", "--h", "10.8519", *guess],
+        ["estimate", "--t", "8.8519", "--h", repr(H6), *guess],
         ["estimate", "--data", str(data), "--n", "20", *guess],
     ]
     verify = ["mc", "verify", *shape, "--delta", "1.2", "--reps", "1000"]
@@ -688,13 +711,13 @@ def test_only_table_imports_the_table_layer(tmp_path):
     # table run loads dataclasses or inspect
     data = tmp_path / "times.dat"
     data.write_text("0.5\n1.0\n1.5\n2.0\n2.5\n3.0\n")
-    shape = ["--h", "10.8519", "--p", "1", "--q", "0.5"]
+    shape = ["--h", repr(H6), "--p", "1", "--q", "0.5"]
     guess = ["--beta1", "0.8", "--beta2", "1.2", "--p", "-1", "--q", "0.5"]
     closed_form = [
         ["risk", *shape, "--delta", "1.2"],
         ["risk", *shape, "--delta1", "0.8", "--delta2", "1.4", "--modified"],
         ["dominance", *shape],
-        ["estimate", "--t", "8.8519", "--h", "10.8519", *guess],
+        ["estimate", "--t", "8.8519", "--h", repr(H6), *guess],
         ["estimate", "--data", str(data), "--n", "20", *guess],
     ]
     tabulating = [
@@ -722,7 +745,7 @@ def test_cli_import_and_calibration_skip_the_analytic_layer():
         ["mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "1000"],
         ["mc", "estimate-h", "--n", "20", "--m", "6", "--reps", "1000"],
     ]
-    verify = ["mc", "verify", "--h", "10.8519", "--p", "1", "--q", "0.5",
+    verify = ["mc", "verify", "--h", repr(H6), "--p", "1", "--q", "0.5",
               "--delta", "1.2", "--reps", "1000"]
     package = "sorted(m for m in sys.modules if m.startswith('weibull_shrink'))"
     _run_fresh(

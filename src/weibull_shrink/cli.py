@@ -29,9 +29,15 @@ verify` load `risk` (and with it `estimators` and `specfun`); `estimate`
 loads `estimators` and `specfun`. Only the mc subcommands simulate, so only
 they import `montecarlo` and with it numpy, and `mc estimate-k/-h` load
 nothing of the analytic layer. Only `table` imports `tables`, and with it
-`risk` and the transcribed printed tables in `reference_data`; every other
-document goes through the generic writers in `writers`, which load `csv`
-and `json` only for those formats. No module of the package imports
+`risk` and the transcribed printed tables in `reference_data`.
+
+Each subcommand builds its document, one record or a list of records, and
+hands it to `writers.render` with the format. `risk`, `dominance` and `table
+--diff` pass their own csv table, whose shape differs from their json, and
+`risk`, `mc verify` and `table --diff` their own text renderer. Only `table`
+without --diff picks a writer by format, one of the table-cell writers in
+`tables`. `writers` alone knows how a value prints, and loads `csv` and
+`json` only for those formats. No module of the package imports
 `dataclasses`. `estimate --data` takes Bain's unbiasing constant k from its
 one source, the exact finite sum `estimators.bain_constant`, so it ignores
 --seed. `estimate --t` takes no design: every estimate reads only h and t,
@@ -58,28 +64,6 @@ from weibull_shrink.model import (
     lookup_h,
 )
 from weibull_shrink.model import _require_h, _require_q
-
-
-# ---------------------------------------------------------------------------
-# small formatting helpers
-
-
-def _f4(value) -> str:
-    if value is None:
-        return "-"
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return str(value)
-
-
-def _emit_kv(fmt: str, pairs) -> str:
-    if fmt == "text":
-        return "\n".join(f"{k} = {_f4(v)}" for k, v in pairs) + "\n"
-    if fmt == "csv":
-        return writers.rows_to_csv([k for k, _ in pairs], [[v for _, v in pairs]])
-    return writers.to_json(dict(pairs))
 
 
 def _resolve_delta(args) -> tuple[float, bool]:
@@ -169,15 +153,15 @@ def cmd_estimate(args) -> tuple:
         scale = estimators.bain_scale_estimate(sample, bain_k)
         t = h * scale
     ctx = PivotalContext(h=h, t=t)
-    estimates = [
-        ("beta_unbiased", estimators.beta_unbiased(ctx)),
-        ("beta_mmse", estimators.beta_mmse(ctx)),
-        ("beta_shrink", estimators.beta_shrink(ctx, interval, cfg)),
-        ("beta_shrink_truncated", estimators.beta_shrink_truncated(ctx, interval, cfg)),
-        ("delta_hat", estimators.estimate_departure(ctx, interval)),
-        ("q_select", estimators.suggest_q(ctx, interval)),
-    ]
-    overflowed = [name for name, value in estimates if not math.isfinite(value)]
+    estimates = {
+        "beta_unbiased": estimators.beta_unbiased(ctx),
+        "beta_mmse": estimators.beta_mmse(ctx),
+        "beta_shrink": estimators.beta_shrink(ctx, interval, cfg),
+        "beta_shrink_truncated": estimators.beta_shrink_truncated(ctx, interval, cfg),
+        "delta_hat": estimators.estimate_departure(ctx, interval),
+        "q_select": estimators.suggest_q(ctx, interval),
+    }
+    overflowed = [name for name, value in estimates.items() if not math.isfinite(value)]
     if overflowed:
         # every format refuses it alike, as json must; a tiny t or a huge
         # guess interval can each overflow, so the message names them all
@@ -186,17 +170,9 @@ def cmd_estimate(args) -> tuple:
             f"{', '.join(overflowed)} overflow at {source}, h = {h!r} and the "
             f"guess interval ({interval.beta1!r}, {interval.beta2!r})"
         )
-    pairs = [
-        ("n", n),
-        ("m", m),
-        ("h", float(h)),
-        ("t", float(t)),
-        ("scale_estimate", scale),
-        ("bain_k", bain_k),
-        *estimates,
-        ("p_admissible", True),
-    ]
-    return _emit_kv(args.format, pairs), 0
+    doc = {"n": n, "m": m, "h": float(h), "t": float(t), "scale_estimate": scale,
+           "bain_k": bain_k, **estimates, "p_admissible": True}
+    return writers.render(args.format, doc), 0
 
 
 # ---------------------------------------------------------------------------
@@ -235,22 +211,19 @@ def cmd_risk(args) -> tuple:
                      else f"on the interval ({args.delta1!r}, {args.delta2!r})")
             raise ValueError(f"{r.estimator_id} has MSE {r.rmse!r} {where}, "
                              "so its efficiency is unbounded")
-    header = ["estimator", "bias", "arb", "rmse", "pre"]
-    rows = [
-        [r.estimator_id, r.bias_over_beta, r.arb, r.rmse, r.pre_vs_mmse]
-        for r in reports
-    ]
-    if args.format == "csv":
-        return writers.rows_to_csv(header, rows), 0
-    if args.format == "json":
-        return writers.to_json([r.to_dict() for r in reports]), 0
+    doc = [r.to_dict() for r in reports]
+    table = (["estimator", "bias", "arb", "rmse", "pre"], [r.values() for r in doc])
+    return writers.render(args.format, doc, text=_risk_text, table=table), 0
+
+
+def _risk_text(records) -> str:
     lines = [f"{'estimator':<20} {'bias':>10} {'arb':>10} {'rmse':>10} {'pre':>12}"]
     lines += [
-        f"{r.estimator_id:<20} {r.bias_over_beta:>10.4f} {r.arb:>10.4f} "
-        f"{r.rmse:>10.4f} {r.pre_vs_mmse:>12.4f}"
-        for r in reports
+        f"{r['estimator_id']:<20} {r['bias_over_beta']:>10.4f} {r['arb']:>10.4f} "
+        f"{r['rmse']:>10.4f} {r['pre_vs_mmse']:>12.4f}"
+        for r in records
     ]
-    return "\n".join(lines) + "\n", 0
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +237,9 @@ def cmd_dominance(args) -> tuple:
         ranges = risk.dominance_ranges(args.h, args.p, args.q)
     except risk.DepartureOverflowError as exc:
         raise OverflowError(f"--q {args.q!r}: {exc}") from None
-    named = [("mse_range", ranges["mse"]), ("arb_range", ranges["arb"]), ("best", ranges["best"])]
-    if args.format == "csv":
-        rows = [[name, *writers.span_ends(r)] for name, r in named]
-        return writers.rows_to_csv(["range", "lo", "hi"], rows), 0
-    if args.format == "json":
-        return writers.to_json({name: writers.span(r) for name, r in named}), 0
-    lines = []
-    for name, r in named:
-        body = "empty" if r.is_empty else f"({r.lo:.4f}, {r.hi:.4f})"
-        lines.append(f"{name} = {body}")
-    return "\n".join(lines) + "\n", 0
+    doc = {"mse_range": ranges["mse"], "arb_range": ranges["arb"], "best": ranges["best"]}
+    table = (["range", "lo", "hi"], [[name, *writers.span_ends(r)] for name, r in doc.items()])
+    return writers.render(args.format, doc, table=table), 0
 
 
 # ---------------------------------------------------------------------------
@@ -319,18 +284,15 @@ def cmd_table(args) -> tuple:
                   "text": tables.cells_to_text}[args.format]
         return writer(cells), 0
     audits, ranges = tables.printed_audit(args.which, cells)
-    if args.format == "csv":
-        rows = (a.to_dict().values() for a in audits)
-        return writers.rows_to_csv(tables.CellAudit.__slots__, rows), 0
-    if args.format == "json":
-        doc = {
-            "cells": [c.to_dict() for c in cells],
-            "audit": [a.to_dict() for a in audits],
-        }
-        if ranges is not None:
-            doc["ranges"] = [{**r.to_dict(), "computed": writers.span(r.computed)} for r in ranges]
-        return writers.to_json(doc), 0
-    return tables.cells_to_text(cells) + "\n" + tables.format_diff_report(audits, ranges), 0
+    doc = {"cells": [c.to_dict() for c in cells], "audit": [a.to_dict() for a in audits]}
+    if ranges is not None:
+        doc["ranges"] = [r.to_dict() for r in ranges]
+
+    def text(_) -> str:
+        return tables.cells_to_text(cells) + "\n" + tables.format_diff_report(audits, ranges)
+
+    table = (tables.CellAudit.__slots__, (a.values() for a in doc["audit"]))
+    return writers.render(args.format, doc, text=text, table=table), 0
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +303,19 @@ def cmd_mc_estimate_k(args) -> tuple:
     from weibull_shrink import montecarlo
 
     k, se = montecarlo.estimate_bain_constant(args.m, args.n, args.reps, args.seed)
-    pairs = [("k", k), ("se", se), ("m", args.m), ("n", args.n),
-             ("replicates", args.reps), ("seed", args.seed)]
-    return _emit_kv(args.format, pairs), 0
+    doc = {"k": k, "se": se, "m": args.m, "n": args.n, "replicates": args.reps, "seed": args.seed}
+    return writers.render(args.format, doc), 0
 
 
 def cmd_mc_estimate_h(args) -> tuple:
     from weibull_shrink import montecarlo
 
     h, se = montecarlo.estimate_degrees_of_freedom(args.m, args.n, args.reps, args.seed)
-    pairs = [("h", h), ("se", se), ("m", args.m), ("n", args.n),
-             ("replicates", args.reps), ("seed", args.seed)]
+    doc = {"h": h, "se": se, "m": args.m, "n": args.n, "replicates": args.reps, "seed": args.seed}
     builtin = BUILTIN_H.get((args.n, args.m))
     if builtin is not None:
-        pairs += [("builtin_h", builtin), ("deviation", h - builtin)]
-    return _emit_kv(args.format, pairs), 0
+        doc.update(builtin_h=builtin, deviation=h - builtin)
+    return writers.render(args.format, doc), 0
 
 
 def cmd_mc_verify(args) -> tuple:
@@ -395,20 +355,21 @@ def cmd_mc_verify(args) -> tuple:
             results.append(
                 (report.estimator_id, metric, got, ana, tol, "PASS" if ok else "FAIL")
             )
-    failed = sum(r[-1] == "FAIL" for r in results)
-    code = 1 if failed else 0
     header = ("estimator", "metric", "empirical", "analytic", "three_se", "status")
-    if args.format == "csv":
-        return writers.rows_to_csv(header, results), code
-    if args.format == "json":
-        return writers.to_json([dict(zip(header, r)) for r in results]), code
+    doc = [dict(zip(header, r)) for r in results]
+    code = 1 if any(r[-1] == "FAIL" for r in results) else 0
+    return writers.render(args.format, doc, text=_verify_text), code
+
+
+def _verify_text(records) -> str:
     lines = [
         f"{status} {name} {metric}: empirical {emp:.6f} vs analytic {ana:.6f} "
         f"(3se {tol:.6f})"
-        for name, metric, emp, ana, tol, status in results
+        for name, metric, emp, ana, tol, status in map(dict.values, records)
     ]
-    lines.append(f"summary: {len(results) - failed}/{len(results)} checks passed")
-    return "\n".join(lines) + "\n", code
+    passed = sum(r["status"] == "PASS" for r in records)
+    lines.append(f"summary: {passed}/{len(records)} checks passed")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

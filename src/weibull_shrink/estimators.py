@@ -115,7 +115,8 @@ def shrink_weight(p: float, h: float) -> float:
 
     A non-finite p is bad input (ValueError). Admissible p are nonzero, keep
     both gamma arguments positive (effectively p > -h/4), and give
-    0 < w <= 1. Note the weight exceeds 1 on a small band of negative p near
+    0 <= w <= 1; w is 0 where ln w underflows, as at p = 200 or 1000 for
+    h = 10. Note the weight exceeds 1 on a small band of negative p near
     zero, which is rejected here like any other inadmissible p.
 
     One route serves every h; a difference of two log-gamma values of size
@@ -183,7 +184,8 @@ def beta_shrink(
 ) -> float:
     """Shrinkage estimate: convex mix of (h-2)/t and q times the guess midpoint.
 
-    Always positive, and strictly decreasing in t since w(p) > 0.
+    Always positive; strictly decreasing in t when w(p) > 0, and the
+    constant q times the midpoint when w underflows to 0.
     """
     w = shrink_weight(cfg.p, ctx.h)
     return w * beta_unbiased(ctx) + cfg.q * interval.midpoint * (1.0 - w)

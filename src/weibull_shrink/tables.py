@@ -43,10 +43,11 @@ cell formats pre and arb and joins the pieces. A fragment is keyed by the
 identity of its objects, not their values: one object always prints the
 same bytes, but equal values need not (0.0 == -0.0, 6 == 6.0, and a NaN
 equals nothing), so a value key would print one cell's spelling in
-another's place. The CSV and JSON writers are byte-equal to the generic
-writers in `writers` (`rows_to_csv`, `to_json` over `TableCell.to_dict`),
-and the text writer to a writer that formats and right-justifies every
-field on its own; the oracle tests in tests/test_tables.py enforce both.
+another's place. The CSV and JSON writers are byte-equal to the document
+writer `writers.render` (csv over the cells' columns, json over
+`TableCell.to_dict`, whose ranges it prints as spans), and the text writer
+to a writer that formats and right-justifies every field on its own; the
+oracle tests in tests/test_tables.py enforce both.
 Like the rest of the analytic layer this module never imports numpy. Of the
 CLI subcommands only `table` imports this module, and with it the
 transcribed printed tables in `reference_data`.
@@ -71,7 +72,7 @@ from weibull_shrink.risk import (
     _ranges_given_w,
     _rmse_shrink_given_w,
 )
-from weibull_shrink.writers import span, span_ends
+from weibull_shrink.writers import span_ends
 
 DEFAULT_DESIGNS = tuple(sorted((m, h) for (n, m), h in BUILTIN_H.items() if n == 20))
 ROWS_31 = tuple((d1, d2) for d1, d2, _ in ref.TABLE_31_DEPARTURES)
@@ -155,22 +156,6 @@ class TableCell(Frozen):
             raise ValueError(f"pre must be finite and >= 0, got {pre!r}")
         if arb is not None and (not math.isfinite(arb) or arb < 0.0):
             raise ValueError(f"arb must be finite and >= 0, got {arb!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "h": self.h,
-            "p": self.p,
-            "q": self.q,
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "delta": self.delta,
-            "pre": self.pre,
-            "arb": self.arb,
-            "mse_range": span(self.mse_range),
-            "arb_range": span(self.arb_range),
-            "best": span(self.best),
-        }
 
 
 def _walk(designs, p_values, q_values, rows):
@@ -291,7 +276,7 @@ def _fragments(cells) -> tuple:
     return heads, rows, tails, picks
 
 
-# "%r" is the float repr json uses and "%.17g" is writers._full's float format
+# "%r" is the float repr json uses and "%.17g" is writers._csv's float format
 
 
 def cells_to_csv(cells) -> str:
@@ -323,7 +308,8 @@ def _json_span(r: DominanceRange | None) -> str:
 
 
 def cells_to_json(cells) -> str:
-    """The JSON list of TableCell.to_dict, indented by two; non-finite floats raise."""
+    """The cells as writers.render prints the JSON list of their to_dict,
+    indented by two; non-finite floats raise."""
     heads, rows, tails, picks = _fragments(cells)
     head = {k: '  {\n    "m": %r,\n    "h": %r,\n    "p": %r,\n    "q": %r,\n' % v
             for k, v in heads.items()}

@@ -145,6 +145,14 @@ def test_shrink_weight_in_unit_interval(p, h):
     assert 0.0 < w <= 1.0
 
 
+@pytest.mark.parametrize("p", [200.0, 1000.0])
+def test_shrink_weight_underflows_to_zero(p):
+    # ln w underflows: w is 0 and the shrinkage estimate is q times the midpoint
+    assert shrink_weight(p, 10.0) == 0.0
+    iv, cfg = GuessInterval(0.8, 1.2), ShrinkageConfig(p=p, q=0.5)
+    assert {beta_shrink(ctx(t, h=10.0), iv, cfg) for t in (0.5, 8.0, 300.0)} == {0.5}
+
+
 # --- pivot-based point estimates -------------------------------------------
 
 

@@ -4,7 +4,9 @@ A public top-level function or class of `weibull_shrink`, or a public method
 of such a class, must be named somewhere in the package, `scripts/` or
 `bench/`: by an `ast.Name`, an `ast.Attribute` or a `from ... import`. A
 string literal does not count, so a name that only appears in a table of
-strings (such as the benchmark tracer's layer list) has no caller.
+strings (such as the benchmark tracer's layer list) has no caller. The names
+whose only caller is `bench/` are pinned, so a name that gains or loses its
+last caller outside the benchmark fails the test.
 
 The version the package reports is the one `pyproject.toml` declares.
 """
@@ -40,9 +42,9 @@ def _public_definitions():
                         yield path.stem, f"{node.name}.{item.name}", item.name
 
 
-def _referenced_names():
+def _referenced_names(*dirs):
     names = set()
-    for _, tree in _modules(PACKAGE, ROOT / "scripts", ROOT / "bench"):
+    for _, tree in _modules(*dirs):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -56,10 +58,30 @@ def _referenced_names():
 def test_every_public_name_has_a_caller_outside_the_tests():
     definitions = list(_public_definitions())
     assert len(definitions) > 50  # the scan found the package
-    referenced = _referenced_names()
+    referenced = _referenced_names(PACKAGE, ROOT / "scripts", ROOT / "bench")
     unused = [f"{module}.{qualname}" for module, qualname, name in definitions
               if name not in referenced]
     assert unused == []
+
+
+# the public names that only the benchmark calls
+BENCH_ONLY = {
+    "montecarlo.empirical_risk",
+    "risk.arb_mmse",
+    "risk.bias_shrink",
+    "risk.rmse_shrink",
+    "risk.bias_modified",
+    "risk.mse_modified",
+    "tables.GridSpec.default_31",
+    "tables.GridSpec.default_51",
+}
+
+
+def test_names_only_the_benchmark_calls_are_pinned():
+    referenced = _referenced_names(PACKAGE, ROOT / "scripts")
+    bench_only = {f"{module}.{qualname}" for module, qualname, name in _public_definitions()
+                  if name not in referenced}
+    assert bench_only == BENCH_ONLY
 
 
 def test_version_matches_pyproject():

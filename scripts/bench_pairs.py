@@ -4,9 +4,11 @@
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload grid \\
         --seeds 801 802 ... --out BENCH_<n>.json
 
-Before the first pair, `src/` and `bench/` of both trees are byte-compiled
-afresh (`compile_trees`), so that neither side imports from a warmer or
-staler `__pycache__` than the other; only the caches are written. Each seed
+Before the first pair, every `__pycache__` under `src/` and `bench/` of both
+trees is removed (`compile_trees`), so that both sides start as a fresh
+checkout does and neither imports from a warmer or staler cache than the
+other; each module is still compiled in memory, so a broken one stops the
+run. Each seed
 is one pair: `python3 bench/run.py --workload W --seed S --seconds T
 --trace 0` runs once in each tree, the parent first on even pairs and the
 change first on odd ones. T is `run_seconds` from the change tree's
@@ -20,8 +22,8 @@ every run.
 from __future__ import annotations
 
 import argparse
-import compileall
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -29,12 +31,18 @@ from pathlib import Path
 
 
 def compile_trees(trees) -> None:
-    """Byte-compile every module under `src/` and `bench/` of each tree,
-    rewriting caches that are already there; raises if a module fails."""
+    """Remove every `__pycache__` under `src/` and `bench/` of each tree and
+    compile each module there in memory, writing nothing; raises if a module
+    fails to compile."""
     for tree in trees:
         for sub in ("src", "bench"):
-            if not compileall.compile_dir(str(tree / sub), quiet=1, force=True):
-                raise RuntimeError(f"cannot byte-compile {tree / sub}")
+            for cache in sorted((tree / sub).rglob("__pycache__")):
+                shutil.rmtree(cache)
+            for path in sorted((tree / sub).rglob("*.py")):
+                try:
+                    compile(path.read_bytes(), str(path), "exec", dont_inherit=True)
+                except (SyntaxError, ValueError) as exc:
+                    raise RuntimeError(f"cannot compile {path}: {exc}") from exc
 
 
 def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -113,7 +121,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    print(f"byte-compiling src/ and bench/ in {args.parent} and {args.change}",
+    print(f"removing byte-code caches from src/ and bench/ in {args.parent} and {args.change}",
           file=sys.stderr, flush=True)
     compile_trees([args.parent, args.change])
     pairs = []

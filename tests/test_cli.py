@@ -1,8 +1,12 @@
 """End-to-end CLI behaviour: exit codes, formats, determinism.
 
-Everything runs in-process through main(argv) so coverage and capsys work.
+Everything runs in-process through main(argv) so coverage and capsys work,
+except the script-path tests, which run `python -m weibull_shrink.cli` in
+fresh processes (it ends with `os._exit`) and compare them with main(argv),
+and the test of `scripts/reproduce_tables.py`.
 """
 
+import ast
 import csv
 import io
 import itertools
@@ -22,6 +26,7 @@ from weibull_shrink.model import BUILTIN_H
 
 # the stock h of m = 6, 10 and 12 (n = 20) as flag values
 H6, H10, H12 = (repr(BUILTIN_H[20, m]) for m in (6, 10, 12))
+_SRC = Path(weibull_shrink.__file__).resolve().parent.parent  # the package's import root
 
 
 def run(capsys, *argv):
@@ -1169,15 +1174,148 @@ def test_estimate_reports_the_first_bad_input_in_risk_order(tmp_path, capsys, co
     assert err.startswith(first), err
 
 
+# --- the script path: run() flushes, then ends the process with os._exit ------
+
+_RISK = ("risk", "--h", H6, "--p", "-2", "--q", "0.25", "--delta", "4.0",
+         "--modified", "--delta1", "3.8", "--delta2", "4.2")
+_DOM = ("dominance", "--h", H6, "--p", "1", "--q", "0.5")
+_PIVOT = ("estimate", "--t", "8.8519", "--h", H6, "--p", "1", "--q", "0.5",
+          "--beta1", "0.8", "--beta2", "3.2")
+_FORMATS = ("text", "csv", "json")
+# every subcommand, and every exit code: 0 to 5
+_SCRIPT_ARGVS = [
+    ("--help",),
+    *((*_RISK, "--format", fmt) for fmt in _FORMATS),
+    *((*_DOM, "--format", fmt) for fmt in _FORMATS),
+    *((*_PIVOT, "--format", fmt) for fmt in _FORMATS),
+    ("estimate", "--data", "@six", "--n", "20", *_EST, "--p", "1", "--q", "0.5",
+     "--format", "csv"),
+    ("table", "31", "--m", "6", "--p", "1", "--q", "0.5", "--diff"),
+    ("table", "51", "--diff", "--format", "json"),  # about 212 KB in one write
+    ("mc", "verify", "--h", "10", "--p", "1", "--q", "0.5", "--delta", "1",
+     "--reps", "1000", "--seed", "44"),  # one MSE check fails: exit 1
+    ("mc", "verify", "--h", H6, "--p", "1", "--q", "0.5", "--delta1", "0.8", "--delta2", "1.2",
+     "--reps", "1000", "--seed", "7", "--format", "json"),
+    ("mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "1000", "--format", "csv"),
+    ("mc", "estimate-h", "--n", "20", "--m", "6", "--reps", "1000", "--format", "json"),
+    ("risk", "--h", H6),  # argparse usage error: exit 2
+    ("risk", "--h", H6, "--p", "1", "--q", "1.5", "--delta", "1"),  # exit 2
+    ("dominance", "--h", H6, "--p", "-3", "--q", "0.5"),  # exit 3
+    ("estimate", "--data", "@six", "--n", "30", *_EST, "--p", "1", "--q", "0.5"),  # exit 4
+    ("table", "31", "--out", "/no/such/dir/table.csv"),  # exit 5
+    ("table", "31", "--format", "csv", "--out", "@out"),
+]
+
+
+def _script(argv, cwd=None, stdout=subprocess.PIPE):
+    # stdout stays buffered, as by default, so output left unflushed at os._exit is lost
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "weibull_shrink.cli", *argv], cwd=cwd,
+                          env=dict(env, PYTHONPATH=str(_SRC)), stdout=stdout,
+                          stderr=subprocess.PIPE)
+
+
+def test_script_path_matches_main_in_process(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps alike in both processes
+    codes = set()
+    for argv in _SCRIPT_ARGVS:
+        argv = _with_data_files(tmp_path, argv)
+        outs = [tmp_path / "main.csv", tmp_path / "script.csv"]
+        here, there = ([str(out) if a == "@out" else a for a in argv] for out in outs)
+        code, out, err = run(capsys, *here)
+        done = _script(there, cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr.decode("utf-8")) == (
+            code, out.encode("utf-8"), err), argv
+        if "@out" in argv:
+            assert outs[0].read_bytes() == outs[1].read_bytes() != b""
+        codes.add(code)
+    assert codes == {0, 1, 2, 3, 4, 5}
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose `method` raises `error`."""
+
+    def __init__(self, method, error):
+        super().__init__()
+        setattr(self, method, self._raise)
+        self.error = error
+
+    def _raise(self, *_):
+        raise self.error
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"),
+                                   BrokenPipeError(32, "Broken pipe")], ids=repr)
+def test_failed_stdout_write_exits_5_with_one_line(capsys, monkeypatch, method, error):
+    # capsys patches sys.stdout first; the stub replaces it for main alone
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(method, error))
+    code = main(["dominance", *_DOM[1:]])
+    monkeypatch.undo()
+    assert (code, capsys.readouterr().err) == (5, f"cannot write stdout: {error}\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_script_writing_to_a_full_device_exits_5():
+    with open("/dev/full", "wb") as full:
+        done = _script(["table", "51"], stdout=full)
+    assert done.returncode == 5
+    assert done.stderr == b"cannot write stdout: [Errno 28] No space left on device\n"
+
+
+def test_run_flushes_then_ends_the_process_with_mains_code(monkeypatch):
+    from weibull_shrink import cli
+
+    events = []
+
+    class Stream(io.StringIO):
+        def __init__(self, name):
+            super().__init__()
+            self.name = name
+
+        def flush(self):
+            events.append(("flush", self.name))
+
+    class Exit(BaseException):
+        pass
+
+    def fake_exit(code):
+        events.append(("exit", code))
+        raise Exit
+
+    monkeypatch.setattr(sys, "argv", ["weibull-shrink", *_DOM])
+    monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+    monkeypatch.setattr(cli, "main", lambda: events.append(("main",)) or 3)
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    with pytest.raises(Exit):
+        cli.run()
+    assert events == [("main",), ("flush", "stdout"), ("flush", "stderr"), ("exit", 3)]
+
+
+def test_console_script_and_main_block_call_the_same_entry():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    from weibull_shrink import cli
+
+    with open(_SRC.parent / "pyproject.toml", "rb") as fh:
+        entry = tomllib.load(fh)["project"]["scripts"]["weibull-shrink"]
+    module, _, name = entry.partition(":")
+    assert module == cli.__name__
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    block = tree.body[-1]
+    assert isinstance(block, ast.If) and ast.unparse(block.test) == "__name__ == '__main__'"
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{name}()"]
+    assert callable(getattr(cli, name))
+
+
 # --- scripts ------------------------------------------------------------------
 
 
 def test_reproduce_tables_script(tmp_path, capsys):
     script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
-    src = Path(weibull_shrink.__file__).resolve().parent.parent
     done = subprocess.run(
         [sys.executable, str(script), "--outdir", str(tmp_path)],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(_SRC)), capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
     for which in ("31", "51"):

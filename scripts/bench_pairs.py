@@ -16,13 +16,17 @@ BENCHMARK.json. The result files the runs leave in each tree's bench/out/
 are summarised per gated end-to-end metric: each side's median and
 quartiles, the pairs the change won, and whether a gain or a regression
 shows (see `summarise`), beside the ops attempted and the provenance of
-every run.
+every run. The summary's provenance also records the interpreter variables
+the runs inherited from this script's environment (`inherited_environment`),
+null where unset: `bench/` hands them on to every `cli` op, so they decide
+whether an op's stdout is buffered and whether it writes byte-code caches.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -43,6 +47,15 @@ def compile_trees(trees) -> None:
                     compile(path.read_bytes(), str(path), "exec", dont_inherit=True)
                 except (SyntaxError, ValueError) as exc:
                     raise RuntimeError(f"cannot compile {path}: {exc}") from exc
+
+
+# interpreter variables that change what a benchmarked process does
+RECORDED_ENV = ("PYTHONUNBUFFERED", "PYTHONDONTWRITEBYTECODE", "PYTHONHASHSEED")
+
+
+def inherited_environment(environ) -> dict:
+    """Each of `RECORDED_ENV` as `environ` holds it, None where it is unset."""
+    return {name: environ.get(name) for name in RECORDED_ENV}
 
 
 def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -134,6 +147,8 @@ def main(argv=None) -> int:
         pairs.append((got["parent"], got["change"]))
     summary = {"workload": args.workload, "seconds": seconds,
                **summarise(pairs, bench["end_to_end"])}
+    # every run inherits this process's environment unchanged
+    summary["provenance"]["environment"] = inherited_environment(os.environ)
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
     for name, m in summary["metrics"].items():
         print(f"{name:<12} parent {m['parent']['median']:.6g}  change {m['change']['median']:.6g}"

@@ -313,22 +313,19 @@ def cmd_table(args) -> tuple:
 # mc
 
 
-def cmd_mc_estimate_k(args) -> tuple:
+def cmd_mc_estimate(args) -> tuple:
+    """`mc estimate-k` or `mc estimate-h`, by `args.constant`; h is compared
+    with the built-in value of a built-in design."""
     from weibull_shrink import montecarlo
 
-    k, se = montecarlo.estimate_bain_constant(args.m, args.n, args.reps, args.seed)
-    doc = {"k": k, "se": se, "m": args.m, "n": args.n, "replicates": args.reps, "seed": args.seed}
-    return writers.render(args.format, doc), 0
-
-
-def cmd_mc_estimate_h(args) -> tuple:
-    from weibull_shrink import montecarlo
-
-    h, se = montecarlo.estimate_degrees_of_freedom(args.m, args.n, args.reps, args.seed)
-    doc = {"h": h, "se": se, "m": args.m, "n": args.n, "replicates": args.reps, "seed": args.seed}
-    builtin = BUILTIN_H.get((args.n, args.m))
+    estimate = {"k": montecarlo.estimate_bain_constant,
+                "h": montecarlo.estimate_degrees_of_freedom}[args.constant]
+    value, se = estimate(args.m, args.n, args.reps, args.seed)
+    doc = {args.constant: value, "se": se, "m": args.m, "n": args.n,
+           "replicates": args.reps, "seed": args.seed}
+    builtin = BUILTIN_H.get((args.n, args.m)) if args.constant == "h" else None
     if builtin is not None:
-        doc.update(builtin_h=builtin, deviation=h - builtin)
+        doc.update(builtin_h=builtin, deviation=value - builtin)
     return writers.render(args.format, doc), 0
 
 
@@ -464,19 +461,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="observed failures (2 <= m <= n); checked, but unused like --n")
     p_ver.set_defaults(func=cmd_mc_verify)
 
-    p_k = mc_sub.add_parser("estimate-k", parents=[common],
-                            help="simulate the unbiasing constant for a design")
-    p_k.add_argument("--n", type=int, required=True)
-    p_k.add_argument("--m", type=int, required=True)
-    p_k.add_argument("--reps", type=int, default=100_000)
-    p_k.set_defaults(func=cmd_mc_estimate_k)
-
-    p_h = mc_sub.add_parser("estimate-h", parents=[common],
-                            help="simulate the variance-matching pivotal constant")
-    p_h.add_argument("--n", type=int, required=True)
-    p_h.add_argument("--m", type=int, required=True)
-    p_h.add_argument("--reps", type=int, default=100_000)
-    p_h.set_defaults(func=cmd_mc_estimate_h)
+    for constant, help_text in (("k", "simulate the unbiasing constant for a design"),
+                                ("h", "simulate the variance-matching pivotal constant")):
+        p_const = mc_sub.add_parser(f"estimate-{constant}", parents=[common], help=help_text)
+        p_const.add_argument("--n", type=int, required=True)
+        p_const.add_argument("--m", type=int, required=True)
+        p_const.add_argument("--reps", type=int, default=100_000)
+        p_const.set_defaults(func=cmd_mc_estimate, constant=constant)
 
     return parser
 

@@ -9,17 +9,18 @@ quotient overflows, and exactly 100 when the MSE is the MMSE one. The risks
 of the shrinkage estimators depend on the unknown shape only through the
 departure ratios delta1 = beta1/beta, delta2 = beta2/beta and their mean delta.
 
-Each public function is an entry point: it checks its raw arguments once,
-with the rules in `model` and in the order h, q, departures, then the
-admissibility of p, and computes w(p) once. The formulas themselves are the
-`_given_w` kernels, which take the weight as an argument and trust their
-inputs. The CLI and the table builders read every quantity of the paper,
-efficiency, ARB and the three dominance ranges, from `report_shrink`,
-`report_modified` and `dominance_ranges` or from the kernels directly; those
-entries call the kernels rather than other public functions, so nothing is
-checked or computed twice. The remaining scalar risks (`arb_mmse`,
-`bias_shrink`, `rmse_shrink`, `bias_modified`, `mse_modified`) are kept
-because the benchmark's `simulate` workload reads them. The kernels square by
+The entries are the four reports (`report_unbiased`, `report_mmse`,
+`report_shrink`, `report_modified`) and `dominance_ranges`. Each checks its
+raw arguments once, with the rules in `model` and in the order h, q,
+departures, then the admissibility of p, and computes w(p) once; every one
+needs h > 4. The formulas themselves are the `_given_w` and `_given_terms`
+kernels, which take the weight as an argument and trust their inputs. The CLI
+and the table builders read every quantity of the paper from the entries or
+from the kernels directly, so nothing is checked or computed twice. The seven
+scalar risks at the end (`rmse_unbiased`, `rmse_mmse`, `arb_mmse`,
+`bias_shrink`, `rmse_shrink`, `bias_modified`, `mse_modified`) each read one
+field of a report, with its checks and its errors; they are kept because the
+benchmark's `simulate` workload reads them. The kernels square by
 multiplying, so an overflow is an inf rather than a raise. All four reports
 are built by `_report`, which holds the one finiteness rule: a non-finite
 bias or MSE raises `DepartureOverflowError` naming the departure or the
@@ -96,25 +97,7 @@ class DepartureOverflowError(OverflowError):
 
 
 # ---------------------------------------------------------------------------
-# reference estimators
-
-
-def rmse_unbiased(h: float) -> float:
-    """Relative MSE of (h - 2)/t: 2/(h - 4)."""
-    h = _require_h(h, 4.0)
-    return 2.0 / (h - 4.0)
-
-
-def arb_mmse(h: float) -> float:
-    """Absolute relative bias of (h - 4)/t: 2/(h - 2)."""
-    h = _require_h(h, 2.0)
-    return 2.0 / (h - 2.0)
-
-
-def rmse_mmse(h: float) -> float:
-    """Relative MSE of (h - 4)/t: also 2/(h - 2)."""
-    h = _require_h(h, 4.0)
-    return 2.0 / (h - 2.0)
+# efficiency and the report builder
 
 
 def _efficiency(h: float, mse: float) -> float:
@@ -133,6 +116,32 @@ def _efficiency(h: float, mse: float) -> float:
     return 100.0 * mmse / mse
 
 
+def _report(estimator_id: str, h: float, bias: float, mse: float, where: str) -> RiskReport:
+    """The report of an estimator with relative bias `bias` and MSE `mse` at
+    h, its efficiency from `_efficiency`; a non-finite risk raises
+    `DepartureOverflowError` naming `where`, the departure or interval."""
+    if not (math.isfinite(bias) and math.isfinite(mse)):
+        raise DepartureOverflowError(f"the risks of {estimator_id} overflow {where}")
+    return RiskReport(estimator_id, bias, abs(bias), mse, _efficiency(h, mse))
+
+
+# ---------------------------------------------------------------------------
+# reference estimators
+
+
+def report_unbiased(h: float) -> RiskReport:
+    """(h - 2)/t: unbiased, relative MSE 2/(h - 4)."""
+    h = _require_h(h, 4.0)
+    return _report("UNBIASED", h, 0.0, 2.0 / (h - 4.0), f"at h={h!r}")
+
+
+def report_mmse(h: float) -> RiskReport:
+    """(h - 4)/t: relative bias -2/(h - 2) and relative MSE 2/(h - 2)."""
+    h = _require_h(h, 4.0)
+    value = 2.0 / (h - 2.0)
+    return _report("MMSE", h, -value, value, f"at h={h!r}")
+
+
 # ---------------------------------------------------------------------------
 # plain shrinkage estimator
 
@@ -146,25 +155,16 @@ def _rmse_shrink_given_w(h: float, q: float, delta: float, w: float) -> float:
     return pull * pull * (1.0 - w) ** 2 + 2.0 * w * w / (h - 4.0)
 
 
-def _shrink_point(
-    h: float, p: float, q: float, delta: float, h_min: float = 4.0
-) -> tuple[float, float, float, float]:
-    """Check a plain-shrinkage point once; return it with its weight w(p)."""
-    h = _require_h(h, h_min)
+def report_shrink(h: float, p: float, q: float, delta: float) -> RiskReport:
+    """Relative bias (q*delta - 1)(1 - w) and MSE (q*delta - 1)^2 (1 - w)^2
+    + 2 w^2/(h - 4) of the plain shrinkage estimator."""
+    h = _require_h(h, 4.0)
     q = _require_q(q)
     delta = _require_positive("delta", delta)
-    return h, q, delta, shrink_weight(p, h)
-
-
-def bias_shrink(h: float, p: float, q: float, delta: float) -> float:
-    """Signed relative bias (q * delta - 1) * (1 - w)."""
-    h, q, delta, w = _shrink_point(h, p, q, delta, h_min=2.0)
-    return _bias_shrink_given_w(q, delta, w)
-
-
-def rmse_shrink(h: float, p: float, q: float, delta: float) -> float:
-    """Relative MSE (q*delta - 1)^2 (1 - w)^2 + 2 w^2 / (h - 4)."""
-    return _rmse_shrink_given_w(*_shrink_point(h, p, q, delta))
+    w = shrink_weight(p, h)
+    bias = _bias_shrink_given_w(q, delta, w)
+    mse = _rmse_shrink_given_w(h, q, delta, w)
+    return _report("SHRINK_PQ", h, bias, mse, f"at delta={delta!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +221,12 @@ def dominance_ranges(h: float, p: float, q: float) -> dict:
 # power of 1/t under the expectation.
 
 
-def _interval_terms(h: float, delta1: float, delta2: float, depth: int = 3) -> tuple:
-    """P(h/2 - j, eta_i) for j < depth, as (i1_full, i2_full, i1_down, i2_down,
-    i1_dd, i2_dd) cut to 2 * depth entries.
+def _interval_terms(h: float, delta1: float, delta2: float) -> tuple:
+    """P(h/2 - j, eta_i) for j = 0, 1, 2, as (i1_full, i2_full, i1_down,
+    i2_down, i1_dd, i2_dd).
 
-    These depend only on (h, delta1, delta2); the bias needs depth 2 and the
-    MSE depth 3, whose last shape argument h/2 - 2 needs h > 4. Each
+    These depend only on (h, delta1, delta2); the bias reads the first four,
+    the MSE all six, whose last shape argument h/2 - 2 needs h > 4. Each
     threshold eta_i costs one incomplete-gamma evaluation, at shape h/2: the
     lower shapes follow from it by the downward recurrence of
     `specfun.reg_lower_inc_gamma_down`, which adds only positive terms. That
@@ -240,8 +240,8 @@ def _interval_terms(h: float, delta1: float, delta2: float, depth: int = 3) -> t
         )
     eta1 = (h / 2.0 - 1.0) / delta1
     eta2 = (h / 2.0 - 1.0) / delta2
-    at1 = reg_lower_inc_gamma_down(eta1, h / 2.0, depth - 1)
-    at2 = reg_lower_inc_gamma_down(eta2, h / 2.0, depth - 1)
+    at1 = reg_lower_inc_gamma_down(eta1, h / 2.0, 2)
+    at2 = reg_lower_inc_gamma_down(eta2, h / 2.0, 2)
     return tuple(v for pair in zip(at1, at2) for v in pair)
 
 
@@ -275,67 +275,47 @@ def _mse_modified_given_terms(
     )
 
 
-def _modified_point(
-    h: float, p: float, q: float, delta1: float, delta2: float, h_min: float = 4.0
-) -> tuple[float, float, float, float, float]:
-    """Check a truncated-shrinkage point once; return it with its weight w(p)."""
-    h = _require_h(h, h_min)
-    q = _require_q(q)
-    delta1, delta2 = _require_interval("delta1", delta1, "delta2", delta2)
-    return h, q, delta1, delta2, shrink_weight(p, h)
-
-
-def bias_modified(
-    h: float, p: float, q: float, delta1: float, delta2: float
-) -> float:
-    """Signed relative bias of the truncated shrinkage estimator."""
-    h, q, delta1, delta2, w = _modified_point(h, p, q, delta1, delta2, h_min=2.0)
-    terms = _interval_terms(h, delta1, delta2, depth=2)
-    return _bias_modified_given_terms(q, delta1, delta2, w, terms)
-
-
-def mse_modified(
-    h: float, p: float, q: float, delta1: float, delta2: float
-) -> float:
-    """Relative MSE of the truncated shrinkage estimator."""
-    h, q, delta1, delta2, w = _modified_point(h, p, q, delta1, delta2)
-    return _mse_modified_given_terms(h, q, delta1, delta2, w, _interval_terms(h, delta1, delta2))
-
-
-# ---------------------------------------------------------------------------
-# report builders
-
-
-def _report(estimator_id: str, h: float, bias: float, mse: float, where: str) -> RiskReport:
-    """The report of an estimator with relative bias `bias` and MSE `mse` at
-    h, its efficiency from `_efficiency`; a non-finite risk raises
-    `DepartureOverflowError` naming `where`, the departure or interval."""
-    if not (math.isfinite(bias) and math.isfinite(mse)):
-        raise DepartureOverflowError(f"the risks of {estimator_id} overflow {where}")
-    return RiskReport(estimator_id, bias, abs(bias), mse, _efficiency(h, mse))
-
-
-def report_unbiased(h: float) -> RiskReport:
-    return _report("UNBIASED", h, 0.0, rmse_unbiased(h), f"at h={h!r}")
-
-
-def report_mmse(h: float) -> RiskReport:
-    value = rmse_mmse(h)  # the ARB of (h - 4)/t is 2/(h - 2) as well
-    return _report("MMSE", h, -value, value, f"at h={h!r}")
-
-
-def report_shrink(h: float, p: float, q: float, delta: float) -> RiskReport:
-    h, q, delta, w = _shrink_point(h, p, q, delta)
-    bias = _bias_shrink_given_w(q, delta, w)
-    mse = _rmse_shrink_given_w(h, q, delta, w)
-    return _report("SHRINK_PQ", h, bias, mse, f"at delta={delta!r}")
-
-
 def report_modified(
     h: float, p: float, q: float, delta1: float, delta2: float
 ) -> RiskReport:
-    h, q, delta1, delta2, w = _modified_point(h, p, q, delta1, delta2)
+    """Relative bias and MSE of the truncated shrinkage estimator."""
+    h = _require_h(h, 4.0)
+    q = _require_q(q)
+    delta1, delta2 = _require_interval("delta1", delta1, "delta2", delta2)
+    w = shrink_weight(p, h)
     terms = _interval_terms(h, delta1, delta2)
     bias = _bias_modified_given_terms(q, delta1, delta2, w, terms)
     mse = _mse_modified_given_terms(h, q, delta1, delta2, w, terms)
     return _report("SHRINK_PQ_MODIFIED", h, bias, mse, f"on ({delta1!r}, {delta2!r})")
+
+
+# ---------------------------------------------------------------------------
+# scalar risks: one report field each
+
+
+def rmse_unbiased(h: float) -> float:
+    return report_unbiased(h).rmse
+
+
+def rmse_mmse(h: float) -> float:
+    return report_mmse(h).rmse
+
+
+def arb_mmse(h: float) -> float:
+    return report_mmse(h).arb
+
+
+def bias_shrink(h: float, p: float, q: float, delta: float) -> float:
+    return report_shrink(h, p, q, delta).bias_over_beta
+
+
+def rmse_shrink(h: float, p: float, q: float, delta: float) -> float:
+    return report_shrink(h, p, q, delta).rmse
+
+
+def bias_modified(h: float, p: float, q: float, delta1: float, delta2: float) -> float:
+    return report_modified(h, p, q, delta1, delta2).bias_over_beta
+
+
+def mse_modified(h: float, p: float, q: float, delta1: float, delta2: float) -> float:
+    return report_modified(h, p, q, delta1, delta2).rmse

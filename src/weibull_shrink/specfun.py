@@ -47,12 +47,13 @@ def reg_lower_inc_gamma(eta: float, omega: float) -> float:
     """Regularized lower incomplete gamma P(omega, eta) on [0, 1].
 
     Increasing in eta, decreasing in omega; P(omega, 0) = 0 and
-    P(omega, inf) = 1. Requires 0 < omega <= OMEGA_MAX.
+    P(omega, inf) = 1. Requires eta >= 0, +inf included, and
+    0 < omega <= OMEGA_MAX.
     """
     eta = float(eta)
     omega = float(omega)
-    if not math.isfinite(eta) or eta < 0.0:
-        raise ValueError(f"eta must be finite and >= 0, got {eta!r}")
+    if not eta >= 0.0:
+        raise ValueError(f"eta must be >= 0, got {eta!r}")
     if not math.isfinite(omega) or omega <= 0.0:
         raise ValueError(f"omega must be finite and > 0, got {omega!r}")
     if omega > OMEGA_MAX:
@@ -62,6 +63,8 @@ def reg_lower_inc_gamma(eta: float, omega: float) -> float:
         )
     if eta == 0.0:
         return 0.0
+    if eta == math.inf:
+        return 1.0
 
     ax = omega * math.log(eta) - eta - math.lgamma(omega)
     if ax < _MIN_LOG:
@@ -123,14 +126,18 @@ def reg_lower_inc_gamma_down(eta: float, omega: float, steps: int) -> tuple:
     eta^a e^(-eta) / Gamma(a + 1), a the new shape, is formed in log form and
     exponentiated on its own, so an underflow at a high shape cannot zero a
     lower one: at omega = 2.0001 and eta = 1e-200, P(omega, eta) is 0 while
-    P(omega - 2, eta) is 0.955. Values are clamped to [0, 1]. Requires
-    omega - steps > 0 besides the conditions of ``reg_lower_inc_gamma``.
+    P(omega - 2, eta) is 0.955. Values are clamped to [0, 1]. At eta = +inf
+    every value is 1, returned directly, since the log form would take
+    inf - inf. Requires omega - steps > 0 besides the conditions of
+    ``reg_lower_inc_gamma``.
     """
     if not omega - steps > 0.0:
         raise ValueError(f"omega - steps must be > 0, got omega={omega!r}, steps={steps!r}")
     value = reg_lower_inc_gamma(eta, omega)
     if eta == 0.0:
         return (0.0,) * (steps + 1)
+    if eta == math.inf:
+        return (1.0,) * (steps + 1)
     values = [value]
     log_eta = math.log(eta)
     for k in range(1, steps + 1):

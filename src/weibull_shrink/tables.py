@@ -41,13 +41,12 @@ fragments of its call, `_fragments`, in dicts that live only for that call,
 formats each fragment once (the text writer after its width pass), and per
 cell formats pre and arb and joins the pieces. A fragment is keyed by the
 identity of its objects, not their values: one object always prints the
-same bytes, but equal values need not (0.0 == -0.0, 6 == 6.0, and a NaN
-equals nothing), so a value key would print one cell's spelling in
-another's place. The CSV and JSON writers are byte-equal to the document
-writer `writers.render` (csv over the cells' columns, json over
-`TableCell.to_dict`, whose ranges it prints as spans), and the text writer
-to a writer that formats and right-justifies every field on its own; the
-oracle tests in tests/test_tables.py enforce both.
+same bytes, and a value key would hash the three `DominanceRange`s of every
+cell through `Frozen.__hash__`. The CSV and JSON writers are byte-equal to
+the document writer `writers.render` (csv over the cells' columns, json over
+`TableCell.to_dict`, whose ranges it prints as spans), and the text writer,
+on built cells, to a writer that formats and right-justifies every field on
+its own; the oracle tests in tests/test_tables.py enforce both.
 Like the rest of the analytic layer this module never imports numpy. Of the
 CLI subcommands only `table` imports this module, and with it the
 transcribed printed tables in `reference_data`.
@@ -56,7 +55,6 @@ transcribed printed tables in `reference_data`.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 from weibull_shrink import reference_data as ref
 from weibull_shrink.estimators import shrink_weight
@@ -257,9 +255,10 @@ def _fragments(cells) -> tuple:
     delta2, delta) and `tails` to its (mse_range, arb_range, best); `picks`
     holds (head key, row key, tail key, pre, arb) per cell, in order. A key is
     the identities of its objects, not their values: one object always prints
-    the same bytes, but equal values need not (0.0 == -0.0, 6 == 6.0, and a
-    NaN equals nothing). The dicts hold the objects, so no identity is reused
-    while they live.
+    the same bytes, and keyed by value the three `DominanceRange`s of each
+    cell would be hashed through `Frozen.__hash__`, which builds a tuple of
+    their fields. The dicts hold the objects, so no identity is reused while
+    they live.
     """
     heads, rows, tails, picks = {}, {}, {}, []
     for c in cells:
@@ -337,33 +336,17 @@ _TEXT_HEADER = ("m", "h", "p", "q", "d1", "d2", "delta", "pre", "arb",
 _TEXT_KINDS = "sfggfffffffff"
 
 
-def _fixed_width(values) -> int:
-    """Width of the widest "%.4f" of `values` (0 when there are none).
-
-    Rounding is monotone, so the widest is the least or the greatest value.
-    min() and max() skip a NaN unless it comes first, when both return NaN,
-    and "nan" is narrower than any finite value. An infinity prints narrower
-    than large finite values, so a column whose least or greatest value is
-    not finite is measured value by value. -0.0 ties with 0.0 in min() but
-    prints a sign, so it is looked for when the least value is zero.
-    """
-    if not values:
-        return 0
-    lo, hi = min(values), max(values)
-    if not math.isfinite(lo + hi):
-        return max(map(len, map("%.4f".__mod__, values)))
-    if lo == 0.0 and min(map(math.copysign, repeat(1.0), values)) < 0.0:
-        lo = -0.0
-    return max(len("%.4f" % lo), len("%.4f" % hi))
-
-
 def cells_to_text(cells) -> str:
     """Aligned plain text, four decimals, '-' where a column does not apply.
 
     The column widths come from one pass over the distinct shared fragments
-    and the cells' own pre and arb (a fixed-point column's least and greatest
-    value, every other column's widest); then each fragment is formatted
-    once at those widths, as in the CSV and JSON writers.
+    and the cells' own pre and arb (a fixed-point column's greatest value,
+    every other column's widest); then each fragment is formatted once at
+    those widths, as in the CSV and JSON writers. The cells must be built
+    ones, from `table_31` or `table_51`: there every fixed-point field (h,
+    the departures, pre, arb and the range ends) is finite and >= +0.0, as
+    `GridSpec`, `_finite_mse` and `_range_about` ensure, so its greatest
+    value prints widest. A NaN, an infinity or a -0.0 may be misaligned.
     """
     heads, rows, tails, picks = _fragments(cells)
     spans = {k: (*span_ends(mse), *span_ends(best)) for k, (mse, _, best) in tails.items()}
@@ -377,8 +360,10 @@ def cells_to_text(cells) -> str:
     widths = []
     for name, kind, column in zip(_TEXT_HEADER, _TEXT_KINDS, columns):
         if kind == "f":
+            # rounding is monotone and a built cell's fixed-point fields are
+            # finite and >= +0.0, so the greatest value prints widest
             present = [v for v in column if v is not None] if None in column else column
-            width = _fixed_width(present)
+            width = len("%.4f" % max(present)) if present else 0
         else:
             width = max(map(len, map(f"%{kind}".__mod__, column)), default=0)
         widths.append(max(len(name), width))

@@ -1,7 +1,10 @@
-"""scripts/bench_pairs.py: the summariser, on hand-made result dicts, and the
-removal of both trees' byte-code caches, on a temporary tree."""
+"""scripts/bench_pairs.py: the summariser, on hand-made result dicts, the
+interpreter environment its summary records, and the removal of both trees'
+byte-code caches, on a temporary tree."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -74,6 +77,34 @@ def test_summarise_quartiles_and_alternation():
     assert s["metrics"]["peak_rss_mb"]["within_bound"]
     assert [r["change"]["first"] for r in s["runs"]] == [False, True, False]
     assert "seed" not in s["provenance"]["parent"]  # seeds differ, so it is per run
+
+
+def test_summary_records_the_environment_the_runs_inherited(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run(tree, workload, seed, seconds):
+        # what a child process started now would inherit
+        seen.append(bench_pairs.inherited_environment(os.environ))
+        return _result(seed, tree.name, 10, op_p90_s=0.05, peak_rss_mb=30.0, rate=1.0)
+
+    for tree in ("parent", "change"):
+        (tmp_path / tree).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "compile_trees", lambda trees: None)
+    monkeypatch.setattr(bench_pairs, "run_one", fake_run)
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setenv("PYTHONHASHSEED", "0")
+    out = tmp_path / "summary.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--workload", "grid",
+                             "--seeds", "1", "2", "--out", str(out)]) == 0
+    want = {"PYTHONUNBUFFERED": "1", "PYTHONDONTWRITEBYTECODE": None, "PYTHONHASHSEED": "0"}
+    assert seen == [want] * 4
+    provenance = json.loads(out.read_text())["provenance"]
+    assert provenance["environment"] == want  # an unset variable is null
+    assert provenance["parent"]["git_commit"] == "parent"
 
 
 def _files(root: Path) -> dict:

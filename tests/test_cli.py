@@ -472,6 +472,29 @@ def test_truncated_estimator_beyond_its_h_bound_names_h(capsys, argv):
                                   "accuracy bound of its incomplete gammas, got h=30000.0\n")
 
 
+_TINY_PAIR = ("--h", "10", "--p", "1", "--q", "0.5", "--delta1", "1e-320", "--delta2", "1e-320")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (("risk", *_TINY_PAIR, "--modified"),
+         "SHRINK_PQ_MODIFIED      -1.0000     1.0000     1.0000      25.0000"),
+        (("mc", "verify", *_TINY_PAIR, "--reps", "1000"), "summary: 8/8 checks passed"),
+        (("table", "51", "--design", "6:10", "--rows", "1e-320:1e-320", "--p", "1", "--q", "0.5"),
+         "6  10.0000  1  0.5  0.0000  0.0000  0.0000  25.0000    -       -       -        -"
+         "        -"),
+    ],
+    ids=["risk", "mc-verify", "table"],
+)
+def test_departure_that_overflows_eta_is_computed(capsys, argv, line):
+    # eta = (h/2 - 1)/delta is +inf, so P(., eta) = 1: the truncated estimator
+    # always returns beta2, with bias delta2 - 1 and MSE (delta2 - 1)^2
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert line in out.splitlines()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -67,6 +67,8 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 # the public names that only the benchmark calls
 BENCH_ONLY = {
     "montecarlo.empirical_risk",
+    "risk.rmse_unbiased",
+    "risk.rmse_mmse",
     "risk.arb_mmse",
     "risk.bias_shrink",
     "risk.rmse_shrink",

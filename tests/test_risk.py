@@ -462,7 +462,6 @@ def test_interval_terms_match_six_direct_calls():
         want = _direct_terms(h, d1, d2)
         tol = 1e-13 * max(1.0, h / 100.0)
         assert max(abs(a - b) for a, b in zip(got, want)) <= tol, (h, d1, d2)
-        assert risk._interval_terms(h, d1, d2, depth=2) == got[:4]
     assert branches == {True, False}  # both the series and the continued fraction
 
 
@@ -531,10 +530,31 @@ def test_composite_risks_evaluate_once(monkeypatch):
         assert got == (want_p, 16, 0, want_ranges), fn.__name__
 
 
-def test_bias_modified_below_h_4():
-    # the bias needs only P(h/2) and P(h/2 - 1), so it is defined for every h > 2
-    assert risk.bias_modified(3.5, 1.0, 0.5, 0.8, 1.2) == pytest.approx(
-        -0.14767898404288116, rel=1e-14
-    )
-    with pytest.raises(ValueError):
-        risk.mse_modified(3.5, 1.0, 0.5, 0.8, 1.2)
+# each scalar risk, the report it reads and its arguments after h
+SCALARS = [
+    (risk.rmse_unbiased, risk.report_unbiased, ()),
+    (risk.rmse_mmse, risk.report_mmse, ()),
+    (risk.arb_mmse, risk.report_mmse, ()),
+    (risk.bias_shrink, risk.report_shrink, (1.0, 0.5, 1.0)),
+    (risk.rmse_shrink, risk.report_shrink, (1.0, 0.5, 1.0)),
+    (risk.bias_modified, risk.report_modified, (1.0, 0.5, 0.8, 1.2)),
+    (risk.mse_modified, risk.report_modified, (1.0, 0.5, 0.8, 1.2)),
+]
+
+
+@pytest.mark.parametrize("scalar, report, args", SCALARS, ids=[s.__name__ for s, _, _ in SCALARS])
+def test_scalar_risks_refuse_h_below_4_like_their_report(scalar, report, args):
+    # each scalar reads one report field, so it needs h > 4 like every entry
+    for fn in (scalar, report):
+        with pytest.raises(ValueError, match=r"^need a finite h > 4, got 3\.5$"):
+            fn(3.5, *args)
+
+
+def test_scalar_risks_raise_where_their_report_overflows():
+    # the bias is finite here, but the report refuses the overflowed MSE
+    for fn in (risk.bias_shrink, risk.rmse_shrink):
+        with pytest.raises(risk.DepartureOverflowError, match=r"overflow at delta=1e\+300"):
+            fn(10.0, 1.0, 0.5, 1e300)
+    for fn in (risk.bias_modified, risk.mse_modified):
+        with pytest.raises(risk.DepartureOverflowError, match=r"overflow on \(1e\+300, 2e\+300\)"):
+            fn(10.0, 1.0, 0.5, 1e300, 2e300)

@@ -135,6 +135,20 @@ def test_reg_lower_inc_gamma_in_unit_interval(eta, omega):
     assert 0.0 <= p <= 1.0
 
 
+def test_reg_lower_inc_gamma_at_infinity():
+    # P(omega, inf) = 1, at the top shape and after the downward steps
+    for omega in (0.3, 2.5, 19.0, OMEGA_MAX):
+        assert reg_lower_inc_gamma(math.inf, omega) == 1.0
+    assert reg_lower_inc_gamma_down(math.inf, 5.0, 2) == (1.0, 1.0, 1.0)
+    assert reg_lower_inc_gamma_down(math.inf, 2.0001, 2) == (1.0, 1.0, 1.0)
+    # NaN and negative eta are still refused, -inf among them
+    for eta in (math.nan, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            reg_lower_inc_gamma(eta, 1.0)
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            reg_lower_inc_gamma_down(eta, 3.0, 2)
+
+
 def test_reg_inc_gamma_args_validation():
     with pytest.raises(ValueError):
         reg_lower_inc_gamma(-0.1, 1.0)

@@ -25,7 +25,7 @@ from weibull_shrink.model import (
     WeibullParams,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "CensoredSample",

@@ -28,9 +28,10 @@ A subcommand imports what it runs, inside its own function, so importing
 this module loads only `model` and `writers`. `risk`, `dominance` and `mc
 verify` load `risk` (and with it `estimators` and `specfun`); `estimate`
 loads `estimators` and `specfun`. Only the mc subcommands simulate, so only
-they import `montecarlo` and with it numpy, and `mc estimate-k/-h` load
-nothing of the analytic layer. Only `table` imports `tables`, and with it
-`risk` and the transcribed printed tables in `reference_data`.
+they import `montecarlo` and with it numpy (`mc verify` only once its point
+and --reps pass), and `mc estimate-k/-h` load nothing of the analytic layer.
+Only `table` imports `tables`, and with it `risk` and the transcribed printed
+tables in `reference_data`.
 
 Each subcommand builds its document, one record or a list of records, and
 hands it to `writers.render` with the format. `risk`, `dominance` and `table
@@ -45,21 +46,26 @@ one source, the exact finite sum `estimators.bain_constant`, so it ignores
 so n and m print as absent, like the scale estimate and k.
 
 `main(argv)` returns its exit code and never ends the process; the tests and
-the benchmark's checks call it in process. It writes stdout and flushes it
-before it returns, so a failed write is its exit 5. The script entry, `run`
-(the `__main__` block and the `weibull-shrink` console script), calls `main`,
-flushes stdout and stderr, and ends the process with `os._exit`, skipping the
-interpreter's teardown of every loaded module. That saves about 9 to 11 ms
-for the mc subcommands, which load numpy, and 2 to 4 ms for the rest, on a
-2-core Xeon (the README gives the measurements). So `atexit` hooks do not
-run on the script path, and a tool that saves its data at interpreter exit
-(coverage's subprocess measurement, for one) does not see these processes
-finish.
+the benchmark's checks call it in process, and it leaves the cyclic garbage
+collector as it found it. It writes stdout and flushes it before it returns,
+so a failed write is its exit 5. The script entry, `run` (the `__main__`
+block and the `weibull-shrink` console script), turns the collector off,
+calls `main`, flushes stdout and stderr, and ends the process with
+`os._exit`, skipping the interpreter's teardown of every loaded module.
+That saves about 9 to 11 ms for the mc subcommands, which load numpy, and 2
+to 4 ms for the rest, on a 2-core Xeon. A process that is never torn down
+has no use for the collector either, which would otherwise run about 30
+times in an mc subcommand's `main`, most while numpy imports: off, it saves
+another 2.4 to 2.6 ms there (the README gives the measurements). So `atexit`
+hooks do not run on the script path, and a tool that saves its data at
+interpreter exit (coverage's subprocess measurement, for one) does not see
+these processes finish.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -330,12 +336,13 @@ def cmd_mc_estimate(args) -> tuple:
 
 
 def cmd_mc_verify(args) -> tuple:
-    from weibull_shrink import montecarlo
-
     delta, have_pair = _resolve_delta(args)
     reports = _point_reports(args, delta, have_pair)
     if args.reps < 1000:
         raise ValueError("verification needs --reps >= 1000")
+    # numpy loads only for a point that passed its checks
+    from weibull_shrink import montecarlo
+
     cfg = ShrinkageConfig(p=args.p, q=args.q)
     # risks are scale-free, so verify at true shape 1 with the guessed
     # interval placed to realize the requested departures
@@ -519,8 +526,10 @@ def _write(output: str, path, code: int) -> int:
 
 
 def run() -> None:
-    """The script entry: `main` on the process's arguments, then the end of
-    the process, without the interpreter's teardown."""
+    """The script entry: `main` on the process's arguments, with the cyclic
+    garbage collector off, then the end of the process, without the
+    interpreter's teardown."""
+    gc.disable()
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

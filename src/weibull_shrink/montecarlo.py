@@ -4,7 +4,11 @@ Determinism contract: every routine that consumes a seed produces bit-identical
 results for the same arguments on the same numpy version. Work is split into
 fixed-size chunks, each driven by its own child of SeedSequence(seed), and the
 per-chunk partial sums are reduced in chunk order, so results do not depend on
-how the chunks are scheduled.
+how the chunks are scheduled. The contract holds within a release, not across
+releases: since 0.6.0 the design-constant simulations draw the m smallest SEV
+order statistics from exponential spacings instead of sorting n draws, so
+seeded `estimate_bain_constant` and `estimate_degrees_of_freedom` values differ
+from 0.5.0's. Their law is the same.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from weibull_shrink.model import (
 )
 
 _CHUNK = 1 << 16
-_ROW_CHUNK = 1 << 13
+_SEV_CHUNK = 1 << 13  # replicates per chunk of `_sev_spacing_sums`
 
 
 class SimulationPlan(Frozen):
@@ -198,27 +202,38 @@ def _moments(beta: float, total: int, sums_d, sums_d2, sums_d4) -> EmpiricalRisk
 def _sev_spacing_sums(m: int, n: int, replicates: int, seed: int) -> np.ndarray:
     """Per-replicate sum_{i<m} (v_(i) - v_(m)) for n standard SEV draws.
 
-    v = ln(-ln U) has the smallest-extreme-value law, the distribution of
-    ln x when x is Weibull with alpha = beta = 1.
+    v = ln E with E standard exponential has the smallest-extreme-value law,
+    the distribution of ln x when x is Weibull with alpha = beta = 1. Only the
+    m smallest of the n draws enter the sum, so they are drawn directly by
+    Renyi's (1953) representation: with Z_1, ..., Z_m iid standard
+    exponential, E_(i) = sum_{j<=i} Z_j/(n - j + 1) has the law of the i-th
+    smallest of n exponentials, and v_(i) = ln E_(i). That is m draws and m
+    logs per replicate, with no sort. Seeded sums differ from those of 0.5.0,
+    which sorted n draws of ln(-ln U); their law is the same.
     """
     n, m = _require_design(n, m)
     replicates = _require_replicates(replicates)
     seed = _require_seed(seed)
-    n_chunks = (replicates + _ROW_CHUNK - 1) // _ROW_CHUNK
+    n_chunks = (replicates + _SEV_CHUNK - 1) // _SEV_CHUNK
     seeds = _chunk_seeds(seed, n_chunks)
+    # row j of a chunk holds Z_{j+1}/(n - j), the spacing E_(j+1) - E_(j)
+    # with E_(0) = 0; replicates run along a row, so that the running sum and
+    # the final sum each add whole contiguous rows, not m values at a time
+    remaining = np.arange(n, n - m, -1, dtype=float)[:, None]
     parts = []
     done = 0
     for i in range(n_chunks):
-        rows = min(_ROW_CHUNK, replicates - done)
-        done += rows
+        count = min(_SEV_CHUNK, replicates - done)
+        done += count
         rng = np.random.default_rng(seeds[i])
-        # v = ln(-ln U) in place: one (rows, n) buffer instead of three
-        v = rng.random((rows, n))
+        # v_(1..m) in place in one (m, count) buffer: spacings, E_(i), ln E_(i)
+        v = rng.standard_exponential((m, count))
+        v /= remaining
+        for j in range(1, m):
+            v[j] += v[j - 1]
         np.log(v, out=v)
-        np.negative(v, out=v)
-        np.log(v, out=v)
-        v.sort(axis=1)
-        parts.append(np.sum(v[:, : m - 1] - v[:, m - 1 : m], axis=1))
+        v[: m - 1] -= v[m - 1]
+        parts.append(np.sum(v[: m - 1], axis=0))
     return np.concatenate(parts)
 
 
@@ -243,11 +258,14 @@ def estimate_degrees_of_freedom(
     result as calibration, not truth. Returns (h, SE by the delta method).
     """
     s = _sev_spacing_sums(m, n, replicates, seed)
-    b = s / np.mean(s)  # normalized scale estimates, sample mean exactly 1
-    v = float(np.var(b, ddof=1))
-    r = len(b)
-    centered = b - np.mean(b)
-    fourth = float(np.mean(centered**4))
+    r = len(s)
+    # normalized scale estimates s/mean(s), centred on their mean of 1
+    c = s / np.mean(s) - 1.0
+    c2 = c * c
+    v = float(np.sum(c2)) / (r - 1)
+    # the fourth moment as the dot product of c^2 with itself, by numpy's
+    # own loop: a BLAS dot splits the sum by thread count, so its last bits
+    # would depend on the machine
+    fourth = float(np.einsum("i,i->", c2, c2)) / r
     se_v = math.sqrt(max(0.0, fourth - v * v) / r)
     return 2.0 / v, 2.0 * se_v / (v * v)
-

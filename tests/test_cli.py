@@ -8,6 +8,7 @@ and the test of `scripts/reproduce_tables.py`.
 
 import ast
 import csv
+import gc
 import io
 import itertools
 import json
@@ -1220,6 +1221,8 @@ _SCRIPT_ARGVS = [
     ("mc", "verify", "--h", H6, "--p", "1", "--q", "0.5", "--delta1", "0.8", "--delta2", "1.2",
      "--reps", "1000", "--seed", "7", "--format", "json"),
     ("mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "1000", "--format", "csv"),
+    ("mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "1000", "--format", "json"),
+    ("mc", "estimate-h", "--n", "20", "--m", "6", "--reps", "1000", "--format", "csv"),
     ("mc", "estimate-h", "--n", "20", "--m", "6", "--reps", "1000", "--format", "json"),
     ("risk", "--h", H6),  # argparse usage error: exit 2
     ("risk", "--h", H6, "--p", "1", "--q", "1.5", "--delta", "1"),  # exit 2
@@ -1309,11 +1312,31 @@ def test_run_flushes_then_ends_the_process_with_mains_code(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["weibull-shrink", *_DOM])
     monkeypatch.setattr(sys, "stdout", Stream("stdout"))
     monkeypatch.setattr(sys, "stderr", Stream("stderr"))
+    # the stub records the call and leaves the test process's collector on
+    monkeypatch.setattr(gc, "disable", lambda: events.append(("gc.disable",)))
     monkeypatch.setattr(cli, "main", lambda: events.append(("main",)) or 3)
     monkeypatch.setattr(os, "_exit", fake_exit)
     with pytest.raises(Exit):
         cli.run()
-    assert events == [("main",), ("flush", "stdout"), ("flush", "stderr"), ("exit", 3)]
+    assert events == [("gc.disable",), ("main",), ("flush", "stdout"), ("flush", "stderr"),
+                      ("exit", 3)]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_in_process_leaves_the_collector_as_it_found_it(capsys, enabled):
+    # only the script entry turns the cyclic collector off, and never back on
+    argvs = [_DOM, ("mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "1000"),
+             ("mc", "verify", "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1",
+              "--reps", "10"), ("risk", "--h", H6)]
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv in argvs:
+            main(list(argv))
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
 
 
 def test_console_script_and_main_block_call_the_same_entry():

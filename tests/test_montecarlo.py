@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from weibull_shrink.estimators import (
     bain_constant,
@@ -26,6 +27,7 @@ from weibull_shrink.montecarlo import (
     EmpiricalRisk,
     SimulationPlan,
     _chunk_seeds,
+    _sev_spacing_sums,
     empirical_risk,
     empirical_risks,
     estimate_bain_constant,
@@ -281,3 +283,28 @@ def test_degrees_of_freedom_tracks_builtin_table():
         assert abs(h - builtin) < 4.0 * se, (m, h, builtin, se)
     # more failures observed -> more information -> larger h
     assert got[6] < got[8] < got[10] < got[12]
+
+
+def _sorted_spacing_sums(m, n, replicates, seed):
+    """The 0.5.0 kernel, kept as the oracle: n SEV draws v = ln(-ln U) per
+    replicate, sorted, and sum_{i<m} (v_(i) - v_(m)) over the m smallest."""
+    v = np.random.default_rng(seed).random((replicates, n))
+    np.log(v, out=v)
+    np.negative(v, out=v)
+    np.log(v, out=v)
+    v.sort(axis=1)
+    return np.sum(v[:, : m - 1] - v[:, m - 1 : m], axis=1)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (5, 5), (20, 2), (20, 6), (24, 20), (200, 100)])
+def test_spacing_kernel_matches_sorted_draws_in_law(n, m):
+    # the spacings kernel draws the m smallest of n SEV values directly; its
+    # sums follow the law of the sorted-draw kernel's, and their mean is
+    # -n k, with k Bain's exact constant
+    reps = 20_000
+    s = _sev_spacing_sums(m, n, reps, seed=2401)
+    assert s.shape == (reps,) and np.all(np.isfinite(s))
+    assert ks_2samp(s, _sorted_spacing_sums(m, n, reps, seed=2402)).pvalue > 1e-3
+    se = float(np.std(s, ddof=1)) / math.sqrt(reps)
+    assert abs(float(np.mean(s)) + n * bain_constant(m, n)) < 4.0 * se
+

@@ -705,6 +705,26 @@ def _run_fresh(code: str) -> None:
     assert done.returncode == 0, done.stderr
 
 
+def test_refused_mc_verify_skips_numpy():
+    # `mc verify` checks h, q, the departures, p and then --reps before it
+    # imports montecarlo, so a refused point never loads numpy
+    point = ["--h", repr(H6), "--p", "1", "--q", "0.5", "--delta", "1"]
+    refused = [
+        (2, ["mc", "verify", "--h", "3", *point[2:]]),
+        (2, ["mc", "verify", *point[:4], "--q", "1.5", "--delta", "1"]),
+        (2, ["mc", "verify", *point[:6], "--delta", "-1"]),
+        (3, ["mc", "verify", "--h", repr(H6), "--p", "-3", *point[4:]]),
+        (2, ["mc", "verify", *point, "--reps", "999"]),
+    ]
+    _run_fresh(
+        f"for code, argv in {refused!r}:\n"
+        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert main(argv) == code, argv\n"
+        "assert not loaded(['numpy', 'weibull_shrink.montecarlo']), "
+        "sorted(m for m in sys.modules if 'numpy' in m)\n"
+    )
+
+
 TABLE_LAYER = ["weibull_shrink.tables", "weibull_shrink.reference_data"]
 ANALYTIC_LAYER = ["weibull_shrink.risk", "weibull_shrink.estimators", "weibull_shrink.specfun"]
 

@@ -20,7 +20,9 @@ MSE, is a data problem too, and exits 2: `estimate` refuses an estimate that
 overflows in every format, `risk` names the departure flags when a risk
 overflows, and `risk` refuses a report of infinite efficiency with one line
 naming the estimator and its departure (`mc verify` checks such a report's
-bias and MSE). Data goes to stdout (or --out); diagnostics go to stderr.
+bias and MSE). A failed allocation exits 2 as well, with one line that names
+it and, for an mc subcommand, --reps. Data goes to stdout (or --out);
+diagnostics go to stderr.
 Output depends only on flags and seed, never on wall clock, so reruns are
 byte-identical.
 
@@ -505,6 +507,12 @@ def main(argv=None) -> int:
         return 2
     except OverflowError as exc:
         print(f"inputs out of floating-point range: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the array it could not allocate; a simulation sizes
+        # its arrays by --reps
+        hint = "; lower --reps" if args.command == "mc" else ""
+        print(f"out of memory: {str(exc) or 'an allocation failed'}{hint}", file=sys.stderr)
         return 2
     return _write(output, args.out, code)
 

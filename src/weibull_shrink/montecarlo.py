@@ -9,6 +9,18 @@ releases: since 0.6.0 the design-constant simulations draw the m smallest SEV
 order statistics from exponential spacings instead of sorting n draws, so
 seeded `estimate_bain_constant` and `estimate_degrees_of_freedom` values differ
 from 0.5.0's. Their law is the same.
+
+Chunk seeds are spawned lazily: a loop takes the next child of
+SeedSequence(seed) only when it reaches that chunk. Spawning one child at a
+time gives the same children as spawning them all at once, so the draws are
+those of the eager spawn, without a list of one seed object per chunk.
+
+Each call allocates its working memory once, before its first draw, and every
+step writes into it: `empirical_risks` holds two chunk-sized arrays, the
+draws and one work buffer, at any replicate count, and the design-constant
+simulations hold one value per replicate and one m x `_SEV_CHUNK` draw
+buffer. An estimator takes an `out` array to write its estimates into; `out`
+must not overlap its input `t`.
 """
 
 from __future__ import annotations
@@ -75,30 +87,33 @@ class EmpiricalRisk(Frozen):
 
 
 def sample_t(
-    h: float, beta: float, rng: np.random.Generator, size: int | None = None
+    h: float, beta: float, rng: np.random.Generator, size: int | None = None, out=None
 ):
-    """Draws of the pivotal statistic: Gamma(h/2) scaled by 2/beta."""
+    """Draws of the pivotal statistic: Gamma(h/2) scaled by 2/beta, into
+    `out` when it is given."""
     h = _require_positive("h", h)
     beta = _require_positive("beta", beta)
-    return rng.standard_gamma(h / 2.0, size=size) * (2.0 / beta)
+    t = rng.standard_gamma(h / 2.0, size=size, out=out)
+    t *= 2.0 / beta
+    return t
 
 
 # ---------------------------------------------------------------------------
 # vectorized estimators over arrays of pivotal draws
 
-Estimator = Callable[[np.ndarray], np.ndarray]
+Estimator = Callable[..., np.ndarray]
 
 
 def unbiased_estimator(h: float) -> Estimator:
-    def estimate(t: np.ndarray) -> np.ndarray:
-        return (h - 2.0) / t
+    def estimate(t: np.ndarray, out=None) -> np.ndarray:
+        return np.divide(h - 2.0, t, out=out)
 
     return estimate
 
 
 def mmse_estimator(h: float) -> Estimator:
-    def estimate(t: np.ndarray) -> np.ndarray:
-        return (h - 4.0) / t
+    def estimate(t: np.ndarray, out=None) -> np.ndarray:
+        return np.divide(h - 4.0, t, out=out)
 
     return estimate
 
@@ -110,10 +125,13 @@ def shrink_estimator(
     from weibull_shrink.estimators import shrink_weight
 
     w = shrink_weight(cfg.p, h)
+    scale = w * (h - 2.0)
     pull = cfg.q * interval.midpoint * (1.0 - w)
 
-    def estimate(t: np.ndarray) -> np.ndarray:
-        return w * (h - 2.0) / t + pull
+    def estimate(t: np.ndarray, out=None) -> np.ndarray:
+        out = np.divide(scale, t, out=out)
+        out += pull
+        return out
 
     return estimate
 
@@ -125,9 +143,13 @@ def truncated_estimator(
     hi_t = (h - 2.0) / interval.beta1
     lo_t = (h - 2.0) / interval.beta2
 
-    def estimate(t: np.ndarray) -> np.ndarray:
+    def estimate(t: np.ndarray, out=None) -> np.ndarray:
         t = np.asarray(t)
-        return np.where(t > hi_t, interval.beta1, np.where(t < lo_t, interval.beta2, plain(t)))
+        out = plain(t, out=np.empty(t.shape) if out is None else out)
+        # beta1 last: it takes precedence, as in the scalar estimator
+        np.copyto(out, interval.beta2, where=t < lo_t)
+        np.copyto(out, interval.beta1, where=t > hi_t)
+        return out
 
     return estimate
 
@@ -136,8 +158,13 @@ def truncated_estimator(
 # empirical risk of an estimator under the pivotal law
 
 
-def _chunk_seeds(seed: int, n_chunks: int) -> list:
-    return np.random.SeedSequence(seed).spawn(n_chunks)
+def _chunks(seed: int, total: int, size: int):
+    """(start, stop, generator) for each chunk of at most `size` of `total`
+    replicates, in order; a chunk's generator is seeded by the next child of
+    SeedSequence(seed), spawned when the loop reaches it."""
+    root = np.random.SeedSequence(seed)
+    for start in range(0, total, size):
+        yield start, min(start + size, total), np.random.default_rng(root.spawn(1)[0])
 
 
 def empirical_risk(plan: SimulationPlan, estimator: Estimator, *, h: float) -> EmpiricalRisk:
@@ -154,26 +181,30 @@ def empirical_risks(plan: SimulationPlan, estimators: list[Estimator], *, h: flo
     rather than the sampling pipeline. Each chunk's draws are made once and
     passed to every estimator, and each estimator's moment sums are reduced
     in chunk order, so every result is bit-identical to a separate
-    `empirical_risk` call with the same plan.
+    `empirical_risk` call with the same plan. The draws and the work buffer,
+    which takes each estimate and then d, d^2 and d^4 in turn, are the only
+    chunk-sized arrays, allocated once.
     """
     beta = plan.params.beta
     total = plan.replicates
-    n_chunks = (total + _CHUNK - 1) // _CHUNK
-    seeds = _chunk_seeds(plan.seed, n_chunks)
+    size = min(_CHUNK, total)
+    draws = np.empty(size)
+    work = np.empty(size)
     # per estimator, the per-chunk sums of d, d^2 and d^4
     sums = [([], [], []) for _ in estimators]
-    done = 0
-    for i in range(n_chunks):
-        count = min(_CHUNK, total - done)
-        done += count
-        rng = np.random.default_rng(seeds[i])
-        t = sample_t(h, beta, rng, size=count)
+    for start, stop, rng in _chunks(plan.seed, total, _CHUNK):
+        count = stop - start
+        t = sample_t(h, beta, rng, size=count, out=draws[:count])
+        d = work[:count]
         for estimator, (sums_d, sums_d2, sums_d4) in zip(estimators, sums):
-            d = (estimator(t) - beta) / beta
-            d2 = d * d
+            estimator(t, out=d)
+            d -= beta
+            d /= beta
             sums_d.append(float(np.sum(d)))
-            sums_d2.append(float(np.sum(d2)))
-            sums_d4.append(float(np.sum(d2 * d2)))
+            np.multiply(d, d, out=d)
+            sums_d2.append(float(np.sum(d)))
+            np.multiply(d, d, out=d)
+            sums_d4.append(float(np.sum(d)))
     return [_moments(beta, total, *parts) for parts in sums]
 
 
@@ -214,27 +245,23 @@ def _sev_spacing_sums(m: int, n: int, replicates: int, seed: int) -> np.ndarray:
     n, m = _require_design(n, m)
     replicates = _require_replicates(replicates)
     seed = _require_seed(seed)
-    n_chunks = (replicates + _SEV_CHUNK - 1) // _SEV_CHUNK
-    seeds = _chunk_seeds(seed, n_chunks)
+    sums = np.empty(replicates)
+    draws = np.empty(m * min(_SEV_CHUNK, replicates))
     # row j of a chunk holds Z_{j+1}/(n - j), the spacing E_(j+1) - E_(j)
     # with E_(0) = 0; replicates run along a row, so that the running sum and
     # the final sum each add whole contiguous rows, not m values at a time
     remaining = np.arange(n, n - m, -1, dtype=float)[:, None]
-    parts = []
-    done = 0
-    for i in range(n_chunks):
-        count = min(_SEV_CHUNK, replicates - done)
-        done += count
-        rng = np.random.default_rng(seeds[i])
-        # v_(1..m) in place in one (m, count) buffer: spacings, E_(i), ln E_(i)
-        v = rng.standard_exponential((m, count))
+    for start, stop, rng in _chunks(seed, replicates, _SEV_CHUNK):
+        # v_(1..m) in place in one (m, count) view: spacings, E_(i), ln E_(i)
+        v = draws[: m * (stop - start)].reshape(m, stop - start)
+        rng.standard_exponential(out=v)
         v /= remaining
         for j in range(1, m):
             v[j] += v[j - 1]
         np.log(v, out=v)
         v[: m - 1] -= v[m - 1]
-        parts.append(np.sum(v[: m - 1], axis=0))
-    return np.concatenate(parts)
+        np.sum(v[: m - 1], axis=0, out=sums[start:stop])
+    return sums
 
 
 def estimate_bain_constant(
@@ -242,9 +269,13 @@ def estimate_bain_constant(
 ) -> tuple[float, float]:
     """Simulated unbiasing constant k for the (m, n) design, with its SE."""
     s = _sev_spacing_sums(m, n, replicates, seed)
-    k = -float(np.mean(s)) / n
-    se = float(np.std(s, ddof=1)) / (n * math.sqrt(len(s)))
-    return k, se
+    r = len(s)
+    mean = np.mean(s)
+    # the SE by np.std(s, ddof=1)'s own steps, on s in place
+    s -= mean
+    np.square(s, out=s)
+    sd = math.sqrt(float(np.sum(s)) / (r - 1))
+    return -float(mean) / n, sd / (n * math.sqrt(r))
 
 
 def estimate_degrees_of_freedom(
@@ -259,13 +290,15 @@ def estimate_degrees_of_freedom(
     """
     s = _sev_spacing_sums(m, n, replicates, seed)
     r = len(s)
-    # normalized scale estimates s/mean(s), centred on their mean of 1
-    c = s / np.mean(s) - 1.0
-    c2 = c * c
-    v = float(np.sum(c2)) / (r - 1)
+    # c^2, with c = s/mean(s) - 1 the normalized scale estimates centred on
+    # their mean of 1, in place in s
+    s /= np.mean(s)
+    s -= 1.0
+    np.square(s, out=s)
+    v = float(np.sum(s)) / (r - 1)
     # the fourth moment as the dot product of c^2 with itself, by numpy's
     # own loop: a BLAS dot splits the sum by thread count, so its last bits
     # would depend on the machine
-    fourth = float(np.einsum("i,i->", c2, c2)) / r
+    fourth = float(np.einsum("i,i->", s, s)) / r
     se_v = math.sqrt(max(0.0, fourth - v * v) / r)
     return 2.0 / v, 2.0 * se_v / (v * v)

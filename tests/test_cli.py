@@ -9,6 +9,7 @@ and the test of `scripts/reproduce_tables.py`.
 import ast
 import csv
 import gc
+import importlib
 import io
 import itertools
 import json
@@ -1279,6 +1280,44 @@ def test_failed_stdout_write_exits_5_with_one_line(capsys, monkeypatch, method, 
     code = main(["dominance", *_DOM[1:]])
     monkeypatch.undo()
     assert (code, capsys.readouterr().err) == (5, f"cannot write stdout: {error}\n")
+
+
+def _array_memory_error():
+    # what numpy raises when it cannot allocate an array, built without
+    # asking the host for the memory
+    import numpy as np
+
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy 1.x
+        from numpy.core._exceptions import _ArrayMemoryError
+    return _ArrayMemoryError((10**12,), np.dtype(float))
+
+
+@pytest.mark.parametrize("argv, module, name, error, line", [
+    (["mc", "estimate-h", "--n", "24", "--m", "19", "--reps", str(10**12)],
+     "montecarlo", "estimate_degrees_of_freedom", _array_memory_error,
+     "out of memory: Unable to allocate 7.28 TiB for an array with shape "
+     "(1000000000000,) and data type float64; lower --reps\n"),
+    (["mc", "estimate-k", "--n", "20", "--m", "6"],
+     "montecarlo", "estimate_bain_constant", MemoryError,
+     "out of memory: an allocation failed; lower --reps\n"),
+    (["mc", "verify", "--h", H6, "--p", "1", "--q", "0.5", "--delta", "2", "--reps", "2000"],
+     "montecarlo", "empirical_risks", _array_memory_error,
+     "out of memory: Unable to allocate 7.28 TiB for an array with shape "
+     "(1000000000000,) and data type float64; lower --reps\n"),
+    (list(_DOM), "risk", "dominance_ranges", MemoryError,
+     "out of memory: an allocation failed\n"),
+], ids=["estimate-h", "estimate-k", "verify", "dominance"])
+def test_failed_allocation_exits_2_with_one_line(capsys, monkeypatch, argv, module, name,
+                                                 error, line):
+    # a MemoryError, numpy's array one included, is not a failed verification
+    # (exit 1) and ends in one line, with no traceback
+    def fail(*_, **__):
+        raise error()
+
+    monkeypatch.setattr(importlib.import_module(f"weibull_shrink.{module}"), name, fail)
+    assert run(capsys, *argv) == (2, "", line)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

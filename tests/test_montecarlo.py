@@ -1,12 +1,17 @@
 """Simulation machinery: determinism, distributional checks, design constants."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import ks_2samp
+
+from weibull_shrink.cli import main
 
 from weibull_shrink.estimators import (
     bain_constant,
@@ -24,9 +29,9 @@ from weibull_shrink.model import (
 )
 from weibull_shrink.montecarlo import (
     _CHUNK,
+    _SEV_CHUNK,
     EmpiricalRisk,
     SimulationPlan,
-    _chunk_seeds,
     _sev_spacing_sums,
     empirical_risk,
     empirical_risks,
@@ -103,10 +108,11 @@ def test_empirical_risk_across_chunk_boundary():
 
 
 def _separate_pass(plan, estimator, h):
-    """Each estimator on its own stream of draws, as before the shared pass."""
+    """Each estimator on its own stream of draws, as before the shared pass,
+    with every chunk seed spawned up front and a new array at each step."""
     beta, total = plan.params.beta, plan.replicates
     n_chunks = (total + _CHUNK - 1) // _CHUNK
-    seeds = _chunk_seeds(plan.seed, n_chunks)
+    seeds = np.random.SeedSequence(plan.seed).spawn(n_chunks)
     sums = ([], [], [])
     done = 0
     for i in range(n_chunks):
@@ -166,6 +172,69 @@ def test_empirical_risks_take_h_as_a_required_keyword():
     ):
         with pytest.raises(TypeError):
             call()
+
+
+# csv of seeded `mc` runs, recorded before the kernels wrote in place. Any
+# change to these bits must update them and bump the version, under the
+# montecarlo module's determinism contract.
+_VERIFY = ("mc", "verify", "--h", "10.8519", "--p", "-1", "--q", "0.5", "--reps", "70000")
+_GOLDEN = {
+    ("mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "20000"): {
+        3: "k,se,m,n,replicates,seed\r\n"
+           "0.27077188373204863,0.000818555807644173,6,20,20000,3\r\n",
+        2501: "k,se,m,n,replicates,seed\r\n"
+              "0.27237603499898627,0.00082688193685403078,6,20,20000,2501\r\n",
+    },
+    ("mc", "estimate-h", "--n", "24", "--m", "19", "--reps", "20000"): {
+        3: "h,se,m,n,replicates,seed\r\n"
+           "46.489242648286584,0.47941572014876538,19,24,20000,3\r\n",
+        2501: "h,se,m,n,replicates,seed\r\n"
+              "46.885553274243563,0.49321009461118404,19,24,20000,2501\r\n",
+    },
+    (*_VERIFY, "--delta", "1.3"): {
+        3: "UNBIASED,bias,0.00084991195485815279,0,0.0061134054039922387,PASS\r\n"
+           "UNBIASED,mse,0.29068525505580933,0.29188984077409186,0.014691746015383865,PASS\r\n"
+           "MMSE,bias,-0.22528231094753751,-0.22594019363074594,0.0047321414032709831,PASS\r\n"
+           "MMSE,mse,0.2249211594301522,0.22594019363074594,0.007617462020314044,PASS\r\n"
+           "SHRINK_PQ,bias,-0.078421185087552636,-0.079079067770761027,0.0047321414032709839,PASS\r\n"
+           "SHRINK_PQ,mse,0.18031892207482544,0.18114472149233962,0.0083448877084640466,PASS\r\n",
+        2501: "UNBIASED,bias,-0.00025559721135152953,0,0.0061216068578144028,PASS\r\n"
+              "UNBIASED,mse,0.29146505827602587,0.29188984077409186,0.014408936522187412,PASS\r\n"
+              "MMSE,bias,-0.22613804115867323,-0.22594019363074594,0.0047384898190285154,PASS\r\n"
+              "MMSE,mse,0.2257750807204798,0.22594019363074594,0.0074483342371828532,PASS\r\n"
+              "SHRINK_PQ,bias,-0.079276915298688327,-0.079079067770761027,0.0047384898190285163,PASS\r\n"
+              "SHRINK_PQ,mse,0.18092149636067348,0.18114472149233962,0.0081744765908040497,PASS\r\n",
+    },
+    (*_VERIFY, "--delta1", "0.8", "--delta2", "1.6"): {
+        3: "UNBIASED,bias,0.00084991195485815279,0,0.0061134054039922387,PASS\r\n"
+           "UNBIASED,mse,0.29068525505580933,0.29188984077409186,0.014691746015383865,PASS\r\n"
+           "MMSE,bias,-0.22528231094753751,-0.22594019363074594,0.0047321414032709831,PASS\r\n"
+           "MMSE,mse,0.2249211594301522,0.22594019363074594,0.007617462020314044,PASS\r\n"
+           "SHRINK_PQ,bias,-0.089718194769089918,-0.090376077452298295,0.0047321414032709831,PASS\r\n"
+           "SHRINK_PQ,mse,0.18221839427691358,0.18305905790851082,0.0082829213878284277,PASS\r\n"
+           "SHRINK_PQ_MODIFIED,bias,-0.031932796904520132,-0.032081850070606821,0.0029140116492319627,PASS\r\n"
+           "SHRINK_PQ_MODIFIED,mse,0.067064422677053204,0.067279915211267971,0.0011498768107542838,PASS\r\n",
+        2501: "UNBIASED,bias,-0.00025559721135152953,0,0.0061216068578144028,PASS\r\n"
+              "UNBIASED,mse,0.29146505827602587,0.29188984077409186,0.014408936522187412,PASS\r\n"
+              "MMSE,bias,-0.22613804115867323,-0.22594019363074594,0.0047384898190285154,PASS\r\n"
+              "MMSE,mse,0.2257750807204798,0.22594019363074594,0.0074483342371828532,PASS\r\n"
+              "SHRINK_PQ,bias,-0.090573924980225609,-0.090376077452298295,0.0047384898190285163,PASS\r\n"
+              "SHRINK_PQ,mse,0.18284030294772161,0.18305905790851082,0.0081124519416841696,PASS\r\n"
+              "SHRINK_PQ_MODIFIED,bias,-0.032044953465821979,-0.032081850070606821,0.0029241415753924072,PASS\r\n"
+              "SHRINK_PQ_MODIFIED,mse,0.067531576454369746,0.067279915211267971,0.0011541130174837729,PASS\r\n",
+    },
+}
+_VERIFY_HEADER = "estimator,metric,empirical,analytic,three_se,status\r\n"
+
+
+@pytest.mark.parametrize("argv, seed", [(a, s) for a in _GOLDEN for s in _GOLDEN[a]])
+def test_seeded_mc_outputs_are_pinned(capsys, argv, seed):
+    # each run crosses chunk boundaries and ends on a partial chunk
+    assert main([*argv, "--seed", str(seed), "--format", "csv"]) == 0
+    want = _GOLDEN[argv][seed]
+    if argv[1] == "verify":
+        want = _VERIFY_HEADER + want
+    assert capsys.readouterr() == (want, "")
 
 
 def test_estimate_bain_constant_deterministic():
@@ -239,13 +308,81 @@ def test_vectorized_matches_scalar(t):
 
 def test_vectorized_truncation_ties_match_scalar():
     # exact threshold values must take the same (middle) branch in both
-    # code paths; the values then agree to association-order roundoff
-    for t in ((H6 - 2.0) / IV.beta1, (H6 - 2.0) / IV.beta2):
-        got = truncated_estimator(H6, IV, CFG)(np.array([t]))[0]
+    # code paths, with a fresh result and written into `out`; the values
+    # then agree to association-order roundoff
+    estimate = truncated_estimator(H6, IV, CFG)
+    for t, into in itertools.product(((H6 - 2.0) / IV.beta1, (H6 - 2.0) / IV.beta2),
+                                     (False, True)):
+        arr = np.array([t])
+        got = (estimate(arr, out=np.empty(1)) if into else estimate(arr))[0]
         want = beta_shrink_truncated(scalar_ctx(t), IV, CFG)
         assert got not in (IV.beta1, IV.beta2)
         assert want not in (IV.beta1, IV.beta2)
         assert got == pytest.approx(want, rel=1e-14)
+
+
+_TIES = [(H6 - 2.0) / IV.beta1, (H6 - 2.0) / IV.beta2]
+_FACTORIES = {
+    "unbiased": lambda: unbiased_estimator(H6),
+    "mmse": lambda: mmse_estimator(H6),
+    "shrink": lambda: shrink_estimator(H6, IV, CFG),
+    "truncated": lambda: truncated_estimator(H6, IV, CFG),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FACTORIES))
+@given(t=arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+    st.sampled_from([*_TIES, math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)))
+@settings(max_examples=200, deadline=None)
+def test_estimate_into_out_matches_allocating_bit_for_bit(name, t):
+    # `out` is written in place and returned, with the bits of a fresh
+    # result: the threshold ties, NaN and both infinities included
+    estimate = _FACTORIES[name]()
+    buf = np.full(t.shape, 7.0)
+    with np.errstate(all="ignore"):
+        want = estimate(t)
+        got = estimate(t, out=buf)
+    assert got is buf
+    assert buf.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+# --- memory: each call allocates its working arrays once ---------------------
+
+
+def _peak_bytes(call):
+    """tracemalloc's peak over `call()`, after a warm-up call; numpy reports
+    its array buffers to tracemalloc."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("reps", [200_000, 1_000_000])
+def test_empirical_risks_hold_two_chunk_arrays_at_any_replicate_count(reps):
+    # the draws and one work buffer; the nested np.where and a new array per
+    # arithmetic step held about six
+    estimators = [_FACTORIES[name]() for name in sorted(_FACTORIES)]
+    peak = _peak_bytes(lambda: empirical_risks(plan(reps, seed=5), estimators, h=H6))
+    assert peak <= 3 * 8 * _CHUNK, peak
+
+
+@pytest.mark.parametrize("estimate, m, n", [
+    (estimate_degrees_of_freedom, 19, 24),
+    (estimate_bain_constant, 12, 20),
+], ids=["h", "k"])
+def test_design_constants_hold_one_value_per_replicate(estimate, m, n):
+    # the sums S and one m x _SEV_CHUNK draw buffer, plus 1 MB for the
+    # interpreter; per-chunk parts, their concatenation and the centred
+    # copies held two to three more values per replicate
+    reps = 1_000_000
+    peak = _peak_bytes(lambda: estimate(m, n, reps, seed=6))
+    assert peak <= 8 * reps + 8 * m * _SEV_CHUNK + 1_000_000, peak
 
 
 # --- design constants by simulation -----------------------------------------

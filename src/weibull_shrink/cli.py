@@ -8,13 +8,16 @@ global flags --format {csv,json,text}, --seed and --out follow any subcommand.
 
 Exit codes: 0 success, 1 failed verification check, 2 data or flag problems
 (with file:line for parse failures), 3 inadmissible or degenerate shrinkage
-parameters, 4 missing pivotal constant for an unknown design, 5 a failed
-write of the output, to the --out path or to stdout (one stderr line, no
-traceback). `main` is the only place that maps exceptions to exit codes; the
-subcommands let the package's own checks raise. `risk`, `dominance`, `mc
-verify` and `estimate` check h, q, the departures (for `estimate`, the guess
-interval), then p (a non-finite p exits 2), then their trailing inputs: the
-simulation flags, or `estimate`'s data file with its design, then t. A
+parameters, 5 a failed write of the output, to the --out path or to stdout
+(one stderr line, no traceback). `main` is the only place that maps
+exceptions to exit codes; the subcommands let the package's own checks
+raise. `risk`, `dominance`, `mc verify` and `estimate --t` check h, q, the
+departures (for `estimate`, the guess interval), then p (a non-finite p
+exits 2), then their trailing inputs: the simulation flags, or t.
+`estimate --data` takes h from its design, so it checks q, the guess
+interval and p's value, then its data file with its design and the design's
+h, then p's admissibility at that h, then the scale estimate. A design with
+h <= 4 (every m = 2) exits 2 with one line naming n, m and h. A
 numerical overflow, or an efficiency left unbounded by a zero or vanishing
 MSE, is a data problem too, and exits 2: `estimate` refuses an estimate that
 overflows in every format, `risk` names the departure flags when a risk
@@ -42,10 +45,13 @@ hands it to `writers.render` with the format. `risk`, `dominance` and `table
 without --diff picks a writer by format, one of the table-cell writers in
 `tables`. `writers` alone knows how a value prints, and loads `csv` and
 `json` only for those formats. No module of the package imports
-`dataclasses`. `estimate --data` takes Bain's unbiasing constant k from its
-one source, the exact finite sum `estimators.bain_constant`, so it ignores
---seed. `estimate --t` takes no design: every estimate reads only h and t,
-so n and m print as absent, like the scale estimate and k.
+`dataclasses`. `estimate --data` takes Bain's unbiasing constant k and the
+degrees of freedom h from their one source each, the exact
+`estimators.bain_constant` and `estimators.design_h` of the file's design,
+so it draws nothing and ignores --seed; `--h` goes with `--t` only, as
+`--n` goes with `--data` only. `estimate --t` takes no design: every
+estimate reads only h and t, so n and m print as absent, like the scale
+estimate and k.
 
 `main(argv)` returns its exit code and never ends the process; the tests and
 the benchmark's checks call it in process, and it leaves the cyclic garbage
@@ -79,11 +85,9 @@ from weibull_shrink.model import (
     GridValidationError,
     GuessInterval,
     InadmissibleParameterError,
-    MissingConstantError,
     PivotalContext,
     ShrinkageConfig,
     WeibullParams,
-    lookup_h,
 )
 from weibull_shrink.model import _require_h, _require_q
 
@@ -152,28 +156,30 @@ def cmd_estimate(args) -> tuple:
         raise ValueError("--n goes with --data only; --t needs no design")
     if args.data is not None and args.n is None:
         raise ValueError("--data needs --n (number of units on test)")
-    # risk's order: h, q, the guess interval, then p (finite, then admissible
-    # once h is known, which --data may look up from its design); last the
-    # data file with its design, and t
-    h = None if args.h is None else _require_h(args.h, 4.0)
+    if args.data is not None and args.h is not None:
+        raise ValueError("--h goes with --t only; --data takes h from its design")
+    # --t keeps risk's order: h, q, the guess interval, then p (finite, then
+    # admissible), then t. --data checks q, the interval and p's value, then
+    # its data file with its design and the design's h, then p's
+    # admissibility at that h, and last the scale estimate that gives t
+    h = None if args.t is None else _require_h(args.h, 4.0)
     _require_q(args.q)
     interval = GuessInterval(beta1=args.beta1, beta2=args.beta2)
     cfg = ShrinkageConfig(p=args.p, q=args.q)
-    if h is not None:
-        estimators.shrink_weight(cfg.p, h)
     n = m = bain_k = scale = None
-    if args.t is not None:
-        t = args.t
-    else:
-        # the sample checks its design before the h lookup: one failure time exits 2 either way
+    if args.data is not None:
         sample = CensoredSample(n=args.n, observations=tuple(_read_failure_times(args.data)))
         n, m = sample.n, sample.m
-        if h is None:
-            h = lookup_h(n, m)
-            estimators.shrink_weight(cfg.p, h)
+        h = estimators.design_h(m, n)
+        if h <= 4.0:
+            raise ValueError(f"the design n={n}, m={m} has h = {h:.6g}; the estimators need h > 4")
+    estimators.shrink_weight(cfg.p, h)
+    if args.data is not None:
         bain_k = estimators.bain_constant(m, n)
         scale = estimators.bain_scale_estimate(sample, bain_k)
         t = h * scale
+    else:
+        t = args.t
     ctx = PivotalContext(h=h, t=t)
     estimates = {
         "beta_unbiased": estimators.beta_unbiased(ctx),
@@ -427,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--data", help="file with one failure time per line")
     p_est.add_argument("--n", type=int, help="number of units on test, for --data only")
     p_est.add_argument("--t", type=float, help="pivotal statistic, bypassing --data")
-    p_est.add_argument("--h", type=float, help="pivotal degrees of freedom")
+    p_est.add_argument("--h", type=float,
+                       help="pivotal degrees of freedom, for --t only (--data takes its design's)")
     p_est.add_argument("--beta1", type=float, required=True)
     p_est.add_argument("--beta2", type=float, required=True)
     p_est.add_argument("--p", type=float, required=True)
@@ -495,13 +502,6 @@ def main(argv=None) -> int:
     except (InadmissibleParameterError, GridValidationError) as exc:
         print(str(exc), file=sys.stderr)
         return 3
-    except MissingConstantError as exc:
-        print(
-            f"{exc}\nhint: run `weibull-shrink mc estimate-h --n N --m M` to "
-            "calibrate a surrogate, then pass it via --h",
-            file=sys.stderr,
-        )
-        return 4
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

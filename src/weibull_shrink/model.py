@@ -104,35 +104,22 @@ class InadmissibleParameterError(ValueError):
     """A shrinkage exponent p violates an admissibility bound for the given h."""
 
 
-class MissingConstantError(LookupError):
-    """No built-in degrees-of-freedom value is available for this (n, m)."""
-
-
 class GridValidationError(ValueError):
     """Invalid table grid (``tables.GridSpec``); the message carries one line
     per offending entry."""
 
 
-#: Degrees of freedom h of the pivotal statistic t for n = 20, keyed by (n, m).
-#: These are external calibration data consumed as-is (they come from published
-#: simulations of the censored-sample scale estimator, not from this package).
+#: Degrees of freedom h of the pivotal statistic t for n = 20, keyed by (n, m):
+#: the source's constants, read by the tables and `mc estimate-h`. They come
+#: from published simulations of the censored-sample scale estimator and are
+#: kept as printed. `estimators.design_h` gives the exact h of any design;
+#: these four differ from it by 0.0083 at most.
 BUILTIN_H: dict[tuple[int, int], float] = {
     (20, 6): 10.8519,
     (20, 8): 15.6740,
     (20, 10): 20.8442,
     (20, 12): 26.4026,
 }
-
-
-def lookup_h(n: int, m: int) -> float:
-    """Return the built-in h for (n, m), raising MissingConstantError if unknown."""
-    try:
-        return BUILTIN_H[(n, m)]
-    except KeyError:
-        raise MissingConstantError(
-            f"no built-in degrees of freedom for n={n}, m={m}; "
-            "supply h explicitly or estimate it by simulation"
-        ) from None
 
 
 def _require_finite(name: str, value: float) -> float:

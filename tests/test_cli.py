@@ -23,7 +23,7 @@ import pytest
 import weibull_shrink
 from weibull_shrink import risk
 from weibull_shrink.cli import main
-from weibull_shrink.estimators import bain_constant
+from weibull_shrink.estimators import bain_constant, design_h
 from weibull_shrink.model import BUILTIN_H
 
 # the stock h of m = 6, 10 and 12 (n = 20) as flag values
@@ -90,10 +90,10 @@ def test_estimate_from_data(tmp_path, capsys):
     assert code == 0, err
     data = json.loads(out)
     assert data["m"] == 6
-    assert data["h"] == BUILTIN_H[20, 6]  # resolved from the built-in table
+    assert data["h"] == design_h(6, 20)  # the design's exact h, not the built-in 10.8519
     assert data["bain_k"] == bain_constant(6, 20)
     assert data["scale_estimate"] > 0.0
-    assert data["t"] == pytest.approx(BUILTIN_H[20, 6] * data["scale_estimate"], rel=1e-12)
+    assert data["t"] == pytest.approx(design_h(6, 20) * data["scale_estimate"], rel=1e-12)
 
     # byte-identical on a rerun
     code2, out2, _ = run(capsys, *args)
@@ -188,6 +188,17 @@ def test_estimate_t_with_n_is_a_flag_error(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "--n goes with --data only; --t needs no design\n"
+
+
+def test_estimate_data_with_h_is_a_flag_error(capsys):
+    # --data takes h from its design; reported with the other flag
+    # combinations, before the data file is read and before h and p
+    code, out, err = run(
+        capsys, "estimate", "--data", "no-such-file.dat", "--n", "20", "--h", "3",
+        "--beta1", "1", "--beta2", "2", "--p", "0", "--q", "0.5",
+    )
+    assert (code, out) == (2, "")
+    assert err == "--h goes with --t only; --data takes h from its design\n"
 
 
 def test_n_below_m_has_one_message(tmp_path, capsys):
@@ -296,25 +307,41 @@ def test_estimate_inadmissible_p_exits_3(capsys):
     assert "> 1" in err
 
 
-def test_estimate_unknown_design_exits_4_with_hint(tmp_path, capsys):
+def test_estimate_three_failures_take_the_design_h(tmp_path, capsys):
+    # any design gets its exact h; (20, 3) is not one of the built-in four
     f = tmp_path / "times.dat"
     f.write_text("1.0\n2.0\n3.0\n")
+    code, out, err = run(
+        capsys, "estimate", "--data", str(f), "--n", "20",
+        "--beta1", "1", "--beta2", "2", "--p", "1", "--q", "0.5", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["n"], data["m"], data["h"]) == (20, 3, design_h(3, 20))
+    assert data["t"] == pytest.approx(design_h(3, 20) * data["scale_estimate"], rel=1e-12)
+    # one failure time breaks the design rule before any h is computed
+    f.write_text("1.0\n")
     code, _, err = run(
         capsys, "estimate", "--data", str(f), "--n", "20",
         "--beta1", "1", "--beta2", "2", "--p", "1", "--q", "0.5",
     )
-    assert code == 4
-    assert "estimate-h" in err
-    # one failure time breaks the design rule, which is checked before the h
-    # lookup, so it exits 2 with or without --h
-    f.write_text("1.0\n")
-    for extra in ((), ("--h", H6)):
-        code, _, err = run(
-            capsys, "estimate", "--data", str(f), "--n", "20", *extra,
-            "--beta1", "1", "--beta2", "2", "--p", "1", "--q", "0.5",
+    assert code == 2
+    assert err == "m must be an integer >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("n, h", [(20, "2.05188"), (2, "2.80955")])
+def test_estimate_refuses_a_design_with_h_at_most_4(tmp_path, capsys, n, h):
+    # every m = 2 design has h < 4, where no estimator has a finite MSE;
+    # the refusal comes before p's admissibility, which needs h
+    f = tmp_path / "two.dat"
+    f.write_text("1.0\n2.0\n")
+    for p in ("1", "-6"):
+        code, out, err = run(
+            capsys, "estimate", "--data", str(f), "--n", str(n),
+            "--beta1", "1", "--beta2", "2", "--p", p, "--q", "0.5",
         )
-        assert code == 2
-        assert err == "m must be an integer >= 2, got 1\n"
+        assert (code, out) == (2, "")
+        assert err == f"the design n={n}, m=2 has h = {h}; the estimators need h > 4\n"
 
 
 def test_out_unwritable_exits_5(capsys):
@@ -995,18 +1022,21 @@ _DATA = {
     "@bom": b"\xef\xbb\xbf" + _SIX,  # a UTF-8 byte-order mark, as some editors save
     "@tied": b"2.0\n" * 6,  # a zero scale estimate: no t exists
     "@one": b"1.0\n",  # m = 1 breaks the design rule
+    "@two": b"1.0\n2.0\n",  # m = 2: a design with h <= 4
     "@latin1": b"1.0\n2.0\n# caf\xe9\n4.0\n",  # line 3 is not UTF-8
 }
 
-# `estimate` checks h, q, the guess interval, then p (finite, then admissible
-# once h is known), then its design, data file and t. One row per adjacent
-# pair, both bad: the exit code and the first stderr line name the earlier one.
+# `estimate --t` checks h, q, the guess interval, then p (finite, then
+# admissible), then t. `estimate --data` takes h from its design: q, the
+# interval and p's value, then its data file, design and h, then p's
+# admissibility at that h, then the scale estimate. One row per adjacent pair,
+# both bad: the exit code and the first stderr line name the earlier one.
 _ESTIMATE_ORDER = [
-    # h / q
+    # h / q, and for --data the flag combination / q
     (2, "need a finite h > 4", ("estimate", "--t", "5", "--h", "3", *_EST,
                                 "--p", "1", "--q", "1.5")),
-    (2, "need a finite h > 4", ("estimate", "--data", "@six", "--n", "20", "--h", "3", *_EST,
-                                "--p", "1", "--q", "1.5")),
+    (2, "--h goes with --t only", ("estimate", "--data", "@six", "--n", "20", "--h", "3", *_EST,
+                                   "--p", "1", "--q", "1.5")),
     # q / interval
     (2, "q must lie", ("estimate", "--t", "5", "--h", H6, "--beta1", "2", "--beta2", "1",
                        "--p", "1", "--q", "1.5")),
@@ -1022,18 +1052,20 @@ _ESTIMATE_ORDER = [
                                 "--p", "-0.1", "--q", "0.5")),
     (3, "p must be nonzero", ("estimate", "--data", "@tied", "--n", "20", *_EST,
                               "--p", "0", "--q", "0.5")),
+    (3, "p=-6.0 violates", ("estimate", "--data", "@tied", "--n", "20", *_EST,
+                            "--p", "-6", "--q", "0.5")),
     # p / design, and p / data file
     (3, "p must be nonzero", ("estimate", "--t", "5", "--h", "33.3", *_EST,
                               "--p", "0", "--q", "0.5")),
     (3, "p must be nonzero", ("estimate", "--data", "@one", "--n", "20", *_EST,
                               "--p", "0", "--q", "0.5")),
-    (3, "p=-6.0 violates", ("estimate", "--data", "@one", "--n", "20", "--h", H6, *_EST,
-                            "--p", "-6", "--q", "0.5")),
     (3, "p must be nonzero", ("estimate", "--data", "/no/such/file.dat", "--n", "20", *_EST,
                               "--p", "0", "--q", "0.5")),
-    # without --h, p's admissibility waits for the design's h, so the design goes first
+    # p's admissibility needs the design's h, so the design and its h go first
     (2, "m must be an integer >= 2", ("estimate", "--data", "@one", "--n", "20", *_EST,
                                       "--p", "-6", "--q", "0.5")),
+    (2, "the design n=20, m=2 has h = 2.05188", ("estimate", "--data", "@two", "--n", "20",
+                                                 *_EST, "--p", "-6", "--q", "0.5")),
 ]
 
 
@@ -1207,7 +1239,7 @@ _DOM = ("dominance", "--h", H6, "--p", "1", "--q", "0.5")
 _PIVOT = ("estimate", "--t", "8.8519", "--h", H6, "--p", "1", "--q", "0.5",
           "--beta1", "0.8", "--beta2", "3.2")
 _FORMATS = ("text", "csv", "json")
-# every subcommand, and every exit code: 0 to 5
+# every subcommand, and every exit code: 0 to 3, and 5
 _SCRIPT_ARGVS = [
     ("--help",),
     *((*_RISK, "--format", fmt) for fmt in _FORMATS),
@@ -1228,7 +1260,7 @@ _SCRIPT_ARGVS = [
     ("risk", "--h", H6),  # argparse usage error: exit 2
     ("risk", "--h", H6, "--p", "1", "--q", "1.5", "--delta", "1"),  # exit 2
     ("dominance", "--h", H6, "--p", "-3", "--q", "0.5"),  # exit 3
-    ("estimate", "--data", "@six", "--n", "30", *_EST, "--p", "1", "--q", "0.5"),  # exit 4
+    ("estimate", "--data", "@six", "--n", "30", *_EST, "--p", "1", "--q", "0.5"),  # any design
     ("table", "31", "--out", "/no/such/dir/table.csv"),  # exit 5
     ("table", "31", "--format", "csv", "--out", "@out"),
 ]
@@ -1256,7 +1288,7 @@ def test_script_path_matches_main_in_process(tmp_path, capsys, monkeypatch):
         if "@out" in argv:
             assert outs[0].read_bytes() == outs[1].read_bytes() != b""
         codes.add(code)
-    assert codes == {0, 1, 2, 3, 4, 5}
+    assert codes == {0, 1, 2, 3, 5}
 
 
 class _FailingStdout(io.StringIO):

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from weibull_shrink.estimators import (
     DegenerateSampleError,
     _bain_coefficients,
+    _spacing_moments,
     bain_constant,
     bain_scale_estimate,
     beta_mmse,
     beta_shrink,
     beta_shrink_truncated,
     beta_unbiased,
+    design_h,
     estimate_departure,
     shrink_weight,
     suggest_q,
@@ -388,3 +390,60 @@ def test_bain_constant_validation():
         bain_constant(1, 10)
     with pytest.raises(ValueError):
         bain_constant(5, 4)
+
+
+# --- exact degrees of freedom -----------------------------------------------
+
+# h = 2 E[S]^2 / Var(S) by 25-digit mpmath quadrature, keyed by (n, m)
+H_MPMATH = {
+    (20, 4): 6.3254405058999, (20, 6): 10.852852162063, (20, 8): 15.673597405179,
+    (20, 10): 20.835969902785, (20, 12): 26.397175702093, (20, 20): 48.197559870076,
+    (16, 7): 13.598506756179, (100, 50): 113.45273301656, (1000, 500): 1155.3540409613,
+    (2, 2): 2.8095515769341, (30, 2): 2.0341580396564,
+}
+
+
+@pytest.mark.parametrize("n, m", list(H_MPMATH))
+def test_design_h_matches_mpmath(n, m):
+    assert design_h(m, n) == pytest.approx(H_MPMATH[n, m], rel=1e-11)
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 30), (3, 20), (6, 20), (20, 20), (7, 31),
+                                  (50, 100), (300, 300)])
+def test_design_h_mean_is_minus_n_times_bain_constant(m, n):
+    # the same quadrature's E[S] is -n k, with k the exact finite sum
+    mean, _ = _spacing_moments(m, n)
+    assert -mean / n == pytest.approx(bain_constant(m, n), rel=1e-13)
+
+
+def test_design_h_tends_to_twice_the_spacings():
+    # as n grows, X_(m) -> 0 and the m - 1 log-spacings become iid ln U, of
+    # mean -1 and variance 1, so h = 2 (m-1)^2 / (m-1) + O(1/n)
+    assert design_h(6, 10**9) == pytest.approx(10.0, rel=1e-8)
+    assert design_h(2, 10**18) == pytest.approx(2.0, rel=1e-12)
+
+
+def test_design_h_against_the_builtin_constants():
+    # the source's simulated constants, less the exact h, as the README tabulates
+    diffs = [round(BUILTIN_H[20, m] - design_h(m, 20), 5) for m in (6, 8, 10, 12)]
+    assert diffs == [-0.00095, 0.0004, 0.00823, 0.00542]
+
+
+@pytest.mark.parametrize("m, n", [(6, 10**9), (1000, 1000), (2, 20), (2, 2)])
+def test_design_h_quadrature_stays_small(monkeypatch, m, n):
+    # the cost is the outer node count times the 113-node inner rule
+    from weibull_shrink import estimators
+
+    calls = []
+    inner = estimators._log_spacing_moments
+    monkeypatch.setattr(estimators, "_log_spacing_moments",
+                        lambda x: calls.append(x) or inner(x))
+    design_h(m, n)
+    assert 0 < len(calls) <= 400
+
+
+def test_design_h_validation():
+    with pytest.raises(ValueError, match="m must be an integer >= 2"):
+        design_h(1, 10)
+    with pytest.raises(ValueError, match="n must be an integer >= m"):
+        design_h(5, 4)

@@ -14,31 +14,18 @@ from weibull_shrink.model import (
     CensoredSample,
     GuessInterval,
     InadmissibleParameterError,
-    MissingConstantError,
     PivotalContext,
     RiskReport,
     ShrinkageConfig,
     WeibullParams,
-    lookup_h,
 )
 from weibull_shrink.tables import GridSpec
 
 
-def test_lookup_h_builtin_designs():
-    assert lookup_h(20, 6) == 10.8519
-    assert lookup_h(20, 8) == 15.6740
-    assert lookup_h(20, 10) == 20.8442
-    assert lookup_h(20, 12) == 26.4026
-    assert set(BUILTIN_H) == {(20, 6), (20, 8), (20, 10), (20, 12)}
-
-
-def test_lookup_h_unknown_design():
-    with pytest.raises(MissingConstantError):
-        lookup_h(20, 7)
-    with pytest.raises(MissingConstantError):
-        lookup_h(25, 6)
-    # MissingConstantError is a LookupError, not a ValueError
-    assert issubclass(MissingConstantError, LookupError)
+def test_builtin_h_holds_the_source_constants():
+    # the tables read these as printed; estimate --data uses the exact design_h
+    assert BUILTIN_H == {(20, 6): 10.8519, (20, 8): 15.6740, (20, 10): 20.8442,
+                         (20, 12): 26.4026}
 
 
 class TestWeibullParams:

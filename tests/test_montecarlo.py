@@ -19,6 +19,7 @@ from weibull_shrink.estimators import (
     beta_shrink,
     beta_shrink_truncated,
     beta_unbiased,
+    design_h,
 )
 from weibull_shrink.model import (
     BUILTIN_H,
@@ -400,6 +401,13 @@ def test_exact_bain_constant_matches_simulation(m, n):
     # (100, 200) needs far more decimal digits than (6, 20)
     k, se = estimate_bain_constant(m, n, 40_000, seed=11)
     assert abs(k - bain_constant(m, n)) < 4.0 * se, (k, se)
+
+
+@pytest.mark.parametrize("m, n", [(6, 20), (20, 20), (7, 16), (100, 200)])
+def test_exact_design_h_matches_simulation(m, n):
+    # the simulated h stays as the oracle of the exact one
+    h, se = estimate_degrees_of_freedom(m, n, 40_000, seed=11)
+    assert abs(h - design_h(m, n)) < 4.0 * se, (h, se)
 
 
 def test_bain_constant_validation():

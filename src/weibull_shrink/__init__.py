@@ -25,7 +25,7 @@ from weibull_shrink.model import (
     WeibullParams,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"
 
 __all__ = [
     "CensoredSample",

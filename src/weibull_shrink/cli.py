@@ -46,9 +46,9 @@ without --diff picks a writer by format, one of the table-cell writers in
 `tables`. `writers` alone knows how a value prints, and loads `csv` and
 `json` only for those formats. No module of the package imports
 `dataclasses`. `estimate --data` takes Bain's unbiasing constant k and the
-degrees of freedom h from their one source each, the exact
-`estimators.bain_constant` and `estimators.design_h` of the file's design,
-so it draws nothing and ignores --seed; `--h` goes with `--t` only, as
+degrees of freedom h from their one source, the exact
+`estimators.design_constants` of the file's design, called once, so it
+draws nothing and ignores --seed; `--h` goes with `--t` only, as
 `--n` goes with `--data` only. `estimate --t` takes no design: every
 estimate reads only h and t, so n and m print as absent, like the scale
 estimate and k.
@@ -170,12 +170,11 @@ def cmd_estimate(args) -> tuple:
     if args.data is not None:
         sample = CensoredSample(n=args.n, observations=tuple(_read_failure_times(args.data)))
         n, m = sample.n, sample.m
-        h = estimators.design_h(m, n)
+        bain_k, h = estimators.design_constants(m, n)
         if h <= 4.0:
             raise ValueError(f"the design n={n}, m={m} has h = {h:.6g}; the estimators need h > 4")
     estimators.shrink_weight(cfg.p, h)
     if args.data is not None:
-        bain_k = estimators.bain_constant(m, n)
         scale = estimators.bain_scale_estimate(sample, bain_k)
         t = h * scale
     else:

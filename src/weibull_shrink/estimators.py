@@ -8,8 +8,8 @@ toward a guessed interval midpoint with a data-independent weight w(p).
 
 On data, t = h * b_hat, where `bain_scale_estimate` gives b_hat from the
 failure times and Bain's unbiasing constant k. k and h are plain numbers of
-the censoring design, each with one source that is exact for any design:
-`bain_constant(m, n)`, a finite sum, and `design_h(m, n)`, by quadrature.
+the censoring design, both from one quadrature that is exact for any design:
+`design_constants(m, n)`.
 """
 
 from __future__ import annotations
@@ -32,46 +32,6 @@ from weibull_shrink.model import (
 
 class DegenerateSampleError(ValueError):
     """All recorded failure times coincide, so the scale estimate is zero."""
-
-
-def _bain_coefficients(m: int, n: int) -> dict:
-    """Integers c_r with k = sum_r c_r ln(r) / r for the (m, n) design.
-
-    Lieblein's sum gives E[v_(i)] = -gamma - n C(n-1, i-1) sum_{j<i} (-1)^j
-    C(i-1, j) ln(r) / r with r = n - i + j + 1. In
-    k = ((m-1) E[v_(m)] - sum_{i<m} E[v_(i)]) / n Euler's gamma cancels, and
-    the alternating binomial sums over i < m collapse, so for s = n - r in
-    0..m-1: c_r = (-1)^(m-s) C(n-1, s) [C(r-2, m-2-s) + (m-1) C(r-1, m-1-s)].
-    """
-    coefficients = {}
-    for s in range(m):
-        r = n - s
-        below = math.comb(r - 2, m - 2 - s) if s <= m - 2 else 0
-        last = (m - 1) * math.comb(r - 1, m - 1 - s)
-        coefficients[r] = (-1) ** (m - s) * math.comb(n - 1, s) * (below + last)
-    return coefficients
-
-
-def bain_constant(m: int, n: int) -> float:
-    """Exact unbiasing constant k of the censored-sample scale estimator.
-
-    k equals -(1/n) E[sum_{i<m} (v_i - v_m)] where v_1 <= ... <= v_m are the m
-    smallest of n standard smallest-extreme-value order statistics.
-
-    The terms of the finite sum cancel roughly 4^n-fold, which no float sum
-    survives, so it runs in decimal at the digits of the largest coefficient
-    plus 25: m logarithms at that precision, which sets the cost.
-    """
-    # imported here: only `estimate --data` needs decimal, and every CLI
-    # process would pay its import otherwise
-    from decimal import Decimal, localcontext
-
-    n, m = _require_design(n, m)
-    coefficients = _bain_coefficients(m, n)
-    with localcontext() as ctx:
-        ctx.prec = len(str(max(abs(c) for c in coefficients.values()))) + 25
-        total = sum(Decimal(c) * Decimal(r).ln() / r for r, c in coefficients.items())
-    return float(total)
 
 
 @functools.cache
@@ -125,15 +85,15 @@ def _spacing_moments(m: int, n: int) -> tuple[float, float]:
     walked out until the weight falls below 1e-18 of the centre's. The
     log-density in z is concave, so the walk passes the mode first. The
     sums are normalised by their own total, and the step halves until two
-    levels give h within 1e-12 relative. a is taken less its value at E[X],
-    so that Var(a) does not cancel.
+    levels give E[S] and h each within 1e-12 relative. a is taken less its
+    value at E[X], so that Var(a) does not cancel.
     """
     n, m = _require_design(n, m)
     ratios = [n / (n - j) for j in range(m)]  # each of order 1, where 1/(n - j)^2 may underflow
     total = sum(ratios)
     centre = math.log(total) - math.log(n)
     width = math.sqrt(sum(r * r for r in ratios)) / total
-    rest = float(n - m + 1)  # an n past the float range raises OverflowError here
+    rest = float(n - m + 1)
 
     def log_density(z: float) -> float:
         x = math.exp(z)
@@ -171,26 +131,29 @@ def _spacing_moments(m: int, n: int) -> tuple[float, float]:
     while True:
         walk(step, 0.5)  # the midpoints halve the step
         step /= 2.0
-        h = 2.0 * mean * mean / var
+        last_mean, last_h = mean, 2.0 * mean * mean / var
         mean, var = moments()
-        if abs(2.0 * mean * mean / var - h) <= 1e-12 * h:
+        if (abs(mean - last_mean) <= 1e-12 * abs(last_mean)
+                and abs(2.0 * mean * mean / var - last_h) <= 1e-12 * last_h):
             return mean, var
 
 
-def design_h(m: int, n: int) -> float:
-    """Exact degrees of freedom h = 2 E[S]^2 / Var(S) of the (m, n) design.
+def design_constants(m: int, n: int) -> tuple[float, float]:
+    """Exact (k, h) of the (m, n) design: Bain's unbiasing constant
+    k = -E[S]/n and the degrees of freedom h = 2 E[S]^2 / Var(S).
 
-    S is the sum of log-spacings that `bain_scale_estimate` divides by n k
-    (so k = -E[S]/n, `bain_constant`), and h matches the variance of the
-    normalised scale estimate to that of a chi-square over its degrees of
-    freedom, as `montecarlo.estimate_degrees_of_freedom` simulates it. Within
-    1e-13 relative of 25-digit mpmath at the designs the tests pin. h tends
-    to 2(m - 1) from above as n grows; so every m = 2 design has h < 4
-    (2.81 at (2, 2), 2.05 at (20, 2)), while m = 3 stays just above 4 (4.16
-    at (20, 3)). See `_spacing_moments` for the quadrature.
+    S is the sum of log-spacings that `bain_scale_estimate` divides by n k,
+    so k makes the scale estimate unbiased, and h matches its variance to
+    that of a chi-square over its degrees of freedom, as
+    `montecarlo.estimate_degrees_of_freedom` simulates it. One quadrature
+    (`_spacing_moments`) gives both: k within 1e-15 relative of Lieblein's
+    exact sum and h within 1e-13 of 25-digit mpmath at the designs the tests
+    pin. h tends to 2(m - 1) from above as n grows; so every m = 2 design
+    has h < 4 (2.81 at (2, 2), 2.05 at (20, 2)), while m = 3 stays just
+    above 4 (4.16 at (20, 3)).
     """
     mean, var = _spacing_moments(m, n)
-    return 2.0 * mean * mean / var
+    return -mean / n, 2.0 * mean * mean / var
 
 
 def bain_scale_estimate(sample: CensoredSample, k: float) -> float:
@@ -198,7 +161,7 @@ def bain_scale_estimate(sample: CensoredSample, k: float) -> float:
 
     Computes -sum_{i<m} (ln x_i - ln x_m) / (n * k) from the m smallest failure
     times, with k > 0 the unbiasing constant of the sample's design (see
-    `bain_constant`). The sample has checked its design (2 <= m <= n).
+    `design_constants`). The sample has checked its design (2 <= m <= n).
     """
     m = sample.m
     k = _require_positive("k", k)

@@ -112,8 +112,8 @@ class GridValidationError(ValueError):
 #: Degrees of freedom h of the pivotal statistic t for n = 20, keyed by (n, m):
 #: the source's constants, read by the tables and `mc estimate-h`. They come
 #: from published simulations of the censored-sample scale estimator and are
-#: kept as printed. `estimators.design_h` gives the exact h of any design;
-#: these four differ from it by 0.0083 at most.
+#: kept as printed. `estimators.design_constants` gives the exact h of any
+#: design; these four differ from it by 0.0083 at most.
 BUILTIN_H: dict[tuple[int, int], float] = {
     (20, 6): 10.8519,
     (20, 8): 15.6740,
@@ -176,8 +176,12 @@ def _require_m(m: int) -> int:
 
 
 def _require_design(n: int, m: int) -> tuple[int, int]:
-    """A censoring design: integers m >= 2 failures out of n >= m units."""
+    """A censoring design: integers m >= 2 failures out of n >= m units, n
+    no larger than the largest float, in which the design's constants are
+    computed."""
     _require_m(m)
+    if n > sys.float_info.max:
+        raise ValueError(f"n must not exceed {sys.float_info.max!r}, got n={n!r}, m={m!r}")
     if int(n) != n or n < m:
         raise ValueError(f"n must be an integer >= m, got n={n!r}, m={m!r}")
     return int(n), int(m)

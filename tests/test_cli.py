@@ -23,7 +23,7 @@ import pytest
 import weibull_shrink
 from weibull_shrink import risk
 from weibull_shrink.cli import main
-from weibull_shrink.estimators import bain_constant, design_h
+from weibull_shrink.estimators import design_constants
 from weibull_shrink.model import BUILTIN_H
 
 # the stock h of m = 6, 10 and 12 (n = 20) as flag values
@@ -90,10 +90,11 @@ def test_estimate_from_data(tmp_path, capsys):
     assert code == 0, err
     data = json.loads(out)
     assert data["m"] == 6
-    assert data["h"] == design_h(6, 20)  # the design's exact h, not the built-in 10.8519
-    assert data["bain_k"] == bain_constant(6, 20)
+    k, h = design_constants(6, 20)
+    assert data["h"] == h  # the design's exact h, not the built-in 10.8519
+    assert data["bain_k"] == k
     assert data["scale_estimate"] > 0.0
-    assert data["t"] == pytest.approx(design_h(6, 20) * data["scale_estimate"], rel=1e-12)
+    assert data["t"] == pytest.approx(h * data["scale_estimate"], rel=1e-12)
 
     # byte-identical on a rerun
     code2, out2, _ = run(capsys, *args)
@@ -110,9 +111,23 @@ def test_estimate_data_uses_the_exact_k_and_ignores_the_seed(tmp_path, capsys):
     )
     code, out, err = run(capsys, *args, "--seed", "7")
     assert code == 0, err
-    assert json.loads(out)["bain_k"] == bain_constant(6, 20)
+    assert json.loads(out)["bain_k"] == design_constants(6, 20)[0]
     code2, out2, _ = run(capsys, *args, "--seed", "8")
     assert code2 == 0 and out2 == out
+
+
+def test_estimate_data_takes_k_at_a_thousand_failures(tmp_path, capsys):
+    # Lieblein's exact sum, in mpmath at 343 digits, gives k = 2.576582837463337
+    # at (1000, 1000), and so does the quadrature, to the last bit
+    f = tmp_path / "times.dat"
+    f.write_text("".join(f"{i / 100}\n" for i in range(1, 1001)))
+    code, out, err = run(
+        capsys, "estimate", "--data", str(f), "--n", "1000",
+        "--beta1", "0.8", "--beta2", "1.2", "--p", "1", "--q", "0.5", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert (data["n"], data["m"], data["bain_k"]) == (1000, 1000, 2.576582837463337)
 
 
 @pytest.mark.parametrize(
@@ -317,8 +332,9 @@ def test_estimate_three_failures_take_the_design_h(tmp_path, capsys):
     )
     assert (code, err) == (0, "")
     data = json.loads(out)
-    assert (data["n"], data["m"], data["h"]) == (20, 3, design_h(3, 20))
-    assert data["t"] == pytest.approx(design_h(3, 20) * data["scale_estimate"], rel=1e-12)
+    h = design_constants(3, 20)[1]
+    assert (data["n"], data["m"], data["h"]) == (20, 3, h)
+    assert data["t"] == pytest.approx(h * data["scale_estimate"], rel=1e-12)
     # one failure time breaks the design rule before any h is computed
     f.write_text("1.0\n")
     code, _, err = run(
@@ -1014,6 +1030,7 @@ def test_mc_verify_bad_q_exit_2_bad_p_exit_3(capsys):
 
 _EST = ("--beta1", "1", "--beta2", "2")
 _VER = ("mc", "verify", "--reps", "2000")
+_HUGE_N = str(10**400)
 
 # data files for `estimate --data` rows, written per test under these names
 _SIX = b"".join(b"%d.0\n" % x for x in range(1, 7))
@@ -1160,7 +1177,7 @@ def _with_data_files(tmp_path, argv) -> list:
              "--p", "1", "--q", "0.5")),
         (2, ("estimate", "--data", "@six", "--n", "20", "--m", "6", *_EST,
              "--p", "0", "--q", "0.5")),
-        # k is always the exact bain_constant(m, n); no option sets it
+        # k always comes from design_constants(m, n); no option sets it
         (2, ("estimate", "--data", "@six", "--n", "20", "--bain-k", "0.2", *_EST,
              "--p", "1", "--q", "0.5")),
         # mc verify
@@ -1197,6 +1214,15 @@ def _with_data_files(tmp_path, argv) -> list:
         (2, ("mc", "estimate-h", "--n", "20", "--m", "6", "--reps", "0")),
         (2, ("mc", "estimate-h", "--n", "20", "--m", "6", "--reps", "1000", "--seed", "-1")),
         (2, ("mc", "estimate-h", "--n", "5", "--m", "1", "--reps", "1")),
+        # an n past the largest float, in every subcommand that takes a design
+        pytest.param(2, ("estimate", "--data", "@six", "--n", _HUGE_N, *_EST,
+                         "--p", "1", "--q", "0.5"), id="2-estimate --data --n 10**400"),
+        pytest.param(2, ("mc", "estimate-k", "--n", _HUGE_N, "--m", "6", "--reps", "1000"),
+                     id="2-mc estimate-k --n 10**400"),
+        pytest.param(2, ("mc", "estimate-h", "--n", _HUGE_N, "--m", "6", "--reps", "1000"),
+                     id="2-mc estimate-h --n 10**400"),
+        pytest.param(2, (*_VER, "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1",
+                         "--n", _HUGE_N), id="2-mc verify --n 10**400"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v),
 )

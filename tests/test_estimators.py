@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 
 from weibull_shrink.estimators import (
     DegenerateSampleError,
-    _bain_coefficients,
-    _spacing_moments,
-    bain_constant,
     bain_scale_estimate,
     beta_mmse,
     beta_shrink,
     beta_shrink_truncated,
     beta_unbiased,
-    design_h,
+    design_constants,
     estimate_departure,
     shrink_weight,
     suggest_q,
@@ -352,44 +349,46 @@ def test_bain_constants_validation():
 # --- exact unbiasing constant -----------------------------------------------
 
 
-def test_bain_constant_two_by_two_is_ln2():
-    # the spacing of two standard SEV draws has mean 2 ln 2, and k = mean / n
-    assert abs(bain_constant(2, 2) - math.log(2.0)) <= 1e-15
+def lieblein_k(m, n, margin=40):
+    """Bain's k from Lieblein's expected SEV order statistics, in mpmath.
 
-
-def test_bain_constant_builtin_designs():
-    got = [round(bain_constant(m, 20), 6) for m in (6, 8, 10, 12)]
-    assert got == [0.272064, 0.394394, 0.527664, 0.675648]
-
-
-@pytest.mark.parametrize("m, n", [(2, 2), (2, 5), (3, 3), (6, 20), (20, 20), (7, 31), (40, 90)])
-def test_bain_coefficients_match_lieblein_double_sum(m, n):
-    # k = sum_{i<m} L_i - (m-1) L_m, L_i = C(n-1, i-1) sum_{j<i} (-1)^j C(i-1, j) ln(r)/r
-    want = defaultdict(int)
+    E[v_(i)] = -gamma - n C(n-1, i-1) sum_{j<i} (-1)^j C(i-1, j) ln(r)/r with
+    r = n - i + j + 1, and k = ((m-1) E[v_(m)] - sum_{i<m} E[v_(i)]) / n, in
+    which Euler's gamma cancels. The integer coefficients of ln(r)/r grow
+    like 4^n and cancel, so the sum runs at their digits plus a margin.
+    """
+    coefficients = defaultdict(int)
     for i in range(1, m + 1):
         scale = math.comb(n - 1, i - 1) * (1 if i < m else 1 - m)
         for j in range(i):
-            want[n - i + j + 1] += (-1) ** j * scale * math.comb(i - 1, j)
-    got = _bain_coefficients(m, n)
-    assert {r: c for r, c in got.items() if c} == {r: c for r, c in want.items() if c}
+            coefficients[n - i + j + 1] += (-1) ** j * scale * math.comb(i - 1, j)
+    digits = len(str(max(abs(c) for c in coefficients.values())))
+    with mpmath.workdps(digits + margin):
+        return float(mpmath.fsum(c * mpmath.log(r) / r for r, c in coefficients.items()))
 
 
 @pytest.mark.parametrize("m, n", [(6, 20), (100, 200), (300, 300)])
 def test_bain_constant_sum_is_exact_to_the_last_bit(m, n):
-    # the coefficients grow like 4^n, so the sum needs their digits plus a margin;
-    # a 40-digit-margin mpmath sum is the reference
-    coefficients = _bain_coefficients(m, n)
-    digits = len(str(max(abs(c) for c in coefficients.values())))
-    with mpmath.workdps(digits + 40):
-        want = float(mpmath.fsum(c * mpmath.log(r) / r for r, c in coefficients.items()))
-    assert bain_constant(m, n) == want
+    # the oracle every k pin reads: a 40-digit margin over the coefficients'
+    # digits gives the same double as a 100-digit one (a 10-digit margin
+    # does not, at all three designs)
+    assert lieblein_k(m, n) == lieblein_k(m, n, margin=100)
+
+
+def test_bain_constant_two_by_two_is_ln2():
+    # the spacing of two standard SEV draws has mean 2 ln 2, and k = mean / n
+    assert abs(design_constants(2, 2)[0] - math.log(2.0)) <= 1e-15
+
+
+def test_bain_constant_builtin_designs():
+    got = [round(design_constants(m, 20)[0], 6) for m in (6, 8, 10, 12)]
+    assert got == [0.272064, 0.394394, 0.527664, 0.675648]
 
 
 def test_bain_constant_validation():
-    with pytest.raises(ValueError):
-        bain_constant(1, 10)
-    with pytest.raises(ValueError):
-        bain_constant(5, 4)
+    # an n past the float range is refused by name before any arithmetic
+    with pytest.raises(ValueError, match=r"n must not exceed 1.79769\d+e\+308, got n=10+, m=6"):
+        design_constants(6, 10**400)
 
 
 # --- exact degrees of freedom -----------------------------------------------
@@ -405,27 +404,28 @@ H_MPMATH = {
 
 @pytest.mark.parametrize("n, m", list(H_MPMATH))
 def test_design_h_matches_mpmath(n, m):
-    assert design_h(m, n) == pytest.approx(H_MPMATH[n, m], rel=1e-11)
+    assert design_constants(m, n)[1] == pytest.approx(H_MPMATH[n, m], rel=1e-11)
 
 
-@pytest.mark.parametrize("m, n", [(2, 2), (2, 30), (3, 20), (6, 20), (20, 20), (7, 31),
-                                  (50, 100), (300, 300)])
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (2, 30), (3, 20), (6, 20), (8, 20), (12, 20),
+                                  (20, 20), (7, 31), (50, 100), (100, 200), (300, 300),
+                                  (6, 10**6), (6, 10**9)])
 def test_design_h_mean_is_minus_n_times_bain_constant(m, n):
-    # the same quadrature's E[S] is -n k, with k the exact finite sum
-    mean, _ = _spacing_moments(m, n)
-    assert -mean / n == pytest.approx(bain_constant(m, n), rel=1e-13)
+    # the quadrature's k = -E[S]/n against Lieblein's exact sum; measured
+    # within 2.7e-16 relative, about 2 units in the last place
+    assert design_constants(m, n)[0] == pytest.approx(lieblein_k(m, n), rel=1e-15, abs=0.0)
 
 
 def test_design_h_tends_to_twice_the_spacings():
     # as n grows, X_(m) -> 0 and the m - 1 log-spacings become iid ln U, of
     # mean -1 and variance 1, so h = 2 (m-1)^2 / (m-1) + O(1/n)
-    assert design_h(6, 10**9) == pytest.approx(10.0, rel=1e-8)
-    assert design_h(2, 10**18) == pytest.approx(2.0, rel=1e-12)
+    assert design_constants(6, 10**9)[1] == pytest.approx(10.0, rel=1e-8)
+    assert design_constants(2, 10**18)[1] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_design_h_against_the_builtin_constants():
     # the source's simulated constants, less the exact h, as the README tabulates
-    diffs = [round(BUILTIN_H[20, m] - design_h(m, 20), 5) for m in (6, 8, 10, 12)]
+    diffs = [round(BUILTIN_H[20, m] - design_constants(m, 20)[1], 5) for m in (6, 8, 10, 12)]
     assert diffs == [-0.00095, 0.0004, 0.00823, 0.00542]
 
 
@@ -438,12 +438,12 @@ def test_design_h_quadrature_stays_small(monkeypatch, m, n):
     inner = estimators._log_spacing_moments
     monkeypatch.setattr(estimators, "_log_spacing_moments",
                         lambda x: calls.append(x) or inner(x))
-    design_h(m, n)
+    design_constants(m, n)
     assert 0 < len(calls) <= 400
 
 
 def test_design_h_validation():
     with pytest.raises(ValueError, match="m must be an integer >= 2"):
-        design_h(1, 10)
+        design_constants(1, 10)
     with pytest.raises(ValueError, match="n must be an integer >= m"):
-        design_h(5, 4)
+        design_constants(5, 4)

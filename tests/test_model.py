@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weibull_shrink import risk
-from weibull_shrink.estimators import bain_constant, shrink_weight
+from weibull_shrink.estimators import design_constants, shrink_weight
 from weibull_shrink.model import (
     BUILTIN_H,
     CensoredSample,
@@ -23,7 +23,7 @@ from weibull_shrink.tables import GridSpec
 
 
 def test_builtin_h_holds_the_source_constants():
-    # the tables read these as printed; estimate --data uses the exact design_h
+    # the tables read these as printed; estimate --data uses the exact design_constants
     assert BUILTIN_H == {(20, 6): 10.8519, (20, 8): 15.6740, (20, 10): 20.8442,
                          (20, 12): 26.4026}
 
@@ -275,11 +275,11 @@ def test_h_four_has_one_message(call):
     "call, m",
     [
         (lambda: CensoredSample(n=20, observations=(1.0,)), "1"),
-        (lambda: bain_constant(1, 20), "1"),
+        (lambda: design_constants(1, 20), "1"),
         (lambda: _grid(m=-3), "-3"),
         (lambda: _grid(m=6.5), "6.5"),
     ],
-    ids=["CensoredSample", "bain_constant", "GridSpec", "GridSpec-fractional"],
+    ids=["CensoredSample", "design_constants", "GridSpec", "GridSpec-fractional"],
 )
 def test_bad_m_has_one_message(call, m):
     # a table design has no n, but its m follows the design's m rule
@@ -290,9 +290,9 @@ def test_bad_m_has_one_message(call, m):
     "call",
     [
         lambda: CensoredSample(n=6, observations=tuple(range(1, 8))),
-        lambda: bain_constant(7, 6),
+        lambda: design_constants(7, 6),
     ],
-    ids=["CensoredSample", "bain_constant"],
+    ids=["CensoredSample", "design_constants"],
 )
 def test_n_below_m_has_one_message(call):
     assert "n must be an integer >= m, got n=6, m=7" in _message(call)

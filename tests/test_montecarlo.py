@@ -14,12 +14,11 @@ from scipy.stats import ks_2samp
 from weibull_shrink.cli import main
 
 from weibull_shrink.estimators import (
-    bain_constant,
     beta_mmse,
     beta_shrink,
     beta_shrink_truncated,
     beta_unbiased,
-    design_h,
+    design_constants,
 )
 from weibull_shrink.model import (
     BUILTIN_H,
@@ -398,16 +397,15 @@ def test_bain_constant_two_by_two():
 
 @pytest.mark.parametrize("m, n", [(6, 20), (20, 20), (3, 24), (100, 200)])
 def test_exact_bain_constant_matches_simulation(m, n):
-    # (100, 200) needs far more decimal digits than (6, 20)
     k, se = estimate_bain_constant(m, n, 40_000, seed=11)
-    assert abs(k - bain_constant(m, n)) < 4.0 * se, (k, se)
+    assert abs(k - design_constants(m, n)[0]) < 4.0 * se, (k, se)
 
 
 @pytest.mark.parametrize("m, n", [(6, 20), (20, 20), (7, 16), (100, 200)])
 def test_exact_design_h_matches_simulation(m, n):
     # the simulated h stays as the oracle of the exact one
     h, se = estimate_degrees_of_freedom(m, n, 40_000, seed=11)
-    assert abs(h - design_h(m, n)) < 4.0 * se, (h, se)
+    assert abs(h - design_constants(m, n)[1]) < 4.0 * se, (h, se)
 
 
 def test_bain_constant_validation():
@@ -417,6 +415,8 @@ def test_bain_constant_validation():
         estimate_bain_constant(5, 4, 1000, seed=0)
     with pytest.raises(ValueError):
         estimate_bain_constant(5, 10, 1, seed=0)
+    with pytest.raises(ValueError, match=r"n must not exceed .*, got n=10+, m=6"):
+        estimate_bain_constant(6, 10**400, 1000, seed=0)
 
 
 def test_degrees_of_freedom_tracks_builtin_table():
@@ -451,5 +451,5 @@ def test_spacing_kernel_matches_sorted_draws_in_law(n, m):
     assert s.shape == (reps,) and np.all(np.isfinite(s))
     assert ks_2samp(s, _sorted_spacing_sums(m, n, reps, seed=2402)).pvalue > 1e-3
     se = float(np.std(s, ddof=1)) / math.sqrt(reps)
-    assert abs(float(np.mean(s)) + n * bain_constant(m, n)) < 4.0 * se
+    assert abs(float(np.mean(s)) + n * design_constants(m, n)[0]) < 4.0 * se
 

@@ -732,7 +732,7 @@ ANALYTIC_LAYER = ["weibull_shrink.risk", "weibull_shrink.estimators", "weibull_s
 def test_only_table_imports_the_table_layer(tmp_path):
     # the table layer and the transcribed printed tables load only for
     # `table`; a text document loads neither csv nor json; no closed-form or
-    # table run loads dataclasses or inspect
+    # table run loads dataclasses or inspect, and no closed-form run decimal
     data = tmp_path / "times.dat"
     data.write_text("0.5\n1.0\n1.5\n2.0\n2.5\n3.0\n")
     shape = ["--h", repr(H6), "--p", "1", "--q", "0.5"]
@@ -749,7 +749,7 @@ def test_only_table_imports_the_table_layer(tmp_path):
         ["table", "31", "--diff", "--format", "csv"],
         ["table", "51", "--diff", "--format", "json"],
     ]
-    absent_in_text = [*TABLE_LAYER, "csv", "json", "dataclasses", "inspect"]
+    absent_in_text = [*TABLE_LAYER, "csv", "json", "dataclasses", "inspect", "decimal"]
     _run_fresh(
         f"for argv in {closed_form!r}:\n"
         "    run(argv)\n"

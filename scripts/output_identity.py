@@ -7,10 +7,15 @@ For each tree, one fresh interpreter imports that tree's
 `bench/workloads.py` and package, builds the argvs of the `cli` workload's
 `Cli(7).op_input(i)` for i = 0..71, and runs each argv as the benchmark
 does (`Cli.run`): in its own fresh `python -m weibull_shrink.cli` process,
-with the tree's `src/` first on PYTHONPATH. Each run leaves its exit code,
-the sha256 of its stdout and its stderr. A tree's own path is replaced by
-`<tree>` in argv and stderr, so the data files that `estimate --data` ops
-write under each tree's `bench/out/` do not count as a difference.
+with the tree's `src/` first on PYTHONPATH. The 45 seeded `mc` runs of
+`SEEDED_MC` follow as i = 72..116: `mc verify` with `--delta` and with
+`--delta1/--delta2`, `mc estimate-k` at (20, 6) and `mc estimate-h` at
+(20, 6) and (24, 19), at seeds 11, 2502 and 987654, in text, csv and json;
+each crosses a chunk boundary and ends on a partial chunk. Each run leaves
+its exit code, the sha256 of its stdout and its stderr. A tree's own path is
+replaced by `<tree>` in argv and stderr, so the data files that
+`estimate --data` ops write under each tree's `bench/out/` do not count as a
+difference.
 
 The record written to FILE has `what`, `argvs` (the count), `identical`
 (the count of argvs whose exit code, stdout and stderr all match) and
@@ -21,6 +26,7 @@ codes, stdout digests and stderr, and whether the stderr matches.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import subprocess
 import sys
@@ -29,7 +35,23 @@ from pathlib import Path
 SEED = 7
 OPS = 72
 
-# run in each tree, as its own interpreter: argv[1] is a JSON list of op indices
+_VERIFY = ("mc", "verify", "--h", "10.8519", "--p", "-1", "--q", "0.5", "--reps", "70000")
+_SEEDED_KINDS = (
+    ("mc_verify", (*_VERIFY, "--delta", "1.3")),
+    ("mc_verify", (*_VERIFY, "--delta1", "0.8", "--delta2", "1.6")),
+    ("mc_estimate_k", ("mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "20000")),
+    ("mc_estimate_h", ("mc", "estimate-h", "--n", "20", "--m", "6", "--reps", "20000")),
+    ("mc_estimate_h", ("mc", "estimate-h", "--n", "24", "--m", "19", "--reps", "20000")),
+)
+# [i, kind, argv] of each seeded `mc` run, numbered after the workload's ops
+SEEDED_MC = [
+    [OPS + i, kind, [*argv, "--seed", str(seed), "--format", fmt]]
+    for i, ((kind, argv), seed, fmt) in enumerate(itertools.product(
+        _SEEDED_KINDS, (11, 2502, 987654), ("text", "csv", "json")))
+]
+
+# run in each tree, as its own interpreter: argv[2] is a JSON list of jobs,
+# each a workload op index or an [i, kind, argv] list
 _RUNNER = """
 import hashlib, json, sys
 sys.path[:0] = ["bench", "src"]
@@ -38,8 +60,8 @@ import workloads
 cli = workloads.Cli(int(sys.argv[1]))
 root = str(workloads.ROOT)
 records = []
-for i in json.loads(sys.argv[2]):
-    kind, argv = cli.op_input(i)
+for job in json.loads(sys.argv[2]):
+    i, kind, argv = (job, *cli.op_input(job)) if isinstance(job, int) else job
     done = cli.run((kind, argv))
     records.append({
         "i": i, "kind": kind, "argv": [a.replace(root, "<tree>") for a in argv],
@@ -51,17 +73,18 @@ json.dump(records, sys.stdout)
 """
 
 
-def tree_records(tree: Path, indices) -> list:
-    """One record per op index, run in `tree` by a fresh interpreter."""
+def tree_records(tree: Path, jobs) -> list:
+    """One record per job, a workload op index or one of `SEEDED_MC`, run in
+    `tree` by a fresh interpreter."""
     done = subprocess.run(
-        [sys.executable, "-c", _RUNNER, str(SEED), json.dumps(list(indices))],
+        [sys.executable, "-c", _RUNNER, str(SEED), json.dumps(list(jobs))],
         cwd=tree.resolve(), check=True, stdout=subprocess.PIPE,
     )
     return json.loads(done.stdout)
 
 
 def compare(parent: list, change: list) -> dict:
-    """The identity record of two trees' records for the same op indices."""
+    """The identity record of two trees' records for the same jobs."""
     different = []
     for p, c in zip(parent, change, strict=True):
         if (p["i"], p["argv"]) != (c["i"], c["argv"]):
@@ -76,8 +99,9 @@ def compare(parent: list, change: list) -> dict:
             "stderr": [p["stderr"], c["stderr"]],
         })
     return {
-        "what": f"bench/workloads.py Cli({SEED}).op_input(0..{OPS - 1}), each argv in a "
-                "fresh process per tree: exit code, stdout sha256, stderr",
+        "what": f"bench/workloads.py Cli({SEED}).op_input(0..{OPS - 1}) and "
+                f"{len(SEEDED_MC)} seeded mc runs, each argv in a fresh process per "
+                "tree: exit code, stdout sha256, stderr",
         "argvs": len(parent),
         "identical": len(parent) - len(different),
         "different": different,
@@ -90,7 +114,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="changed tree")
     parser.add_argument("--out", type=Path, required=True, help="record JSON to write")
     args = parser.parse_args(argv)
-    record = compare(tree_records(args.parent, range(OPS)), tree_records(args.change, range(OPS)))
+    jobs = [*range(OPS), *SEEDED_MC]
+    record = compare(tree_records(args.parent, jobs), tree_records(args.change, jobs))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     kinds = sorted({d["kind"] for d in record["different"]})
     print(f"{record['identical']}/{record['argvs']} argvs identical; different kinds: {kinds}")

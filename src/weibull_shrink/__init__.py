@@ -25,7 +25,7 @@ from weibull_shrink.model import (
     WeibullParams,
 )
 
-__version__ = "0.7.1"
+__version__ = "0.8.0"
 
 __all__ = [
     "CensoredSample",

@@ -89,7 +89,7 @@ from weibull_shrink.model import (
     ShrinkageConfig,
     WeibullParams,
 )
-from weibull_shrink.model import _require_h, _require_q
+from weibull_shrink.model import _require_design, _require_h, _require_q
 
 
 def _resolve_delta(args) -> tuple[float, bool]:
@@ -347,7 +347,8 @@ def cmd_mc_verify(args) -> tuple:
     reports = _point_reports(args, delta, have_pair)
     if args.reps < 1000:
         raise ValueError("verification needs --reps >= 1000")
-    # numpy loads only for a point that passed its checks
+    _require_design(args.n, args.m)
+    # numpy loads only for a point and a design that passed their checks
     from weibull_shrink import montecarlo
 
     cfg = ShrinkageConfig(p=args.p, q=args.q)

@@ -8,19 +8,23 @@ how the chunks are scheduled. The contract holds within a release, not across
 releases: since 0.6.0 the design-constant simulations draw the m smallest SEV
 order statistics from exponential spacings instead of sorting n draws, so
 seeded `estimate_bain_constant` and `estimate_degrees_of_freedom` values differ
-from 0.5.0's. Their law is the same.
+from 0.5.0's. Their law is the same. Since 0.8.0 they fold each chunk's sums
+into running moments instead of keeping one sum per replicate, which moves
+some seeded values in their last one or two digits from 0.7.1's.
 
 Chunk seeds are spawned lazily: a loop takes the next child of
 SeedSequence(seed) only when it reaches that chunk. Spawning one child at a
 time gives the same children as spawning them all at once, so the draws are
 those of the eager spawn, without a list of one seed object per chunk.
 
-Each call allocates its working memory once, before its first draw, and every
-step writes into it: `empirical_risks` holds two chunk-sized arrays, the
-draws and one work buffer, at any replicate count, and the design-constant
-simulations hold one value per replicate and one m x `_SEV_CHUNK` draw
-buffer. An estimator takes an `out` array to write its estimates into; `out`
-must not overlap its input `t`.
+Each call allocates its working memory once, and every step writes into it.
+`empirical_risks` holds two chunk-sized arrays, the draws and one work
+buffer, allocated before its first draw. The design-constant simulations hold
+four `_SEV_CHUNK` rows at any m and replicate count: the kernel's draw row,
+running sum and sums row, allocated before its first draw, and the moment
+fold's work row, allocated with the first chunk. Nothing is kept per
+replicate. An estimator takes an `out` array to write its estimates into;
+`out` must not overlap its input `t`.
 """
 
 from __future__ import annotations
@@ -230,8 +234,9 @@ def _moments(beta: float, total: int, sums_d, sums_d2, sums_d4) -> EmpiricalRisk
 # design constants by simulation
 
 
-def _sev_spacing_sums(m: int, n: int, replicates: int, seed: int) -> np.ndarray:
-    """Per-replicate sum_{i<m} (v_(i) - v_(m)) for n standard SEV draws.
+def _sev_spacing_sums(m: int, n: int, replicates: int, seed: int):
+    """Yield, chunk by chunk in order, the sums S = sum_{i<m} (v_(i) - v_(m))
+    of each replicate's m smallest of n standard SEV draws.
 
     v = ln E with E standard exponential has the smallest-extreme-value law,
     the distribution of ln x when x is Weibull with alpha = beta = 1. Only the
@@ -241,41 +246,73 @@ def _sev_spacing_sums(m: int, n: int, replicates: int, seed: int) -> np.ndarray:
     smallest of n exponentials, and v_(i) = ln E_(i). That is m draws and m
     logs per replicate, with no sort. Seeded sums differ from those of 0.5.0,
     which sorted n draws of ln(-ln U); their law is the same.
+
+    A chunk draws Z_1, ..., Z_m one row at a time, replicates along the row,
+    which is the order in which an (m, count) block would be filled, and
+    keeps only the running E_(i), the running sum of ln E_(i) for i < m and
+    the current row. S comes out as sum_{i<m} ln E_(i) - (m - 1) ln E_(m).
+    Each yielded array is a view of a buffer that the next chunk overwrites;
+    the caller may overwrite it too.
     """
     n, m = _require_design(n, m)
     replicates = _require_replicates(replicates)
     seed = _require_seed(seed)
-    sums = np.empty(replicates)
-    draws = np.empty(m * min(_SEV_CHUNK, replicates))
-    # row j of a chunk holds Z_{j+1}/(n - j), the spacing E_(j+1) - E_(j)
-    # with E_(0) = 0; replicates run along a row, so that the running sum and
-    # the final sum each add whole contiguous rows, not m values at a time
-    remaining = np.arange(n, n - m, -1, dtype=float)[:, None]
+    size = min(_SEV_CHUNK, replicates)
+    row, running, sums = np.empty(size), np.empty(size), np.empty(size)
     for start, stop, rng in _chunks(seed, replicates, _SEV_CHUNK):
-        # v_(1..m) in place in one (m, count) view: spacings, E_(i), ln E_(i)
-        v = draws[: m * (stop - start)].reshape(m, stop - start)
-        rng.standard_exponential(out=v)
-        v /= remaining
-        for j in range(1, m):
-            v[j] += v[j - 1]
-        np.log(v, out=v)
-        v[: m - 1] -= v[m - 1]
-        np.sum(v[: m - 1], axis=0, out=sums[start:stop])
-    return sums
+        count = stop - start
+        z, e, s = row[:count], running[:count], sums[:count]
+        e.fill(0.0)
+        s.fill(0.0)
+        for j in range(m):
+            # Z_{j+1}/(n - j) is the spacing E_(j+1) - E_(j), with E_(0) = 0
+            rng.standard_exponential(out=z)
+            z /= float(n - j)
+            e += z
+            np.log(e, out=z)
+            if j < m - 1:
+                s += z
+        z *= m - 1
+        s -= z
+        yield s
+
+
+def _spacing_sum_moments(m: int, n: int, replicates: int, seed: int):
+    """(mean, M2, M4) of the simulated sums S, M_p being the sum over
+    replicates of (S - mean)^p.
+
+    Each chunk's S is folded in chunk order into power sums of its deviation
+    from the first chunk's mean, which lies within a few standard errors of
+    the overall mean, so the central moments taken from them at the end lose
+    no digits to cancellation. One chunk-sized work row holds the squared
+    deviations; nothing is kept per replicate.
+    """
+    shift = work = None
+    p1 = p2 = p3 = p4 = 0.0
+    for d in _sev_spacing_sums(m, n, replicates, seed):
+        if shift is None:
+            shift, work = float(np.mean(d)), np.empty(len(d))
+        d -= shift
+        d2 = np.multiply(d, d, out=work[: len(d)])
+        p1 += float(np.sum(d))
+        p2 += float(np.sum(d2))
+        d *= d2
+        p3 += float(np.sum(d))
+        d2 *= d2
+        p4 += float(np.sum(d2))
+    mu = p1 / replicates
+    m2 = p2 - mu * p1
+    m4 = p4 - 4.0 * mu * p3 + 6.0 * mu * mu * p2 - 3.0 * replicates * mu**4
+    return shift + mu, m2, m4
 
 
 def estimate_bain_constant(
     m: int, n: int, replicates: int, seed: int
 ) -> tuple[float, float]:
     """Simulated unbiasing constant k for the (m, n) design, with its SE."""
-    s = _sev_spacing_sums(m, n, replicates, seed)
-    r = len(s)
-    mean = np.mean(s)
-    # the SE by np.std(s, ddof=1)'s own steps, on s in place
-    s -= mean
-    np.square(s, out=s)
-    sd = math.sqrt(float(np.sum(s)) / (r - 1))
-    return -float(mean) / n, sd / (n * math.sqrt(r))
+    mean, m2, _ = _spacing_sum_moments(m, n, replicates, seed)
+    sd = math.sqrt(m2 / (replicates - 1))
+    return -mean / n, sd / (n * math.sqrt(replicates))
 
 
 def estimate_degrees_of_freedom(
@@ -288,17 +325,10 @@ def estimate_degrees_of_freedom(
     estimate's law is only approximately chi-square shaped, so treat the
     result as calibration, not truth. Returns (h, SE by the delta method).
     """
-    s = _sev_spacing_sums(m, n, replicates, seed)
-    r = len(s)
-    # c^2, with c = s/mean(s) - 1 the normalized scale estimates centred on
-    # their mean of 1, in place in s
-    s /= np.mean(s)
-    s -= 1.0
-    np.square(s, out=s)
-    v = float(np.sum(s)) / (r - 1)
-    # the fourth moment as the dot product of c^2 with itself, by numpy's
-    # own loop: a BLAS dot splits the sum by thread count, so its last bits
-    # would depend on the machine
-    fourth = float(np.einsum("i,i->", s, s)) / r
-    se_v = math.sqrt(max(0.0, fourth - v * v) / r)
+    mean, m2, m4 = _spacing_sum_moments(m, n, replicates, seed)
+    # the variance and fourth moment of c = S/mean(S) - 1, the normalized
+    # scale estimates centred on their mean of 1
+    v = m2 / (mean * mean * (replicates - 1))
+    fourth = m4 / (mean**4 * replicates)
+    se_v = math.sqrt(max(0.0, fourth - v * v) / replicates)
     return 2.0 / v, 2.0 * se_v / (v * v)

@@ -174,8 +174,10 @@ def test_empirical_risks_take_h_as_a_required_keyword():
             call()
 
 
-# csv of seeded `mc` runs, recorded before the kernels wrote in place. Any
-# change to these bits must update them and bump the version, under the
+# csv of seeded `mc` runs. `mc verify`'s were recorded before the kernels
+# wrote in place; `mc estimate-h`'s since the design-constant simulations
+# stream their sums (0.8.0), which left `mc estimate-k`'s bits as they were.
+# Any change to these bits must update them and bump the version, under the
 # montecarlo module's determinism contract.
 _VERIFY = ("mc", "verify", "--h", "10.8519", "--p", "-1", "--q", "0.5", "--reps", "70000")
 _GOLDEN = {
@@ -187,9 +189,9 @@ _GOLDEN = {
     },
     ("mc", "estimate-h", "--n", "24", "--m", "19", "--reps", "20000"): {
         3: "h,se,m,n,replicates,seed\r\n"
-           "46.489242648286584,0.47941572014876538,19,24,20000,3\r\n",
+           "46.489242648286577,0.47941572014876549,19,24,20000,3\r\n",
         2501: "h,se,m,n,replicates,seed\r\n"
-              "46.885553274243563,0.49321009461118404,19,24,20000,2501\r\n",
+              "46.88555327424357,0.49321009461118426,19,24,20000,2501\r\n",
     },
     (*_VERIFY, "--delta", "1.3"): {
         3: "UNBIASED,bias,0.00084991195485815279,0,0.0061134054039922387,PASS\r\n"
@@ -372,17 +374,16 @@ def test_empirical_risks_hold_two_chunk_arrays_at_any_replicate_count(reps):
     assert peak <= 3 * 8 * _CHUNK, peak
 
 
+@pytest.mark.parametrize("reps", [200_000, 1_000_000])
 @pytest.mark.parametrize("estimate, m, n", [
     (estimate_degrees_of_freedom, 19, 24),
     (estimate_bain_constant, 12, 20),
 ], ids=["h", "k"])
-def test_design_constants_hold_one_value_per_replicate(estimate, m, n):
-    # the sums S and one m x _SEV_CHUNK draw buffer, plus 1 MB for the
-    # interpreter; per-chunk parts, their concatenation and the centred
-    # copies held two to three more values per replicate
-    reps = 1_000_000
+def test_design_constants_hold_a_few_chunk_rows_at_any_replicate_count(estimate, m, n, reps):
+    # four rows, the kernel's draw, running-E and sums rows and the fold's
+    # work row, at any m and replicate count: nothing per replicate
     peak = _peak_bytes(lambda: estimate(m, n, reps, seed=6))
-    assert peak <= 8 * reps + 8 * m * _SEV_CHUNK + 1_000_000, peak
+    assert peak <= 5 * 8 * _SEV_CHUNK, peak
 
 
 # --- design constants by simulation -----------------------------------------
@@ -430,6 +431,64 @@ def test_degrees_of_freedom_tracks_builtin_table():
     assert got[6] < got[8] < got[10] < got[12]
 
 
+def _streamed_sums(m, n, replicates, seed):
+    """Every replicate's S from the streamed kernel, chunks in order."""
+    return np.concatenate([s.copy() for s in _sev_spacing_sums(m, n, replicates, seed)])
+
+
+def _block_spacing_sums(m, n, replicates, seed):
+    """The 0.7.1 kernel, kept as the reference: each chunk's m rows of
+    spacings in one (m, count) block, summed to E_(i) down the rows, logged,
+    and S = sum_{i<m} (v_(i) - v_(m)) added row by row."""
+    sums = np.empty(replicates)
+    remaining = np.arange(n, n - m, -1, dtype=float)[:, None]
+    root = np.random.SeedSequence(seed)
+    for start in range(0, replicates, _SEV_CHUNK):
+        stop = min(start + _SEV_CHUNK, replicates)
+        v = np.random.default_rng(root.spawn(1)[0]).standard_exponential((m, stop - start))
+        v /= remaining
+        for j in range(1, m):
+            v[j] += v[j - 1]
+        np.log(v, out=v)
+        v[: m - 1] -= v[m - 1]
+        np.sum(v[: m - 1], axis=0, out=sums[start:stop])
+    return sums
+
+
+# two whole chunks and a partial third
+_STREAM_REPS = 2 * _SEV_CHUNK + 1234
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (20, 6), (24, 24), (200, 100)])
+def test_streamed_sums_match_the_block_kernel(n, m):
+    # the same Z stream, drawn one row at a time: S moves only by the order
+    # of its additions
+    got = _streamed_sums(m, n, _STREAM_REPS, seed=2801)
+    want = _block_spacing_sums(m, n, _STREAM_REPS, seed=2801)
+    assert got.shape == want.shape == (_STREAM_REPS,)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def _two_pass(s, n):
+    """k, h and their SEs by the 0.7.1 formulas, on every replicate's S."""
+    r = len(s)
+    mean = float(np.mean(s))
+    sd = float(np.std(s, ddof=1))
+    c2 = (s / mean - 1.0) ** 2
+    v = float(np.sum(c2)) / (r - 1)
+    se_v = math.sqrt(max(0.0, float(np.mean(c2 * c2)) - v * v) / r)
+    return (-mean / n, sd / (n * math.sqrt(r))), (2.0 / v, 2.0 * se_v / (v * v))
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (20, 6), (24, 24), (200, 100)])
+def test_folded_moments_match_two_passes(n, m):
+    want_k, want_h = _two_pass(_streamed_sums(m, n, _STREAM_REPS, seed=2802), n)
+    got_k = estimate_bain_constant(m, n, _STREAM_REPS, seed=2802)
+    got_h = estimate_degrees_of_freedom(m, n, _STREAM_REPS, seed=2802)
+    assert got_k == pytest.approx(want_k, rel=1e-12, abs=0.0)
+    assert got_h == pytest.approx(want_h, rel=1e-12, abs=0.0)
+
+
 def _sorted_spacing_sums(m, n, replicates, seed):
     """The 0.5.0 kernel, kept as the oracle: n SEV draws v = ln(-ln U) per
     replicate, sorted, and sum_{i<m} (v_(i) - v_(m)) over the m smallest."""
@@ -447,7 +506,7 @@ def test_spacing_kernel_matches_sorted_draws_in_law(n, m):
     # sums follow the law of the sorted-draw kernel's, and their mean is
     # -n k, with k Bain's exact constant
     reps = 20_000
-    s = _sev_spacing_sums(m, n, reps, seed=2401)
+    s = _streamed_sums(m, n, reps, seed=2401)
     assert s.shape == (reps,) and np.all(np.isfinite(s))
     assert ks_2samp(s, _sorted_spacing_sums(m, n, reps, seed=2402)).pvalue > 1e-3
     se = float(np.std(s, ddof=1)) / math.sqrt(reps)

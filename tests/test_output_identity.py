@@ -1,6 +1,6 @@
 """scripts/output_identity.py on two copies of this tree: every argv matches,
-and a planted one-byte change of one subcommand's output shows as exactly
-that argv."""
+a seeded `mc` run among them, and a planted one-byte change of one
+subcommand's output shows as exactly that argv."""
 
 import importlib.util
 import shutil
@@ -13,8 +13,9 @@ output_identity = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(output_identity)
 
 # Cli(7) ops 2, 4, 7 and 9: estimate --t, dominance, risk --modified and
-# risk, none of which loads numpy
-OPS = (2, 4, 7, 9)
+# risk, none of which loads numpy; then the last seeded mc run,
+# `mc estimate-h --n 24 --m 19` at seed 987654 in json
+JOBS = (2, 4, 7, 9, output_identity.SEEDED_MC[-1])
 
 
 def _copy(tree: Path) -> Path:
@@ -26,19 +27,30 @@ def _copy(tree: Path) -> Path:
 
 def test_identical_trees_match_and_a_planted_change_shows(tmp_path):
     parent, change = _copy(tmp_path / "parent"), _copy(tmp_path / "change")
-    before = output_identity.tree_records(parent, OPS)
-    record = output_identity.compare(before, output_identity.tree_records(change, OPS))
-    assert (record["argvs"], record["identical"], record["different"]) == (4, 4, [])
-    assert [r["exit_code"] for r in before] == [0, 0, 0, 0]
+    before = output_identity.tree_records(parent, JOBS)
+    record = output_identity.compare(before, output_identity.tree_records(change, JOBS))
+    assert (record["argvs"], record["identical"], record["different"]) == (5, 5, [])
+    assert [r["exit_code"] for r in before] == [0, 0, 0, 0, 0]
+    assert (before[-1]["i"], before[-1]["kind"]) == (116, "mc_estimate_h")
 
     # one byte of dominance's document: its "best" key becomes "bent"
     cli = change / "src" / "weibull_shrink" / "cli.py"
     text = cli.read_text()
     assert text.count('"best": ranges["best"]') == 1
     cli.write_text(text.replace('"best": ranges["best"]', '"bent": ranges["best"]'))
-    record = output_identity.compare(before, output_identity.tree_records(change, OPS))
-    assert (record["argvs"], record["identical"]) == (4, 3)
+    record = output_identity.compare(before, output_identity.tree_records(change, JOBS))
+    assert (record["argvs"], record["identical"]) == (5, 4)
     [diff] = record["different"]
     assert (diff["i"], diff["kind"], diff["exit_code"]) == (4, "dominance", [0, 0])
     assert diff["stderr_identical"] and diff["stderr"] == ["", ""]
     assert diff["stdout_sha256"][0] != diff["stdout_sha256"][1]
+
+
+def test_seeded_mc_runs_follow_the_workload_ops():
+    # 5 argvs at 3 seeds in 3 formats, numbered after Cli(7)'s 72 ops
+    jobs = output_identity.SEEDED_MC
+    assert [i for i, _, _ in jobs] == list(range(72, 117))
+    assert len({tuple(argv) for _, _, argv in jobs}) == 45
+    for flag, values in (("--seed", {"11", "2502", "987654"}),
+                         ("--format", {"text", "csv", "json"})):
+        assert {argv[argv.index(flag) + 1] for _, _, argv in jobs} == values

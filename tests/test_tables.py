@@ -706,8 +706,8 @@ def _run_fresh(code: str) -> None:
 
 
 def test_refused_mc_verify_skips_numpy():
-    # `mc verify` checks h, q, the departures, p and then --reps before it
-    # imports montecarlo, so a refused point never loads numpy
+    # `mc verify` checks h, q, the departures, p, --reps and then --n/--m
+    # before it imports montecarlo, so a refused point never loads numpy
     point = ["--h", repr(H6), "--p", "1", "--q", "0.5", "--delta", "1"]
     refused = [
         (2, ["mc", "verify", "--h", "3", *point[2:]]),
@@ -715,6 +715,8 @@ def test_refused_mc_verify_skips_numpy():
         (2, ["mc", "verify", *point[:6], "--delta", "-1"]),
         (3, ["mc", "verify", "--h", repr(H6), "--p", "-3", *point[4:]]),
         (2, ["mc", "verify", *point, "--reps", "999"]),
+        (2, ["mc", "verify", *point, "--m", "30"]),
+        (2, ["mc", "verify", *point, "--n", str(10**400)]),
     ]
     _run_fresh(
         f"for code, argv in {refused!r}:\n"

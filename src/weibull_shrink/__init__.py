@@ -10,7 +10,8 @@ Modules:
     specfun     -- regularized lower incomplete gamma and its downward recurrence
     estimators  -- point estimators of the shape parameter
     risk        -- exact relative bias / relative MSE / efficiency formulas
-    montecarlo  -- seeded simulation: empirical risk, calibration constants
+    montecarlo  -- seeded simulation of a model.SimulationPlan: empirical risk,
+                   calibration constants
     writers     -- generic CSV/JSON writers and the encoding of a range
     tables      -- efficiency table grids, their cell writers, reference audit
     cli         -- command line front end
@@ -25,7 +26,7 @@ from weibull_shrink.model import (
     WeibullParams,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "CensoredSample",

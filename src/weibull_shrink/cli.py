@@ -13,7 +13,14 @@ parameters, 5 a failed write of the output, to the --out path or to stdout
 exceptions to exit codes; the subcommands let the package's own checks
 raise. `risk`, `dominance`, `mc verify` and `estimate --t` check h, q, the
 departures (for `estimate`, the guess interval), then p (a non-finite p
-exits 2), then their trailing inputs: the simulation flags, or t.
+exits 2), then their trailing inputs: the simulation flags, or t. Every mc
+subcommand checks its simulation flags in one order, --reps (from 2 to
+10**9; `mc verify` needs 1000 or more), then --n/--m, then --seed, by
+building the one `model.SimulationPlan` that its library call takes
+(`montecarlo.empirical_risks(plan, estimators, h=h)` for `mc verify`,
+`estimate_bain_constant(plan)` or `estimate_degrees_of_freedom(plan)` for
+`mc estimate-k/-h`), and all before numpy loads; `mc verify` checks its
+point first.
 `estimate --data` takes h from its design, so it checks q, the guess
 interval and p's value, then its data file with its design and the design's
 h, then p's admissibility at that h, then the scale estimate. A design with
@@ -24,7 +31,7 @@ overflows in every format, `risk` names the departure flags when a risk
 overflows, and `risk` refuses a report of infinite efficiency with one line
 naming the estimator and its departure (`mc verify` checks such a report's
 bias and MSE). A failed allocation exits 2 as well, with one line that names
-it and, for an mc subcommand, --reps. Data goes to stdout (or --out);
+it. Data goes to stdout (or --out);
 diagnostics go to stderr.
 Output depends only on flags and seed, never on wall clock, so reruns are
 byte-identical.
@@ -33,8 +40,8 @@ A subcommand imports what it runs, inside its own function, so importing
 this module loads only `model` and `writers`. `risk`, `dominance` and `mc
 verify` load `risk` (and with it `estimators` and `specfun`); `estimate`
 loads `estimators` and `specfun`. Only the mc subcommands simulate, so only
-they import `montecarlo` and with it numpy (`mc verify` only once its point
-and --reps pass), and `mc estimate-k/-h` load nothing of the analytic layer.
+they import `montecarlo` and with it numpy, only once their inputs pass,
+and `mc estimate-k/-h` load nothing of the analytic layer.
 Only `table` imports `tables`, and with it `risk` and the transcribed printed
 tables in `reference_data`.
 
@@ -87,9 +94,10 @@ from weibull_shrink.model import (
     InadmissibleParameterError,
     PivotalContext,
     ShrinkageConfig,
+    SimulationPlan,
     WeibullParams,
 )
-from weibull_shrink.model import _require_design, _require_h, _require_q
+from weibull_shrink.model import _require_h, _require_q
 
 
 def _resolve_delta(args) -> tuple[float, bool]:
@@ -326,14 +334,22 @@ def cmd_table(args) -> tuple:
 # mc
 
 
+def _plan(args) -> SimulationPlan:
+    """The checked simulation of an mc subcommand, at Weibull(1, 1): the risks
+    are scale-free, and k and h belong to the standard SEV law."""
+    return SimulationPlan(replicates=args.reps, seed=args.seed,
+                          params=WeibullParams(alpha=1.0, beta=1.0), n=args.n, m=args.m)
+
+
 def cmd_mc_estimate(args) -> tuple:
     """`mc estimate-k` or `mc estimate-h`, by `args.constant`; h is compared
     with the built-in value of a built-in design."""
+    plan = _plan(args)
     from weibull_shrink import montecarlo
 
     estimate = {"k": montecarlo.estimate_bain_constant,
                 "h": montecarlo.estimate_degrees_of_freedom}[args.constant]
-    value, se = estimate(args.m, args.n, args.reps, args.seed)
+    value, se = estimate(plan)
     doc = {args.constant: value, "se": se, "m": args.m, "n": args.n,
            "replicates": args.reps, "seed": args.seed}
     builtin = BUILTIN_H.get((args.n, args.m)) if args.constant == "h" else None
@@ -347,17 +363,12 @@ def cmd_mc_verify(args) -> tuple:
     reports = _point_reports(args, delta, have_pair)
     if args.reps < 1000:
         raise ValueError("verification needs --reps >= 1000")
-    _require_design(args.n, args.m)
-    # numpy loads only for a point and a design that passed their checks
+    plan = _plan(args)
     from weibull_shrink import montecarlo
 
     cfg = ShrinkageConfig(p=args.p, q=args.q)
-    # risks are scale-free, so verify at true shape 1 with the guessed
-    # interval placed to realize the requested departures
-    plan = montecarlo.SimulationPlan(
-        replicates=args.reps, seed=args.seed, params=WeibullParams(alpha=1.0, beta=1.0),
-        n=args.n, m=args.m,
-    )
+    # at the plan's true shape 1, a guessed interval placed at the
+    # departures realizes them
     simulated = [
         montecarlo.unbiased_estimator(args.h),
         montecarlo.mmse_estimator(args.h),
@@ -509,10 +520,8 @@ def main(argv=None) -> int:
         print(f"inputs out of floating-point range: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        # numpy names the array it could not allocate; a simulation sizes
-        # its arrays by --reps
-        hint = "; lower --reps" if args.command == "mc" else ""
-        print(f"out of memory: {str(exc) or 'an allocation failed'}{hint}", file=sys.stderr)
+        # numpy names the array it could not allocate
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
     return _write(output, args.out, code)
 

@@ -6,7 +6,9 @@ constructor, the entry of a public function, the table grid
 than one entry point applies lives here, written once with one message:
 ``_require_finite``, ``_require_positive``, ``_require_p``, ``_require_q``,
 ``_require_h``, ``_require_interval``, ``_require_m``, ``_require_design``,
-``_require_replicates`` and ``_require_seed``. Code past an entry point
+``_require_replicates`` and ``_require_seed``. A simulation's replicates,
+design and seed are checked together, by ``SimulationPlan``, which every
+simulation takes and the CLI builds before numpy loads. Code past an entry point
 trusts what it receives; only checks on computed results (a report's
 moments, a range's endpoints, a table cell) run again downstream, because
 they catch numerical faults rather than bad input.
@@ -26,6 +28,9 @@ import math
 import sys
 
 _set = object.__setattr__
+
+#: The most replicates one simulation takes.
+_MAX_REPLICATES = 10**9
 
 
 class Frozen:
@@ -188,8 +193,12 @@ def _require_design(n: int, m: int) -> tuple[int, int]:
 
 
 def _require_replicates(replicates: int) -> int:
-    if int(replicates) != replicates or replicates < 2:
-        raise ValueError(f"replicates must be an integer >= 2, got {replicates!r}")
+    """A replicate count from 2 to `_MAX_REPLICATES`. A run at the bound takes
+    about a minute, so a larger count is refused as a likely typo."""
+    if int(replicates) != replicates or not 2 <= replicates <= _MAX_REPLICATES:
+        raise ValueError(
+            f"replicates must be an integer from 2 to {_MAX_REPLICATES}, got {replicates!r}"
+        )
     return int(replicates)
 
 
@@ -207,6 +216,23 @@ class WeibullParams(Frozen):
     def _check(self) -> None:
         _require_positive("alpha", self.alpha)
         _require_positive("beta", self.beta)
+
+
+class SimulationPlan(Frozen):
+    """Replication count, seed, and the sampling design to simulate.
+
+    The rules apply in the order of the CLI's flags: replicates, then the
+    design (n, m), then the seed.
+    """
+
+    __slots__ = ("replicates", "seed", "params", "n", "m")
+
+    def _check(self) -> None:
+        _set(self, "replicates", _require_replicates(self.replicates))
+        n, m = _require_design(self.n, self.m)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "seed", _require_seed(self.seed))
 
 
 class CensoredSample(Frozen):

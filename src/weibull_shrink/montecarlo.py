@@ -5,12 +5,11 @@ results for the same arguments on the same numpy version. Work is split into
 fixed-size chunks, each driven by its own child of SeedSequence(seed), and the
 per-chunk partial sums are reduced in chunk order, so results do not depend on
 how the chunks are scheduled. The contract holds within a release, not across
-releases: since 0.6.0 the design-constant simulations draw the m smallest SEV
-order statistics from exponential spacings instead of sorting n draws, so
-seeded `estimate_bain_constant` and `estimate_degrees_of_freedom` values differ
-from 0.5.0's. Their law is the same. Since 0.8.0 they fold each chunk's sums
-into running moments instead of keeping one sum per replicate, which moves
-some seeded values in their last one or two digits from 0.7.1's.
+releases: a change that moves any seeded bit bumps the version, and CHANGES.md
+says which values moved.
+
+Every simulation takes a `model.SimulationPlan`, the one description and the
+one check of its replicates, design and seed; nothing here checks them again.
 
 Chunk seeds are spawned lazily: a loop takes the next child of
 SeedSequence(seed) only when it reaches that chunk. Spawning one child at a
@@ -38,31 +37,15 @@ from weibull_shrink.model import (
     Frozen,
     GuessInterval,
     ShrinkageConfig,
-    _require_design,
+    SimulationPlan,
     _require_finite,
     _require_positive,
     _require_replicates,
-    _require_seed,
     _set,
 )
 
 _CHUNK = 1 << 16
 _SEV_CHUNK = 1 << 13  # replicates per chunk of `_sev_spacing_sums`
-
-
-class SimulationPlan(Frozen):
-    """Replication count, seed, and the sampling design to simulate."""
-
-    __slots__ = ("replicates", "seed", "params", "n", "m")
-
-    def _check(self) -> None:
-        replicates = _require_replicates(self.replicates)
-        seed = _require_seed(self.seed)
-        n, m = _require_design(self.n, self.m)
-        _set(self, "replicates", replicates)
-        _set(self, "seed", seed)
-        _set(self, "n", n)
-        _set(self, "m", m)
 
 
 class EmpiricalRisk(Frozen):
@@ -234,9 +217,9 @@ def _moments(beta: float, total: int, sums_d, sums_d2, sums_d4) -> EmpiricalRisk
 # design constants by simulation
 
 
-def _sev_spacing_sums(m: int, n: int, replicates: int, seed: int):
+def _sev_spacing_sums(plan: SimulationPlan):
     """Yield, chunk by chunk in order, the sums S = sum_{i<m} (v_(i) - v_(m))
-    of each replicate's m smallest of n standard SEV draws.
+    of each of the plan's replicates: its m smallest of n standard SEV draws.
 
     v = ln E with E standard exponential has the smallest-extreme-value law,
     the distribution of ln x when x is Weibull with alpha = beta = 1. Only the
@@ -244,8 +227,9 @@ def _sev_spacing_sums(m: int, n: int, replicates: int, seed: int):
     Renyi's (1953) representation: with Z_1, ..., Z_m iid standard
     exponential, E_(i) = sum_{j<=i} Z_j/(n - j + 1) has the law of the i-th
     smallest of n exponentials, and v_(i) = ln E_(i). That is m draws and m
-    logs per replicate, with no sort. Seeded sums differ from those of 0.5.0,
-    which sorted n draws of ln(-ln U); their law is the same.
+    logs per replicate, with no sort. S has the standard SEV law whatever
+    `plan.params` holds, which is not read, and the plan's seed fixes its
+    every bit, under the module's determinism contract.
 
     A chunk draws Z_1, ..., Z_m one row at a time, replicates along the row,
     which is the order in which an (m, count) block would be filled, and
@@ -254,12 +238,10 @@ def _sev_spacing_sums(m: int, n: int, replicates: int, seed: int):
     Each yielded array is a view of a buffer that the next chunk overwrites;
     the caller may overwrite it too.
     """
-    n, m = _require_design(n, m)
-    replicates = _require_replicates(replicates)
-    seed = _require_seed(seed)
-    size = min(_SEV_CHUNK, replicates)
+    n, m = plan.n, plan.m
+    size = min(_SEV_CHUNK, plan.replicates)
     row, running, sums = np.empty(size), np.empty(size), np.empty(size)
-    for start, stop, rng in _chunks(seed, replicates, _SEV_CHUNK):
+    for start, stop, rng in _chunks(plan.seed, plan.replicates, _SEV_CHUNK):
         count = stop - start
         z, e, s = row[:count], running[:count], sums[:count]
         e.fill(0.0)
@@ -277,8 +259,8 @@ def _sev_spacing_sums(m: int, n: int, replicates: int, seed: int):
         yield s
 
 
-def _spacing_sum_moments(m: int, n: int, replicates: int, seed: int):
-    """(mean, M2, M4) of the simulated sums S, M_p being the sum over
+def _spacing_sum_moments(plan: SimulationPlan):
+    """(mean, M2, M4) of the plan's simulated sums S, M_p being the sum over
     replicates of (S - mean)^p.
 
     Each chunk's S is folded in chunk order into power sums of its deviation
@@ -289,7 +271,7 @@ def _spacing_sum_moments(m: int, n: int, replicates: int, seed: int):
     """
     shift = work = None
     p1 = p2 = p3 = p4 = 0.0
-    for d in _sev_spacing_sums(m, n, replicates, seed):
+    for d in _sev_spacing_sums(plan):
         if shift is None:
             shift, work = float(np.mean(d)), np.empty(len(d))
         d -= shift
@@ -300,32 +282,33 @@ def _spacing_sum_moments(m: int, n: int, replicates: int, seed: int):
         p3 += float(np.sum(d))
         d2 *= d2
         p4 += float(np.sum(d2))
-    mu = p1 / replicates
+    mu = p1 / plan.replicates
     m2 = p2 - mu * p1
-    m4 = p4 - 4.0 * mu * p3 + 6.0 * mu * mu * p2 - 3.0 * replicates * mu**4
+    m4 = p4 - 4.0 * mu * p3 + 6.0 * mu * mu * p2 - 3.0 * plan.replicates * mu**4
     return shift + mu, m2, m4
 
 
-def estimate_bain_constant(
-    m: int, n: int, replicates: int, seed: int
-) -> tuple[float, float]:
-    """Simulated unbiasing constant k for the (m, n) design, with its SE."""
-    mean, m2, _ = _spacing_sum_moments(m, n, replicates, seed)
-    sd = math.sqrt(m2 / (replicates - 1))
-    return -mean / n, sd / (n * math.sqrt(replicates))
+def estimate_bain_constant(plan: SimulationPlan) -> tuple[float, float]:
+    """Simulated unbiasing constant k for the plan's (n, m) design, with its
+    SE. k belongs to the standard SEV law, the law of ln x for Weibull(1, 1)
+    lifetimes x, so `plan.params` is not read."""
+    mean, m2, _ = _spacing_sum_moments(plan)
+    reps, n = plan.replicates, plan.n
+    return -mean / n, math.sqrt(m2 / (reps - 1)) / (n * math.sqrt(reps))
 
 
-def estimate_degrees_of_freedom(
-    m: int, n: int, replicates: int, seed: int
-) -> tuple[float, float]:
-    """Variance-matching surrogate for the pivotal degrees of freedom.
+def estimate_degrees_of_freedom(plan: SimulationPlan) -> tuple[float, float]:
+    """Variance-matching surrogate for the pivotal degrees of freedom of the
+    plan's (n, m) design. Like k, h belongs to the standard SEV law (ln of
+    Weibull(1, 1) lifetimes), so `plan.params` is not read.
 
     Matches 2/h to the simulated variance of the normalized scale estimate,
     the value an exact chi-square pivot would give. It is a surrogate: the
     estimate's law is only approximately chi-square shaped, so treat the
     result as calibration, not truth. Returns (h, SE by the delta method).
     """
-    mean, m2, m4 = _spacing_sum_moments(m, n, replicates, seed)
+    mean, m2, m4 = _spacing_sum_moments(plan)
+    replicates = plan.replicates
     # the variance and fourth moment of c = S/mean(S) - 1, the normalized
     # scale estimates centred on their mean of 1
     v = m2 / (mean * mean * (replicates - 1))

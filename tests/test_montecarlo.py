@@ -1,8 +1,10 @@
 """Simulation machinery: determinism, distributional checks, design constants."""
 
+import importlib.util
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +56,11 @@ def plan(reps, seed=0, beta=1.0):
     )
 
 
+def design_plan(m, n, reps, seed):
+    """The plan of a design-constant simulation of the (n, m) design."""
+    return SimulationPlan(replicates=reps, seed=seed, params=PARAMS, n=n, m=m)
+
+
 # --- plan and result validation ---------------------------------------------
 
 
@@ -66,6 +73,19 @@ def test_simulation_plan_validation():
         SimulationPlan(replicates=100, seed=0, params=PARAMS, n=5, m=6)
     with pytest.raises(ValueError):
         SimulationPlan(replicates=100, seed=0, params=PARAMS, n=20, m=1)
+    with pytest.raises(ValueError, match="from 2 to 1000000000, got 1000000001"):
+        SimulationPlan(replicates=10**9 + 1, seed=0, params=PARAMS, n=20, m=6)
+    assert SimulationPlan(10**9, 0, PARAMS, 20, 6).replicates == 10**9
+
+
+def test_simulation_plan_checks_replicates_then_design_then_seed():
+    # the CLI's --reps, --n/--m, --seed order: the first bad field is named
+    with pytest.raises(ValueError, match="^replicates must"):
+        SimulationPlan(replicates=1, seed=-1, params=PARAMS, n=5, m=6)
+    with pytest.raises(ValueError, match="^n must be an integer >= m"):
+        SimulationPlan(replicates=100, seed=-1, params=PARAMS, n=5, m=6)
+    with pytest.raises(ValueError, match="^seed must"):
+        SimulationPlan(replicates=100, seed=-1, params=PARAMS, n=20, m=6)
 
 
 def test_empirical_risk_validation():
@@ -76,6 +96,8 @@ def test_empirical_risk_validation():
         EmpiricalRisk(mean=1.0, bias=0.0, mse=-0.1, se_mean=0.01, se_mse=0.01, replicates=100)
     with pytest.raises(ValueError):
         EmpiricalRisk(mean=math.nan, bias=0.0, mse=0.1, se_mean=0.01, se_mse=0.01, replicates=100)
+    with pytest.raises(ValueError, match="from 2 to 1000000000"):
+        EmpiricalRisk(mean=1.0, bias=0.0, mse=0.1, se_mean=0.01, se_mse=0.01, replicates=10**9 + 1)
     r = EmpiricalRisk(mean=1.0, bias=0.0, mse=0.1, se_mean=0.01, se_mse=0.01, replicates=100)
     assert r.replicates == 100
 
@@ -174,26 +196,35 @@ def test_empirical_risks_take_h_as_a_required_keyword():
             call()
 
 
+_SPEC = importlib.util.spec_from_file_location(
+    "output_identity", Path(__file__).resolve().parent.parent / "scripts" / "output_identity.py")
+output_identity = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(output_identity)
+# the argvs of scripts/output_identity.py's seeded `mc` runs: `mc verify`
+# with --delta and with --delta1/--delta2, `mc estimate-k --n 20 --m 6`,
+# `mc estimate-h --n 20 --m 6` and `mc estimate-h --n 24 --m 19`
+_VERIFY_DELTA, _VERIFY_PAIR, _ESTIMATE_K, _, _ESTIMATE_H = (
+    argv for _, argv in output_identity._SEEDED_KINDS)
+
 # csv of seeded `mc` runs. `mc verify`'s were recorded before the kernels
 # wrote in place; `mc estimate-h`'s since the design-constant simulations
 # stream their sums (0.8.0), which left `mc estimate-k`'s bits as they were.
 # Any change to these bits must update them and bump the version, under the
 # montecarlo module's determinism contract.
-_VERIFY = ("mc", "verify", "--h", "10.8519", "--p", "-1", "--q", "0.5", "--reps", "70000")
 _GOLDEN = {
-    ("mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "20000"): {
+    _ESTIMATE_K: {
         3: "k,se,m,n,replicates,seed\r\n"
            "0.27077188373204863,0.000818555807644173,6,20,20000,3\r\n",
         2501: "k,se,m,n,replicates,seed\r\n"
               "0.27237603499898627,0.00082688193685403078,6,20,20000,2501\r\n",
     },
-    ("mc", "estimate-h", "--n", "24", "--m", "19", "--reps", "20000"): {
+    _ESTIMATE_H: {
         3: "h,se,m,n,replicates,seed\r\n"
            "46.489242648286577,0.47941572014876549,19,24,20000,3\r\n",
         2501: "h,se,m,n,replicates,seed\r\n"
               "46.88555327424357,0.49321009461118426,19,24,20000,2501\r\n",
     },
-    (*_VERIFY, "--delta", "1.3"): {
+    _VERIFY_DELTA: {
         3: "UNBIASED,bias,0.00084991195485815279,0,0.0061134054039922387,PASS\r\n"
            "UNBIASED,mse,0.29068525505580933,0.29188984077409186,0.014691746015383865,PASS\r\n"
            "MMSE,bias,-0.22528231094753751,-0.22594019363074594,0.0047321414032709831,PASS\r\n"
@@ -207,7 +238,7 @@ _GOLDEN = {
               "SHRINK_PQ,bias,-0.079276915298688327,-0.079079067770761027,0.0047384898190285163,PASS\r\n"
               "SHRINK_PQ,mse,0.18092149636067348,0.18114472149233962,0.0081744765908040497,PASS\r\n",
     },
-    (*_VERIFY, "--delta1", "0.8", "--delta2", "1.6"): {
+    _VERIFY_PAIR: {
         3: "UNBIASED,bias,0.00084991195485815279,0,0.0061134054039922387,PASS\r\n"
            "UNBIASED,mse,0.29068525505580933,0.29188984077409186,0.014691746015383865,PASS\r\n"
            "MMSE,bias,-0.22528231094753751,-0.22594019363074594,0.0047321414032709831,PASS\r\n"
@@ -240,8 +271,8 @@ def test_seeded_mc_outputs_are_pinned(capsys, argv, seed):
 
 
 def test_estimate_bain_constant_deterministic():
-    a = estimate_bain_constant(6, 20, 20_000, seed=9)
-    b = estimate_bain_constant(6, 20, 20_000, seed=9)
+    a = estimate_bain_constant(design_plan(6, 20, 20_000, seed=9))
+    b = estimate_bain_constant(design_plan(6, 20, 20_000, seed=9))
     assert a == b
 
 
@@ -382,7 +413,7 @@ def test_empirical_risks_hold_two_chunk_arrays_at_any_replicate_count(reps):
 def test_design_constants_hold_a_few_chunk_rows_at_any_replicate_count(estimate, m, n, reps):
     # four rows, the kernel's draw, running-E and sums rows and the fold's
     # work row, at any m and replicate count: nothing per replicate
-    peak = _peak_bytes(lambda: estimate(m, n, reps, seed=6))
+    peak = _peak_bytes(lambda: estimate(design_plan(m, n, reps, seed=6)))
     assert peak <= 5 * 8 * _SEV_CHUNK, peak
 
 
@@ -391,39 +422,40 @@ def test_design_constants_hold_a_few_chunk_rows_at_any_replicate_count(estimate,
 
 def test_bain_constant_two_by_two():
     # for m = n = 2 the expected log-spacing is known: k = ln 2
-    k, se = estimate_bain_constant(2, 2, 400_000, seed=42)
+    k, se = estimate_bain_constant(design_plan(2, 2, 400_000, seed=42))
     assert se > 0.0
     assert abs(k - math.log(2.0)) < 3.0 * se
 
 
 @pytest.mark.parametrize("m, n", [(6, 20), (20, 20), (3, 24), (100, 200)])
 def test_exact_bain_constant_matches_simulation(m, n):
-    k, se = estimate_bain_constant(m, n, 40_000, seed=11)
+    k, se = estimate_bain_constant(design_plan(m, n, 40_000, seed=11))
     assert abs(k - design_constants(m, n)[0]) < 4.0 * se, (k, se)
 
 
 @pytest.mark.parametrize("m, n", [(6, 20), (20, 20), (7, 16), (100, 200)])
 def test_exact_design_h_matches_simulation(m, n):
     # the simulated h stays as the oracle of the exact one
-    h, se = estimate_degrees_of_freedom(m, n, 40_000, seed=11)
+    h, se = estimate_degrees_of_freedom(design_plan(m, n, 40_000, seed=11))
     assert abs(h - design_constants(m, n)[1]) < 4.0 * se, (h, se)
 
 
 def test_bain_constant_validation():
+    # the plan that the estimator takes refuses what it cannot run
     with pytest.raises(ValueError):
-        estimate_bain_constant(1, 10, 1000, seed=0)
+        design_plan(1, 10, 1000, seed=0)
     with pytest.raises(ValueError):
-        estimate_bain_constant(5, 4, 1000, seed=0)
+        design_plan(5, 4, 1000, seed=0)
     with pytest.raises(ValueError):
-        estimate_bain_constant(5, 10, 1, seed=0)
+        design_plan(5, 10, 1, seed=0)
     with pytest.raises(ValueError, match=r"n must not exceed .*, got n=10+, m=6"):
-        estimate_bain_constant(6, 10**400, 1000, seed=0)
+        design_plan(6, 10**400, 1000, seed=0)
 
 
 def test_degrees_of_freedom_tracks_builtin_table():
     got = {}
     for m in (6, 8, 10, 12):
-        h, se = estimate_degrees_of_freedom(m, 20, 200_000, seed=7)
+        h, se = estimate_degrees_of_freedom(design_plan(m, 20, 200_000, seed=7))
         got[m] = h
         builtin = BUILTIN_H[(20, m)]
         assert abs(h - builtin) < 4.0 * se, (m, h, builtin, se)
@@ -433,7 +465,8 @@ def test_degrees_of_freedom_tracks_builtin_table():
 
 def _streamed_sums(m, n, replicates, seed):
     """Every replicate's S from the streamed kernel, chunks in order."""
-    return np.concatenate([s.copy() for s in _sev_spacing_sums(m, n, replicates, seed)])
+    chunks = _sev_spacing_sums(design_plan(m, n, replicates, seed))
+    return np.concatenate([s.copy() for s in chunks])
 
 
 def _block_spacing_sums(m, n, replicates, seed):
@@ -483,8 +516,8 @@ def _two_pass(s, n):
 @pytest.mark.parametrize("n, m", [(2, 2), (20, 6), (24, 24), (200, 100)])
 def test_folded_moments_match_two_passes(n, m):
     want_k, want_h = _two_pass(_streamed_sums(m, n, _STREAM_REPS, seed=2802), n)
-    got_k = estimate_bain_constant(m, n, _STREAM_REPS, seed=2802)
-    got_h = estimate_degrees_of_freedom(m, n, _STREAM_REPS, seed=2802)
+    got_k = estimate_bain_constant(design_plan(m, n, _STREAM_REPS, seed=2802))
+    got_h = estimate_degrees_of_freedom(design_plan(m, n, _STREAM_REPS, seed=2802))
     assert got_k == pytest.approx(want_k, rel=1e-12, abs=0.0)
     assert got_h == pytest.approx(want_h, rel=1e-12, abs=0.0)
 

@@ -705,9 +705,11 @@ def _run_fresh(code: str) -> None:
     assert done.returncode == 0, done.stderr
 
 
-def test_refused_mc_verify_skips_numpy():
-    # `mc verify` checks h, q, the departures, p, --reps and then --n/--m
-    # before it imports montecarlo, so a refused point never loads numpy
+def test_refused_mc_runs_skip_numpy():
+    # every mc subcommand checks its simulation flags, --reps, then --n/--m,
+    # then --seed, in the plan it builds before it imports montecarlo, and
+    # `mc verify` checks h, q, the departures and p before them; so a
+    # refused input never loads numpy, and it ends in one stderr line
     point = ["--h", repr(H6), "--p", "1", "--q", "0.5", "--delta", "1"]
     refused = [
         (2, ["mc", "verify", "--h", "3", *point[2:]]),
@@ -715,13 +717,28 @@ def test_refused_mc_verify_skips_numpy():
         (2, ["mc", "verify", *point[:6], "--delta", "-1"]),
         (3, ["mc", "verify", "--h", repr(H6), "--p", "-3", *point[4:]]),
         (2, ["mc", "verify", *point, "--reps", "999"]),
+        (2, ["mc", "verify", *point, "--reps", str(10**12)]),
         (2, ["mc", "verify", *point, "--m", "30"]),
         (2, ["mc", "verify", *point, "--n", str(10**400)]),
+        (2, ["mc", "verify", *point, "--seed", "-1"]),
     ]
+    for leaf in ("estimate-k", "estimate-h"):
+        design = ["mc", leaf, "--n", "20", "--m", "6"]
+        refused += [
+            (2, ["mc", leaf, "--n", "20", "--m", "1"]),
+            (2, ["mc", leaf, "--n", "5", "--m", "6"]),
+            (2, ["mc", leaf, "--n", str(10**400), "--m", "6"]),
+            (2, [*design, "--reps", "1"]),
+            (2, [*design, "--reps", str(10**12)]),
+            (2, [*design, "--seed", "-1"]),
+        ]
     _run_fresh(
         f"for code, argv in {refused!r}:\n"
-        "    with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
         "        assert main(argv) == code, argv\n"
+        "    assert err.getvalue().count('\\n') == 1, (argv, err.getvalue())\n"
+        "    assert err.getvalue().endswith('\\n'), (argv, err.getvalue())\n"
         "assert not loaded(['numpy', 'weibull_shrink.montecarlo']), "
         "sorted(m for m in sys.modules if 'numpy' in m)\n"
     )

@@ -16,10 +16,16 @@ BENCHMARK.json. The result files the runs leave in each tree's bench/out/
 are summarised per gated end-to-end metric: each side's median and
 quartiles, the pairs the change won, and whether a gain or a regression
 shows (see `summarise`), beside the ops attempted and the provenance of
-every run. The summary's provenance also records the interpreter variables
-the runs inherited from this script's environment (`inherited_environment`),
-null where unset: `bench/` hands them on to every `cli` op, so they decide
-whether an op's stdout is buffered and whether it writes byte-code caches.
+every run. After the pairs, `SETUP_PROBES` fresh `bench/run.py --setup-probe`
+processes per tree run in A, B, B, A order, each timed from spawn to its
+`ready` line as bench/run.py times its own probes; the summary records each
+tree's median and quartiles and the median of the paired change/parent
+ratios as `setup_probes_interleaved`, a reading of `setup_s` that host drift
+between the two trees' runs does not enter. The summary's provenance also
+records the interpreter variables the runs inherited from this script's
+environment (`inherited_environment`), null where unset: `bench/` hands them
+on to every `cli` op, so they decide whether an op's stdout is buffered and
+whether it writes byte-code caches.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 
@@ -65,6 +72,44 @@ def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.DEVNULL)
     path = tree / "bench" / "out" / f"result-{workload}-seed{seed}-trace0.json"
     return json.loads(path.read_text())
+
+
+SETUP_PROBES = 20  # fresh setup probes per tree, interleaved after the pairs
+
+
+def setup_probe(tree: Path, workload: str, seed: int) -> float:
+    """Seconds from spawning `bench/run.py --setup-probe` in `tree` to its
+    `ready` line, timed as bench/run.py times its own setup probes."""
+    cmd = [sys.executable, "bench/run.py", "--setup-probe", "--workload", workload,
+           "--seed", str(seed)]
+    t0 = time.perf_counter()
+    with subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE) as proc:
+        line = proc.stdout.readline()
+        t1 = time.perf_counter()
+        proc.stdout.read()
+    if line.strip() != b"ready" or proc.returncode != 0:
+        raise RuntimeError(f"setup probe in {tree} failed: {line!r}, exit {proc.returncode}")
+    return t1 - t0
+
+
+def interleaved_setup_probes(trees: dict, workload: str, seed: int,
+                             count: int = SETUP_PROBES) -> dict:
+    """`count` setup probes of each of `trees` ({"parent": dir, "change":
+    dir}) in A, B, B, A order: each tree's median and quartiles in s, and the
+    median of the paired change/parent ratios."""
+    times = {"parent": [], "change": []}
+    for i in range(count):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            times[side].append(setup_probe(trees[side], workload, seed))
+    ratios = [c / p for p, c in zip(times["parent"], times["change"])]
+    return {
+        "what": f"`bench/run.py --setup-probe --workload {workload} --seed {seed}`, "
+                f"{count} fresh processes per tree in A, B, B, A order after the pairs, "
+                "each timed from spawn to its ready line",
+        "parent": _spread(times["parent"]),
+        "change": _spread(times["change"]),
+        "median_paired_ratio": statistics.median(ratios),
+    }
 
 
 def _spread(values: list) -> dict:
@@ -145,8 +190,11 @@ def main(argv=None) -> int:
             print(f"pair {i + 1}/{len(args.seeds)} seed {seed}: {side}", file=sys.stderr, flush=True)
             got[side] = run_one(getattr(args, side), args.workload, seed, seconds)
         pairs.append((got["parent"], got["change"]))
+    print(f"setup probes: {SETUP_PROBES} per tree, interleaved", file=sys.stderr, flush=True)
+    probes = interleaved_setup_probes({"parent": args.parent, "change": args.change},
+                                      args.workload, args.seeds[0])
     summary = {"workload": args.workload, "seconds": seconds,
-               **summarise(pairs, bench["end_to_end"])}
+               **summarise(pairs, bench["end_to_end"]), "setup_probes_interleaved": probes}
     # every run inherits this process's environment unchanged
     summary["provenance"]["environment"] = inherited_environment(os.environ)
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
@@ -154,6 +202,9 @@ def main(argv=None) -> int:
         print(f"{name:<12} parent {m['parent']['median']:.6g}  change {m['change']['median']:.6g}"
               f" {m['unit']}  wins {m['wins']}/{m['pairs']}  gain shown {m['gain_shown']}"
               f"  within bound {m['within_bound']}")
+    print(f"setup probes parent {probes['parent']['median']:.6g}  change "
+          f"{probes['change']['median']:.6g} s  median paired ratio "
+          f"{probes['median_paired_ratio']:.4f}")
     return 0
 
 

@@ -16,14 +16,18 @@ SeedSequence(seed) only when it reaches that chunk. Spawning one child at a
 time gives the same children as spawning them all at once, so the draws are
 those of the eager spawn, without a list of one seed object per chunk.
 
-Each call allocates its working memory once, and every step writes into it.
-`empirical_risks` holds two chunk-sized arrays, the draws and one work
-buffer, allocated before its first draw. The design-constant simulations hold
-four `_SEV_CHUNK` rows at any m and replicate count: the kernel's draw row,
-running sum and sums row, allocated before its first draw, and the moment
-fold's work row, allocated with the first chunk. Nothing is kept per
-replicate. An estimator takes an `out` array to write its estimates into;
-`out` must not overlap its input `t`.
+Each call allocates its working memory once, and every step writes into it,
+in rows of `_BLOCK` = 8192 floats. `empirical_risks` holds two, the draws
+and one work row, allocated before its first draw: its chunks of `_CHUNK`
+replicates keep their seeds, and each is drawn and summed in pieces of at
+most `_BLOCK` that follow numpy's own pairwise-summation split of the chunk,
+so its sums keep every bit of a whole-chunk pass. The design-constant
+simulations hold four rows at any m and replicate count, their chunks being
+`_BLOCK` replicates: the kernel's draw row, running sum and sums row,
+allocated before its first draw, and the moment fold's work row, allocated
+with the first chunk. Nothing is kept per replicate. An estimator takes an
+`out` array to write its estimates into; `out` must not overlap its input
+`t`.
 """
 
 from __future__ import annotations
@@ -44,8 +48,10 @@ from weibull_shrink.model import (
     _set,
 )
 
-_CHUNK = 1 << 16
-_SEV_CHUNK = 1 << 13  # replicates per chunk of `_sev_spacing_sums`
+_CHUNK = 1 << 16  # replicates per seeded chunk of `empirical_risks`
+# replicates per row: a piece of an `empirical_risks` chunk, a whole chunk of
+# `_sev_spacing_sums`
+_BLOCK = 1 << 13
 
 
 class EmpiricalRisk(Frozen):
@@ -134,8 +140,8 @@ def truncated_estimator(
         t = np.asarray(t)
         out = plain(t, out=np.empty(t.shape) if out is None else out)
         # beta1 last: it takes precedence, as in the scalar estimator
-        np.copyto(out, interval.beta2, where=t < lo_t)
-        np.copyto(out, interval.beta1, where=t > hi_t)
+        np.putmask(out, t < lo_t, interval.beta2)
+        np.putmask(out, t > hi_t, interval.beta1)
         return out
 
     return estimate
@@ -168,31 +174,54 @@ def empirical_risks(plan: SimulationPlan, estimators: list[Estimator], *, h: flo
     rather than the sampling pipeline. Each chunk's draws are made once and
     passed to every estimator, and each estimator's moment sums are reduced
     in chunk order, so every result is bit-identical to a separate
-    `empirical_risk` call with the same plan. The draws and the work buffer,
-    which takes each estimate and then d, d^2 and d^4 in turn, are the only
-    chunk-sized arrays, allocated once.
+    `empirical_risk` call with the same plan.
+
+    A chunk is walked in pieces of at most `_BLOCK` replicates, split as
+    numpy's pairwise summation splits an array: halve the range, round the
+    left half down to a multiple of 8, and recurse until a piece fits. Each
+    piece is drawn in order from the chunk's generator, and the estimators'
+    d, d^2 and d^4 sums over the pieces are added back up the same tree.
+    The generator fills its draws in stream order, and `np.sum` over a whole
+    chunk is exactly that tree of piece sums, so every bit is that of one
+    pass over the chunk. The draws and the work row, which takes each
+    estimate and then d, d^2 and d^4 in turn, are the only arrays that grow
+    with the replicates, `_BLOCK` floats each, allocated once.
     """
     beta = plan.params.beta
-    total = plan.replicates
-    size = min(_CHUNK, total)
+    size = min(_BLOCK, plan.replicates)
     draws = np.empty(size)
     work = np.empty(size)
-    # per estimator, the per-chunk sums of d, d^2 and d^4
-    sums = [([], [], []) for _ in estimators]
-    for start, stop, rng in _chunks(plan.seed, total, _CHUNK):
-        count = stop - start
+
+    def piece_sums(rng, count: int) -> list:
+        # the next `count` draws of `rng`: each estimator's sums of d, d^2
+        # and d^4, in that order
+        if count > _BLOCK:
+            left = count // 2
+            left -= left % 8
+            sums = piece_sums(rng, left)
+            return [a + b for a, b in zip(sums, piece_sums(rng, count - left))]
         t = sample_t(h, beta, rng, size=count, out=draws[:count])
         d = work[:count]
-        for estimator, (sums_d, sums_d2, sums_d4) in zip(estimators, sums):
+        sums = []
+        for estimator in estimators:
             estimator(t, out=d)
             d -= beta
             d /= beta
-            sums_d.append(float(np.sum(d)))
+            # np.add.reduce is np.sum's reduction, without np.sum's wrapper
+            sums.append(float(np.add.reduce(d)))
             np.multiply(d, d, out=d)
-            sums_d2.append(float(np.sum(d)))
+            sums.append(float(np.add.reduce(d)))
             np.multiply(d, d, out=d)
-            sums_d4.append(float(np.sum(d)))
-    return [_moments(beta, total, *parts) for parts in sums]
+            sums.append(float(np.add.reduce(d)))
+        return sums
+
+    # per estimator, the per-chunk sums of d, d^2 and d^4
+    chunk_sums = [[] for _ in range(3 * len(estimators))]
+    for start, stop, rng in _chunks(plan.seed, plan.replicates, _CHUNK):
+        for part, value in zip(chunk_sums, piece_sums(rng, stop - start)):
+            part.append(value)
+    return [_moments(beta, plan.replicates, *chunk_sums[i:i + 3])
+            for i in range(0, len(chunk_sums), 3)]
 
 
 def _moments(beta: float, total: int, sums_d, sums_d2, sums_d4) -> EmpiricalRisk:
@@ -239,9 +268,9 @@ def _sev_spacing_sums(plan: SimulationPlan):
     the caller may overwrite it too.
     """
     n, m = plan.n, plan.m
-    size = min(_SEV_CHUNK, plan.replicates)
+    size = min(_BLOCK, plan.replicates)
     row, running, sums = np.empty(size), np.empty(size), np.empty(size)
-    for start, stop, rng in _chunks(plan.seed, plan.replicates, _SEV_CHUNK):
+    for start, stop, rng in _chunks(plan.seed, plan.replicates, _BLOCK):
         count = stop - start
         z, e, s = row[:count], running[:count], sums[:count]
         e.fill(0.0)

@@ -1,6 +1,7 @@
 """scripts/bench_pairs.py: the summariser, on hand-made result dicts, the
-interpreter environment its summary records, and the removal of both trees'
-byte-code caches, on a temporary tree."""
+interpreter environment its summary records, the interleaved setup probes,
+with a stubbed probe, and the removal of both trees' byte-code caches, on a
+temporary tree."""
 
 import importlib.util
 import json
@@ -93,6 +94,7 @@ def test_summary_records_the_environment_the_runs_inherited(tmp_path, monkeypatc
         json.dumps({"run_seconds": 1, "end_to_end": METRICS}))
     monkeypatch.setattr(bench_pairs, "compile_trees", lambda trees: None)
     monkeypatch.setattr(bench_pairs, "run_one", fake_run)
+    monkeypatch.setattr(bench_pairs, "setup_probe", lambda tree, workload, seed: 0.1)
     monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     monkeypatch.setenv("PYTHONHASHSEED", "0")
@@ -105,6 +107,48 @@ def test_summary_records_the_environment_the_runs_inherited(tmp_path, monkeypatc
     provenance = json.loads(out.read_text())["provenance"]
     assert provenance["environment"] == want  # an unset variable is null
     assert provenance["parent"]["git_commit"] == "parent"
+
+
+def test_setup_probes_run_after_the_pairs_in_a_b_b_a_order(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append(("run", tree.name, seed))
+        return _result(seed, tree.name, 10, op_p90_s=0.05, peak_rss_mb=30.0, rate=1.0)
+
+    def fake_probe(tree, workload, seed):
+        # the parent always reads 0.100 s; the change 0.090 s on its first
+        # five probes, 0.105 s after them
+        calls.append(("probe", tree.name, workload, seed))
+        made = sum(c[0] == "probe" and c[1] == tree.name for c in calls)
+        return 0.100 if tree.name == "parent" else (0.090 if made <= 5 else 0.105)
+
+    for tree in ("parent", "change"):
+        (tmp_path / tree).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "compile_trees", lambda trees: None)
+    monkeypatch.setattr(bench_pairs, "run_one", fake_run)
+    monkeypatch.setattr(bench_pairs, "setup_probe", fake_probe)
+    out = tmp_path / "summary.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--workload", "cli",
+                             "--seeds", "31", "32", "--out", str(out)]) == 0
+    assert [c[0] for c in calls] == ["run"] * 4 + ["probe"] * 2 * bench_pairs.SETUP_PROBES
+    probes = [c[1:] for c in calls[4:]]
+    assert {(workload, seed) for _, workload, seed in probes} == {("cli", 31)}
+    order = [tree for tree, _, _ in probes]
+    assert order[:8] == ["parent", "change", "change", "parent"] * 2
+    assert order.count("parent") == order.count("change") == bench_pairs.SETUP_PROBES
+
+    record = json.loads(out.read_text())["setup_probes_interleaved"]
+    assert record["parent"]["median"] == pytest.approx(0.100)
+    assert record["parent"]["q1"] == record["parent"]["q3"] == pytest.approx(0.100)
+    assert record["change"]["median"] == pytest.approx(0.105)  # 15 of 20 read 0.105
+    assert record["change"]["q1"] == pytest.approx(0.090 + 0.75 * 0.015)  # rank 4.75 of 0..19
+    assert record["median_paired_ratio"] == pytest.approx(1.05)
+    assert len(record["change"]["runs"]) == bench_pairs.SETUP_PROBES
+    assert "20 fresh processes per tree" in record["what"]
 
 
 def _files(root: Path) -> dict:
@@ -137,3 +181,9 @@ def test_compile_trees_refuses_a_broken_module(tmp_path):
     with pytest.raises(RuntimeError, match="cannot compile .*bad.py"):
         bench_pairs.compile_trees([tmp_path])
     assert not list(tmp_path.rglob("__pycache__"))
+
+
+def test_setup_probe_times_a_real_probe():
+    # one real `bench/run.py --setup-probe` of this tree
+    seconds = bench_pairs.setup_probe(Path(__file__).resolve().parent.parent, "grid", 1)
+    assert 0.0 < seconds < 60.0

@@ -30,8 +30,8 @@ from weibull_shrink.model import (
     WeibullParams,
 )
 from weibull_shrink.montecarlo import (
+    _BLOCK,
     _CHUNK,
-    _SEV_CHUNK,
     EmpiricalRisk,
     SimulationPlan,
     _sev_spacing_sums,
@@ -161,10 +161,14 @@ def _bits(r):
     return [float(v).hex() for v in (r.mean, r.bias, r.mse, r.se_mean, r.se_mse)]
 
 
-@pytest.mark.parametrize("reps", [1000, _CHUNK, 2 * _CHUNK + 4321])
+@pytest.mark.parametrize("reps", [
+    1000, _BLOCK - 1, _BLOCK + 1, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 4321, 100_000, 1_000_000,
+])
 def test_shared_draws_match_separate_passes_bit_for_bit(reps):
-    # `mc verify` draws each chunk once for every estimator; each result must
-    # equal the estimator's own pass over the same seeded stream, bit for bit
+    # `mc verify` draws each chunk once for every estimator, in pieces of at
+    # most _BLOCK; each result must equal the estimator's own pass over the
+    # same seeded stream, one whole chunk at a time, bit for bit. At 100,000
+    # the tail chunk of 34,464 splits into pieces of 4,304 and 4,312
     cfg = ShrinkageConfig(p=-1.0, q=0.5)
     estimators = [
         unbiased_estimator(H6),
@@ -179,6 +183,31 @@ def test_shared_draws_match_separate_passes_bit_for_bit(reps):
         assert got.replicates == reps
         assert _bits(got) == _bits(empirical_risk(p, estimator, h=H6))
         assert _bits(got) == _bits(_separate_pass(p, estimator, H6))
+
+
+def _tree_sum(values):
+    """np.sum of `values` taken as numpy's pairwise summation splits it: the
+    range halved, the left half rounded down to a multiple of 8, down to
+    pieces of at most _BLOCK, whose np.sum are added back up the tree."""
+    if len(values) <= _BLOCK:
+        return float(np.sum(values))
+    left = len(values) // 2
+    left -= left % 8
+    return _tree_sum(values[:left]) + _tree_sum(values[left:])
+
+
+def test_piece_sums_add_up_to_the_whole_array_sum():
+    # empirical_risks sums each chunk piece by piece and adds the pieces up
+    # numpy's own tree, which gives np.sum over the whole chunk only while
+    # numpy splits a contiguous float64 sum that way
+    rng = np.random.default_rng(3101)
+    lengths = [1, 7, 8, 129, _BLOCK, _BLOCK + 1, 34_464, _CHUNK, 2 * _CHUNK,
+               *rng.integers(1, 2 * _CHUNK, size=200, endpoint=True).tolist()]
+    for length in lengths:
+        values = rng.standard_gamma(0.7, size=length) - rng.standard_normal(length)
+        assert _tree_sum(values).hex() == float(np.sum(values)).hex(), (
+            f"length {length}: np.sum no longer follows numpy's pairwise rule (halve, "
+            f"round the left half down to a multiple of 8); empirical_risks relies on it")
 
 
 def test_empirical_risks_take_h_as_a_required_keyword():
@@ -397,12 +426,13 @@ def _peak_bytes(call):
 
 
 @pytest.mark.parametrize("reps", [200_000, 1_000_000])
-def test_empirical_risks_hold_two_chunk_arrays_at_any_replicate_count(reps):
-    # the draws and one work buffer; the nested np.where and a new array per
-    # arithmetic step held about six
+def test_empirical_risks_hold_two_block_rows_at_any_replicate_count(reps):
+    # the draws row and one work row of _BLOCK floats each; two chunk-sized
+    # arrays (8 times as large) held over 1 MB, and the nested np.where and a
+    # new array per arithmetic step about six chunks
     estimators = [_FACTORIES[name]() for name in sorted(_FACTORIES)]
     peak = _peak_bytes(lambda: empirical_risks(plan(reps, seed=5), estimators, h=H6))
-    assert peak <= 3 * 8 * _CHUNK, peak
+    assert peak <= 3 * 8 * _BLOCK, peak
 
 
 @pytest.mark.parametrize("reps", [200_000, 1_000_000])
@@ -414,7 +444,7 @@ def test_design_constants_hold_a_few_chunk_rows_at_any_replicate_count(estimate,
     # four rows, the kernel's draw, running-E and sums rows and the fold's
     # work row, at any m and replicate count: nothing per replicate
     peak = _peak_bytes(lambda: estimate(design_plan(m, n, reps, seed=6)))
-    assert peak <= 5 * 8 * _SEV_CHUNK, peak
+    assert peak <= 5 * 8 * _BLOCK, peak
 
 
 # --- design constants by simulation -----------------------------------------
@@ -476,8 +506,8 @@ def _block_spacing_sums(m, n, replicates, seed):
     sums = np.empty(replicates)
     remaining = np.arange(n, n - m, -1, dtype=float)[:, None]
     root = np.random.SeedSequence(seed)
-    for start in range(0, replicates, _SEV_CHUNK):
-        stop = min(start + _SEV_CHUNK, replicates)
+    for start in range(0, replicates, _BLOCK):
+        stop = min(start + _BLOCK, replicates)
         v = np.random.default_rng(root.spawn(1)[0]).standard_exponential((m, stop - start))
         v /= remaining
         for j in range(1, m):
@@ -489,7 +519,7 @@ def _block_spacing_sums(m, n, replicates, seed):
 
 
 # two whole chunks and a partial third
-_STREAM_REPS = 2 * _SEV_CHUNK + 1234
+_STREAM_REPS = 2 * _BLOCK + 1234
 
 
 @pytest.mark.parametrize("n, m", [(2, 2), (20, 6), (24, 24), (200, 100)])

@@ -16,7 +16,12 @@ BENCHMARK.json. The result files the runs leave in each tree's bench/out/
 are summarised per gated end-to-end metric: each side's median and
 quartiles, the pairs the change won, and whether a gain or a regression
 shows (see `summarise`), beside the ops attempted and the provenance of
-every run. After the pairs, `SETUP_PROBES` fresh `bench/run.py --setup-probe`
+every run. Before each run, `HOST_PROBES` fresh `python -c pass` processes
+are timed and their median is stored with that run; the summary gives each
+side's spread of them and the median of the paired change/parent ratios as
+`host_probe`, and flags a metric `host_moved_beyond_bound` when that ratio
+is further from 1 than the metric's bound, so that a verdict the host's
+speed could have flipped says so. After the pairs, `SETUP_PROBES` fresh `bench/run.py --setup-probe`
 processes per tree run in A, B, B, A order, each timed from spawn to its
 `ready` line as bench/run.py times its own probes; the summary records each
 tree's median and quartiles and the median of the paired change/parent
@@ -74,6 +79,20 @@ def run_one(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(path.read_text())
 
 
+HOST_PROBES = 5  # fresh `python -c pass` processes timed before each run
+
+
+def host_probe(count: int = HOST_PROBES) -> float:
+    """Median seconds of `count` fresh `python -c pass` processes: the
+    host's speed just before a run."""
+    times = []
+    for _ in range(count):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "pass"], check=True)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 SETUP_PROBES = 20  # fresh setup probes per tree, interleaved after the pairs
 
 
@@ -124,14 +143,20 @@ def _shared(dicts: list) -> dict:
 
 
 def summarise(pairs: list, metrics: list) -> dict:
-    """Summary of (parent result, change result) pairs.
+    """Summary of (parent result, change result) pairs, each result carrying
+    the `host_probe_s` taken before its run.
 
     `metrics` are BENCHMARK.json's end_to_end entries (name, unit, better,
     bound). A gain shows when the change wins at least nine tenths of the
     pairs and its median beats the parent's by more than the parent's
     interquartile range; a regression when its median is worse than the
-    parent's by more than the bound.
+    parent's by more than the bound. A metric is flagged
+    `host_moved_beyond_bound` when the median paired change/parent ratio of
+    the host probes is further from 1 than its bound.
     """
+    host = {"parent": [p["host_probe_s"] for p, _ in pairs],
+            "change": [c["host_probe_s"] for _, c in pairs]}
+    host_ratio = statistics.median(c / p for p, c in zip(host["parent"], host["change"]))
     out = {}
     for spec in metrics:
         name, sign = spec["name"], 1.0 if spec["better"] == "lower" else -1.0
@@ -152,13 +177,22 @@ def summarise(pairs: list, metrics: list) -> dict:
             "gain_shown": wins >= 0.9 * len(pairs) and -gap > a["q3"] - a["q1"],
             "bound": spec["bound"],
             "within_bound": gap <= spec["bound"] * abs(a["median"]),
+            "host_moved_beyond_bound": abs(host_ratio - 1.0) > spec["bound"],
         }
     return {
         "pairs": len(pairs),
         "metrics": out,
+        "host_probe": {
+            "what": f"median of {HOST_PROBES} fresh `python -c pass` processes timed before "
+                    "each run, in s",
+            "parent": _spread(host["parent"]),
+            "change": _spread(host["change"]),
+            "median_paired_ratio": host_ratio,
+        },
         "runs": [
             {side: {"seed": r["provenance"]["seed"], "first": (i % 2 == 0) == (side == "parent"),
-                    "attempted": r["attempted"], "failed": r["failed"], "correct": r["correct"]}
+                    "attempted": r["attempted"], "failed": r["failed"], "correct": r["correct"],
+                    "host_probe_s": r["host_probe_s"]}
              for side, r in (("parent", p), ("change", c))}
             for i, (p, c) in enumerate(pairs)
         ],
@@ -188,7 +222,9 @@ def main(argv=None) -> int:
         got = {}
         for side in order:
             print(f"pair {i + 1}/{len(args.seeds)} seed {seed}: {side}", file=sys.stderr, flush=True)
-            got[side] = run_one(getattr(args, side), args.workload, seed, seconds)
+            probe = host_probe()
+            got[side] = {**run_one(getattr(args, side), args.workload, seed, seconds),
+                         "host_probe_s": probe}
         pairs.append((got["parent"], got["change"]))
     print(f"setup probes: {SETUP_PROBES} per tree, interleaved", file=sys.stderr, flush=True)
     probes = interleaved_setup_probes({"parent": args.parent, "change": args.change},
@@ -201,7 +237,12 @@ def main(argv=None) -> int:
     for name, m in summary["metrics"].items():
         print(f"{name:<12} parent {m['parent']['median']:.6g}  change {m['change']['median']:.6g}"
               f" {m['unit']}  wins {m['wins']}/{m['pairs']}  gain shown {m['gain_shown']}"
-              f"  within bound {m['within_bound']}")
+              f"  within bound {m['within_bound']}"
+              f"  host moved beyond bound {m['host_moved_beyond_bound']}")
+    host = summary["host_probe"]
+    print(f"host probes parent {host['parent']['median']:.6g}  change "
+          f"{host['change']['median']:.6g} s  median paired ratio "
+          f"{host['median_paired_ratio']:.4f}")
     print(f"setup probes parent {probes['parent']['median']:.6g}  change "
           f"{probes['change']['median']:.6g} s  median paired ratio "
           f"{probes['median_paired_ratio']:.4f}")

@@ -16,25 +16,39 @@ and 4 refusals of `PAGES_AND_REFUSALS` follow as i = 117..129: `--help` at
 the top level and of every subcommand, then one refusal for each exit code
 other than 0: `mc verify --reps 1000` at a seed whose 3-SE check fails (1),
 `mc estimate-k --reps 1` (2), `risk --p 0` (3) and `risk --out` into a
-missing directory (5). Each run leaves its exit code, the sha256 of its
-stdout and its stderr. A tree's own path is replaced by `<tree>` in argv and
-stderr, so the data files that `estimate --data` ops write under each
-tree's `bench/out/` do not count as a difference.
+missing directory (5). The 36 runs of `EVERY_FORMAT` follow as
+i = 130..165: each of the workload's 12 kinds in text, csv and json, the
+kind's first op with its `--format` replaced. Each run leaves its exit code,
+its stdout with its sha256, and its stderr. A tree's own path is replaced by
+`<tree>` in argv and stderr, so the data files that `estimate --data` ops
+write under each tree's `bench/out/` do not count as a difference.
 
 The record written to FILE has `what`, `argvs` (the count), `identical`
 (the count of argvs whose exit code, stdout and stderr all match) and
 `different`: for each other argv its index, kind and argv, both sides' exit
-codes, stdout digests and stderr, and whether the stderr matches.
+codes, stdout digests and stderr, whether the stderr matches, whether the
+stdouts are equal once every float literal is masked (`numbers_only`), and
+the largest relative difference over the paired float literals
+(`max_rel_diff`, null when the stdouts hold different counts of them).
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+# this tree's `bench/workloads.py`, which lists the `cli` kinds and formats;
+# it goes into sys.modules because its dataclasses look their module up there
+_SPEC = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+_workloads = sys.modules["workloads"] = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(_workloads)
 
 SEED = 7
 OPS = 72
@@ -71,10 +85,18 @@ PAGES_AND_REFUSALS = [
         [("help", (*page, "--help")) for page in _HELP_PAGES] + list(_REFUSALS))
 ]
 
+# [i, kind, format] of each workload kind in each format, numbered after
+# PAGES_AND_REFUSALS; the runner takes the kind's first op in that format
+EVERY_FORMAT = [
+    [OPS + len(SEEDED_MC) + len(PAGES_AND_REFUSALS) + i, kind, fmt]
+    for i, (kind, fmt) in enumerate(itertools.product(_workloads.KINDS, _workloads.FORMATS))
+]
+
 # run in each tree, as its own interpreter: argv[2] is a JSON list of jobs,
-# each a workload op index or an [i, kind, argv] list
+# each a workload op index, an [i, kind, argv] list or an [i, kind, format]
+# list
 _RUNNER = """
-import hashlib, json, sys
+import hashlib, itertools, json, sys
 sys.path[:0] = ["bench", "src"]
 import workloads
 
@@ -82,12 +104,20 @@ cli = workloads.Cli(int(sys.argv[1]))
 root = str(workloads.ROOT)
 records = []
 for job in json.loads(sys.argv[2]):
-    i, kind, argv = (job, *cli.op_input(job)) if isinstance(job, int) else job
+    if isinstance(job, int):
+        i, kind, argv = job, *cli.op_input(job)
+    elif isinstance(job[2], str):
+        i, kind, fmt = job
+        first = next(j for j in itertools.count() if cli.kind_of(j) == kind)
+        argv = [*cli.op_input(first)[1][:-1], fmt]
+    else:
+        i, kind, argv = job
     done = cli.run((kind, argv))
     records.append({
         "i": i, "kind": kind, "argv": [a.replace(root, "<tree>") for a in argv],
         "exit_code": done.returncode,
         "stdout_sha256": hashlib.sha256(done.stdout).hexdigest(),
+        "stdout": done.stdout.decode("utf-8", "replace"),
         "stderr": done.stderr.decode("utf-8", "replace").replace(root, "<tree>"),
     })
 json.dump(records, sys.stdout)
@@ -95,13 +125,31 @@ json.dump(records, sys.stdout)
 
 
 def tree_records(tree: Path, jobs) -> list:
-    """One record per job, a workload op index or one of `SEEDED_MC` and
-    `PAGES_AND_REFUSALS`, run in `tree` by a fresh interpreter."""
+    """One record per job, a workload op index or one of `SEEDED_MC`,
+    `PAGES_AND_REFUSALS` and `EVERY_FORMAT`, run in `tree` by a fresh
+    interpreter."""
     done = subprocess.run(
         [sys.executable, "-c", _RUNNER, str(SEED), json.dumps(list(jobs))],
         cwd=tree.resolve(), check=True, stdout=subprocess.PIPE,
     )
     return json.loads(done.stdout)
+
+
+# a float literal: digits with a decimal point, an exponent or both
+_FLOAT = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+(?=[eE]))(?:[eE][-+]?\d+)?")
+
+
+def _number_change(parent: str, change: str) -> tuple:
+    """Whether two stdouts are equal once every float literal is masked, and
+    the largest relative difference over their paired float literals (None
+    when they hold different counts of them)."""
+    a, b = _FLOAT.findall(parent), _FLOAT.findall(change)
+    numbers_only = _FLOAT.sub("#", parent) == _FLOAT.sub("#", change)
+    if len(a) != len(b):
+        return numbers_only, None
+    rel = [abs(float(x) - float(y)) / max(abs(float(x)), abs(float(y)))
+           for x, y in zip(a, b) if float(x) != float(y)]
+    return numbers_only, max(rel, default=0.0)
 
 
 def compare(parent: list, change: list) -> dict:
@@ -112,18 +160,22 @@ def compare(parent: list, change: list) -> dict:
             raise ValueError(f"op {p['i']}: the trees built different argvs")
         if all(p[key] == c[key] for key in ("exit_code", "stdout_sha256", "stderr")):
             continue
+        numbers_only, max_rel_diff = _number_change(p["stdout"], c["stdout"])
         different.append({
             "i": p["i"], "kind": p["kind"], "argv": p["argv"],
             "exit_code": [p["exit_code"], c["exit_code"]],
             "stdout_sha256": [p["stdout_sha256"], c["stdout_sha256"]],
             "stderr_identical": p["stderr"] == c["stderr"],
             "stderr": [p["stderr"], c["stderr"]],
+            "numbers_only": numbers_only,
+            "max_rel_diff": max_rel_diff,
         })
     return {
         "what": f"bench/workloads.py Cli({SEED}).op_input(0..{OPS - 1}) and "
                 f"{len(SEEDED_MC)} seeded mc runs, {len(_HELP_PAGES)} help pages and "
-                f"{len(_REFUSALS)} refusals (exit 1, 2, 3, 5), each argv in a fresh process "
-                "per tree: exit code, stdout sha256, stderr",
+                f"{len(_REFUSALS)} refusals (exit 1, 2, 3, 5) and {len(EVERY_FORMAT)} runs of "
+                "every workload kind in every format, each argv in a fresh process per tree: "
+                "exit code, stdout sha256, stderr",
         "argvs": len(parent),
         "identical": len(parent) - len(different),
         "different": different,
@@ -136,7 +188,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="changed tree")
     parser.add_argument("--out", type=Path, required=True, help="record JSON to write")
     args = parser.parse_args(argv)
-    jobs = [*range(OPS), *SEEDED_MC, *PAGES_AND_REFUSALS]
+    jobs = [*range(OPS), *SEEDED_MC, *PAGES_AND_REFUSALS, *EVERY_FORMAT]
     record = compare(tree_records(args.parent, jobs), tree_records(args.change, jobs))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     kinds = sorted({d["kind"] for d in record["different"]})

@@ -26,7 +26,7 @@ from weibull_shrink.model import (
     WeibullParams,
 )
 
-__version__ = "0.9.1"
+__version__ = "0.10.0"
 
 __all__ = [
     "CensoredSample",

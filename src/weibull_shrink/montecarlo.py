@@ -2,32 +2,32 @@
 
 Determinism contract: every routine that consumes a seed produces bit-identical
 results for the same arguments on the same numpy version. Work is split into
-fixed-size chunks, each driven by its own child of SeedSequence(seed), and the
-per-chunk partial sums are reduced in chunk order, so results do not depend on
-how the chunks are scheduled. The contract holds within a release, not across
-releases: a change that moves any seeded bit bumps the version, and CHANGES.md
-says which values moved.
+fixed-size chunks, each driven by its own child of SeedSequence(seed), and
+each chunk is walked in rows of at most `_BLOCK` = 8192 replicates whose sums
+are added to running totals in row order, so results do not depend on how
+the work is scheduled. The contract holds within a release, not across
+releases: a change that moves any seeded bit bumps the version, and
+CHANGES.md says which values moved.
 
 Every simulation takes a `model.SimulationPlan`, the one description and the
 one check of its replicates, design and seed; nothing here checks them again.
 
-Chunk seeds are spawned lazily: a loop takes the next child of
-SeedSequence(seed) only when it reaches that chunk. Spawning one child at a
+One walk, `_pieces`, drives every simulation. It takes the next child of
+SeedSequence(seed) only when it reaches that chunk; spawning one child at a
 time gives the same children as spawning them all at once, so the draws are
-those of the eager spawn, without a list of one seed object per chunk.
+those of the eager spawn, without a list of one seed object per chunk. A
+chunk's generator fills its rows in stream order, so the draws do not depend
+on the row length either. `empirical_risks` seeds a chunk every `_CHUNK` =
+65,536 replicates; the design-constant simulations seed every row.
 
-Each call allocates its working memory once, and every step writes into it,
-in rows of `_BLOCK` = 8192 floats. `empirical_risks` holds two, the draws
-and one work row, allocated before its first draw: its chunks of `_CHUNK`
-replicates keep their seeds, and each is drawn and summed in pieces of at
-most `_BLOCK` that follow numpy's own pairwise-summation split of the chunk,
-so its sums keep every bit of a whole-chunk pass. The design-constant
-simulations hold four rows at any m and replicate count, their chunks being
-`_BLOCK` replicates: the kernel's draw row, running sum and sums row,
+Each call allocates its working memory once, in rows of `_BLOCK` floats, and
+every step writes into it; nothing is kept per replicate or per chunk.
+`empirical_risks` holds two rows, the draws and one work row, allocated
+before its first draw. The design-constant simulations hold four at any m
+and replicate count: the kernel's draw row, running sum and sums row,
 allocated before its first draw, and the moment fold's work row, allocated
-with the first chunk. Nothing is kept per replicate. An estimator takes an
-`out` array to write its estimates into; `out` must not overlap its input
-`t`.
+with the first chunk. An estimator takes an `out` array to write its
+estimates into; `out` must not overlap its input `t`.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ from weibull_shrink.model import (
 )
 
 _CHUNK = 1 << 16  # replicates per seeded chunk of `empirical_risks`
-# replicates per row: a piece of an `empirical_risks` chunk, a whole chunk of
-# `_sev_spacing_sums`
-_BLOCK = 1 << 13
+_BLOCK = 1 << 13  # replicates per row of every simulation
 
 
 class EmpiricalRisk(Frozen):
@@ -114,7 +112,9 @@ def mmse_estimator(h: float) -> Estimator:
 def shrink_estimator(
     h: float, interval: GuessInterval, cfg: ShrinkageConfig
 ) -> Estimator:
-    # import here to keep the analytic modules free of numpy
+    # imported here, not at the top, so that `mc estimate-k/-h`, which import
+    # this module, do not load the analytic layer; no analytic module imports
+    # this one
     from weibull_shrink.estimators import shrink_weight
 
     w = shrink_weight(cfg.p, h)
@@ -151,13 +151,16 @@ def truncated_estimator(
 # empirical risk of an estimator under the pivotal law
 
 
-def _chunks(seed: int, total: int, size: int):
-    """(start, stop, generator) for each chunk of at most `size` of `total`
-    replicates, in order; a chunk's generator is seeded by the next child of
-    SeedSequence(seed), spawned when the loop reaches it."""
+def _pieces(seed: int, total: int, chunk: int):
+    """(generator, count) for each row of at most `_BLOCK` of `total`
+    replicates, in order. Every `chunk` replicates the generator is seeded by
+    the next child of SeedSequence(seed), spawned when the walk reaches it."""
     root = np.random.SeedSequence(seed)
-    for start in range(0, total, size):
-        yield start, min(start + size, total), np.random.default_rng(root.spawn(1)[0])
+    for start in range(0, total, chunk):
+        rng = np.random.default_rng(root.spawn(1)[0])
+        stop = min(start + chunk, total)
+        for row in range(start, stop, _BLOCK):
+            yield rng, min(_BLOCK, stop - row)
 
 
 def empirical_risk(plan: SimulationPlan, estimator: Estimator, *, h: float) -> EmpiricalRisk:
@@ -171,63 +174,39 @@ def empirical_risks(plan: SimulationPlan, estimators: list[Estimator], *, h: flo
 
     t is drawn from its exact gamma law with h degrees of freedom at the
     plan's true shape, so this checks the estimator-plus-risk mathematics
-    rather than the sampling pipeline. Each chunk's draws are made once and
-    passed to every estimator, and each estimator's moment sums are reduced
-    in chunk order, so every result is bit-identical to a separate
-    `empirical_risk` call with the same plan.
-
-    A chunk is walked in pieces of at most `_BLOCK` replicates, split as
-    numpy's pairwise summation splits an array: halve the range, round the
-    left half down to a multiple of 8, and recurse until a piece fits. Each
-    piece is drawn in order from the chunk's generator, and the estimators'
-    d, d^2 and d^4 sums over the pieces are added back up the same tree.
-    The generator fills its draws in stream order, and `np.sum` over a whole
-    chunk is exactly that tree of piece sums, so every bit is that of one
-    pass over the chunk. The draws and the work row, which takes each
-    estimate and then d, d^2 and d^4 in turn, are the only arrays that grow
-    with the replicates, `_BLOCK` floats each, allocated once.
+    rather than the sampling pipeline. The replicates are seeded in chunks
+    of `_CHUNK`, each by its own child of SeedSequence(plan.seed), and drawn
+    in rows of at most `_BLOCK` from the chunk's generator. Each row's draws
+    are made once and passed to every estimator, whose sums of d, d^2 and
+    d^4 over the row are added to its running totals in row order, so every
+    result is bit-identical to a separate `empirical_risk` call with the
+    same plan. The draws and the work row, which takes each estimate and
+    then d, d^2 and d^4 in turn, are the only arrays, `_BLOCK` floats each,
+    allocated once; nothing is kept per chunk.
     """
     beta = plan.params.beta
     size = min(_BLOCK, plan.replicates)
     draws = np.empty(size)
     work = np.empty(size)
-
-    def piece_sums(rng, count: int) -> list:
-        # the next `count` draws of `rng`: each estimator's sums of d, d^2
-        # and d^4, in that order
-        if count > _BLOCK:
-            left = count // 2
-            left -= left % 8
-            sums = piece_sums(rng, left)
-            return [a + b for a, b in zip(sums, piece_sums(rng, count - left))]
+    # per estimator, the running sums of d, d^2 and d^4
+    sums = [[0.0, 0.0, 0.0] for _ in estimators]
+    for rng, count in _pieces(plan.seed, plan.replicates, _CHUNK):
         t = sample_t(h, beta, rng, size=count, out=draws[:count])
         d = work[:count]
-        sums = []
-        for estimator in estimators:
+        for estimator, running in zip(estimators, sums):
             estimator(t, out=d)
             d -= beta
             d /= beta
             # np.add.reduce is np.sum's reduction, without np.sum's wrapper
-            sums.append(float(np.add.reduce(d)))
+            running[0] += float(np.add.reduce(d))
             np.multiply(d, d, out=d)
-            sums.append(float(np.add.reduce(d)))
+            running[1] += float(np.add.reduce(d))
             np.multiply(d, d, out=d)
-            sums.append(float(np.add.reduce(d)))
-        return sums
-
-    # per estimator, the per-chunk sums of d, d^2 and d^4
-    chunk_sums = [[] for _ in range(3 * len(estimators))]
-    for start, stop, rng in _chunks(plan.seed, plan.replicates, _CHUNK):
-        for part, value in zip(chunk_sums, piece_sums(rng, stop - start)):
-            part.append(value)
-    return [_moments(beta, plan.replicates, *chunk_sums[i:i + 3])
-            for i in range(0, len(chunk_sums), 3)]
+            running[2] += float(np.add.reduce(d))
+    return [_moments(beta, plan.replicates, *running) for running in sums]
 
 
-def _moments(beta: float, total: int, sums_d, sums_d2, sums_d4) -> EmpiricalRisk:
-    s1 = math.fsum(sums_d)
-    s2 = math.fsum(sums_d2)
-    s4 = math.fsum(sums_d4)
+def _moments(beta: float, total: int, s1: float, s2: float, s4: float) -> EmpiricalRisk:
     bias = s1 / total
     mse = s2 / total
     var_d = max(0.0, s2 / total - bias * bias)
@@ -270,8 +249,7 @@ def _sev_spacing_sums(plan: SimulationPlan):
     n, m = plan.n, plan.m
     size = min(_BLOCK, plan.replicates)
     row, running, sums = np.empty(size), np.empty(size), np.empty(size)
-    for start, stop, rng in _chunks(plan.seed, plan.replicates, _BLOCK):
-        count = stop - start
+    for rng, count in _pieces(plan.seed, plan.replicates, _BLOCK):
         z, e, s = row[:count], running[:count], sums[:count]
         e.fill(0.0)
         s.fill(0.0)

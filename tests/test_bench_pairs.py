@@ -1,7 +1,7 @@
 """scripts/bench_pairs.py: the summariser, on hand-made result dicts, the
-interpreter environment its summary records, the interleaved setup probes,
-with a stubbed probe, and the removal of both trees' byte-code caches, on a
-temporary tree."""
+interpreter environment its summary records, the host probe before each run
+and the interleaved setup probes, each with a stubbed probe, and the removal
+of both trees' byte-code caches, on a temporary tree."""
 
 import importlib.util
 import json
@@ -22,13 +22,14 @@ METRICS = [
 ]
 
 
-def _result(seed, commit, attempted, **values):
+def _result(seed, commit, attempted, host_probe_s=0.05, **values):
     return {
         "correct": True,
         "attempted": attempted,
         "failed": 0,
         "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()},
         "provenance": {"seed": seed, "git_commit": commit, "python": "3.11"},
+        "host_probe_s": host_probe_s,
     }
 
 
@@ -54,9 +55,13 @@ def test_summarise_one_pair():
 
     assert s["pairs"] == 1
     assert s["runs"] == [{
-        "parent": {"seed": 7, "first": True, "attempted": 700, "failed": 0, "correct": True},
-        "change": {"seed": 7, "first": False, "attempted": 1400, "failed": 0, "correct": True},
+        "parent": {"seed": 7, "first": True, "attempted": 700, "failed": 0, "correct": True,
+                   "host_probe_s": 0.05},
+        "change": {"seed": 7, "first": False, "attempted": 1400, "failed": 0, "correct": True,
+                   "host_probe_s": 0.05},
     }]
+    assert s["host_probe"]["median_paired_ratio"] == 1.0
+    assert not any(m["host_moved_beyond_bound"] for m in s["metrics"].values())
     assert s["provenance"] == {
         "parent": {"seed": 7, "git_commit": "abc", "python": "3.11"},
         "change": {"seed": 7, "git_commit": "def", "python": "3.11"},
@@ -95,6 +100,7 @@ def test_summary_records_the_environment_the_runs_inherited(tmp_path, monkeypatc
     monkeypatch.setattr(bench_pairs, "compile_trees", lambda trees: None)
     monkeypatch.setattr(bench_pairs, "run_one", fake_run)
     monkeypatch.setattr(bench_pairs, "setup_probe", lambda tree, workload, seed: 0.1)
+    monkeypatch.setattr(bench_pairs, "host_probe", lambda: 0.05)
     monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     monkeypatch.setenv("PYTHONHASHSEED", "0")
@@ -130,6 +136,7 @@ def test_setup_probes_run_after_the_pairs_in_a_b_b_a_order(tmp_path, monkeypatch
     monkeypatch.setattr(bench_pairs, "compile_trees", lambda trees: None)
     monkeypatch.setattr(bench_pairs, "run_one", fake_run)
     monkeypatch.setattr(bench_pairs, "setup_probe", fake_probe)
+    monkeypatch.setattr(bench_pairs, "host_probe", lambda: 0.05)
     out = tmp_path / "summary.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
                              "--change", str(tmp_path / "change"), "--workload", "cli",
@@ -149,6 +156,49 @@ def test_setup_probes_run_after_the_pairs_in_a_b_b_a_order(tmp_path, monkeypatch
     assert record["median_paired_ratio"] == pytest.approx(1.05)
     assert len(record["change"]["runs"]) == bench_pairs.SETUP_PROBES
     assert "20 fresh processes per tree" in record["what"]
+
+
+def test_host_probe_runs_before_each_run_and_flags_a_moved_host(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds):
+        calls.append(("run", tree.name))
+        return _result(seed, tree.name, 10, op_p90_s=0.05, peak_rss_mb=30.0, rate=1.0)
+
+    def fake_host_probe():
+        # the host reads 0.040 s before every parent run and 0.046 s before
+        # every change run: 15% slower, past the 10% bounds, inside the 25%
+        calls.append(("host", None))
+        return 0.040 if sum(c[0] == "host" for c in calls) in (1, 4, 5) else 0.046
+
+    for tree in ("parent", "change"):
+        (tmp_path / tree).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "compile_trees", lambda trees: None)
+    monkeypatch.setattr(bench_pairs, "run_one", fake_run)
+    monkeypatch.setattr(bench_pairs, "host_probe", fake_host_probe)
+    monkeypatch.setattr(bench_pairs, "setup_probe", lambda tree, workload, seed: 0.1)
+    out = tmp_path / "summary.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--workload", "grid",
+                             "--seeds", "1", "2", "3", "--out", str(out)]) == 0
+    # parent first on even pairs, change first on odd ones, a probe before each
+    assert calls == [("host", None), ("run", "parent"), ("host", None), ("run", "change"),
+                     ("host", None), ("run", "change"), ("host", None), ("run", "parent"),
+                     ("host", None), ("run", "parent"), ("host", None), ("run", "change")]
+    summary = json.loads(out.read_text())
+    host = summary["host_probe"]
+    assert host["parent"]["runs"] == [0.040] * 3
+    assert host["change"]["runs"] == [0.046] * 3
+    assert host["median_paired_ratio"] == pytest.approx(1.15)
+    assert [r["change"]["host_probe_s"] for r in summary["runs"]] == [0.046] * 3
+    moved = {name: m["host_moved_beyond_bound"] for name, m in summary["metrics"].items()}
+    assert moved == {"op_p90_s": False, "peak_rss_mb": True, "rate": True}
+
+
+def test_host_probe_times_fresh_interpreters():
+    assert 0.0 < bench_pairs.host_probe(count=2) < 60.0
 
 
 def _files(root: Path) -> dict:

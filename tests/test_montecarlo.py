@@ -34,6 +34,7 @@ from weibull_shrink.montecarlo import (
     _CHUNK,
     EmpiricalRisk,
     SimulationPlan,
+    _pieces,
     _sev_spacing_sums,
     empirical_risk,
     empirical_risks,
@@ -131,21 +132,23 @@ def test_empirical_risk_across_chunk_boundary():
 
 def _separate_pass(plan, estimator, h):
     """Each estimator on its own stream of draws, as before the shared pass,
-    with every chunk seed spawned up front and a new array at each step."""
+    with every chunk seed spawned up front and a new array at each step:
+    each chunk's pieces of at most _BLOCK are summed by np.sum and the piece
+    sums added to the totals in order."""
     beta, total = plan.params.beta, plan.replicates
     n_chunks = (total + _CHUNK - 1) // _CHUNK
     seeds = np.random.SeedSequence(plan.seed).spawn(n_chunks)
-    sums = ([], [], [])
-    done = 0
+    s1 = s2 = s4 = 0.0
     for i in range(n_chunks):
-        count = min(_CHUNK, total - done)
-        done += count
-        t = sample_t(h, beta, np.random.default_rng(seeds[i]), size=count)
-        d = (estimator(t) - beta) / beta
-        d2 = d * d
-        for part, value in zip(sums, (d, d2, d2 * d2)):
-            part.append(float(np.sum(value)))
-    s1, s2, s4 = (math.fsum(part) for part in sums)
+        rng = np.random.default_rng(seeds[i])
+        chunk = min(_CHUNK, total - i * _CHUNK)
+        for start in range(0, chunk, _BLOCK):
+            t = sample_t(h, beta, rng, size=min(_BLOCK, chunk - start))
+            d = (estimator(t) - beta) / beta
+            d2 = d * d
+            s1 += float(np.sum(d))
+            s2 += float(np.sum(d2))
+            s4 += float(np.sum(d2 * d2))
     bias, mse = s1 / total, s2 / total
     return EmpiricalRisk(
         mean=beta * (1.0 + bias),
@@ -165,10 +168,10 @@ def _bits(r):
     1000, _BLOCK - 1, _BLOCK + 1, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 4321, 100_000, 1_000_000,
 ])
 def test_shared_draws_match_separate_passes_bit_for_bit(reps):
-    # `mc verify` draws each chunk once for every estimator, in pieces of at
-    # most _BLOCK; each result must equal the estimator's own pass over the
-    # same seeded stream, one whole chunk at a time, bit for bit. At 100,000
-    # the tail chunk of 34,464 splits into pieces of 4,304 and 4,312
+    # `mc verify` draws each piece once for every estimator; each result must
+    # equal the estimator's own pass over the same seeded stream, piece by
+    # piece, bit for bit. At 100,000 the tail chunk of 34,464 ends on a
+    # piece of 1,696
     cfg = ShrinkageConfig(p=-1.0, q=0.5)
     estimators = [
         unbiased_estimator(H6),
@@ -185,29 +188,17 @@ def test_shared_draws_match_separate_passes_bit_for_bit(reps):
         assert _bits(got) == _bits(_separate_pass(p, estimator, H6))
 
 
-def _tree_sum(values):
-    """np.sum of `values` taken as numpy's pairwise summation splits it: the
-    range halved, the left half rounded down to a multiple of 8, down to
-    pieces of at most _BLOCK, whose np.sum are added back up the tree."""
-    if len(values) <= _BLOCK:
-        return float(np.sum(values))
-    left = len(values) // 2
-    left -= left % 8
-    return _tree_sum(values[:left]) + _tree_sum(values[left:])
-
-
-def test_piece_sums_add_up_to_the_whole_array_sum():
-    # empirical_risks sums each chunk piece by piece and adds the pieces up
-    # numpy's own tree, which gives np.sum over the whole chunk only while
-    # numpy splits a contiguous float64 sum that way
-    rng = np.random.default_rng(3101)
-    lengths = [1, 7, 8, 129, _BLOCK, _BLOCK + 1, 34_464, _CHUNK, 2 * _CHUNK,
-               *rng.integers(1, 2 * _CHUNK, size=200, endpoint=True).tolist()]
-    for length in lengths:
-        values = rng.standard_gamma(0.7, size=length) - rng.standard_normal(length)
-        assert _tree_sum(values).hex() == float(np.sum(values)).hex(), (
-            f"length {length}: np.sum no longer follows numpy's pairwise rule (halve, "
-            f"round the left half down to a multiple of 8); empirical_risks relies on it")
+@pytest.mark.parametrize("chunk", [_CHUNK, _BLOCK])
+def test_pieces_are_rows_of_a_block_with_a_new_generator_every_chunk(chunk):
+    # rows of _BLOCK in order, the last one short; a new generator object
+    # exactly where a chunk starts
+    total = 2 * _CHUNK + 17
+    pieces = list(_pieces(5, total, chunk))
+    assert [count for _, count in pieces] == [_BLOCK] * 16 + [17]
+    starts = list(itertools.accumulate([0] + [count for _, count in pieces[:-1]]))
+    fresh = [i == 0 or rng is not pieces[i - 1][0] for i, (rng, _) in enumerate(pieces)]
+    assert fresh == [start % chunk == 0 for start in starts]
+    assert len({id(rng) for rng, _ in pieces}) == sum(fresh)
 
 
 def test_empirical_risks_take_h_as_a_required_keyword():
@@ -235,9 +226,10 @@ _SPEC.loader.exec_module(output_identity)
 _VERIFY_DELTA, _VERIFY_PAIR, _ESTIMATE_K, _, _ESTIMATE_H = (
     argv for _, argv in output_identity._SEEDED_KINDS)
 
-# csv of seeded `mc` runs. `mc verify`'s were recorded before the kernels
-# wrote in place; `mc estimate-h`'s since the design-constant simulations
-# stream their sums (0.8.0), which left `mc estimate-k`'s bits as they were.
+# csv of seeded `mc` runs. `mc verify`'s were recorded when its row sums
+# began to be added in row order (0.10.0), with the same draws as before;
+# `mc estimate-h`'s since the design-constant simulations stream their sums
+# (0.8.0), which left `mc estimate-k`'s bits as they were.
 # Any change to these bits must update them and bump the version, under the
 # montecarlo module's determinism contract.
 _GOLDEN = {
@@ -257,29 +249,29 @@ _GOLDEN = {
         3: "UNBIASED,bias,0.00084991195485815279,0,0.0061134054039922387,PASS\r\n"
            "UNBIASED,mse,0.29068525505580933,0.29188984077409186,0.014691746015383865,PASS\r\n"
            "MMSE,bias,-0.22528231094753751,-0.22594019363074594,0.0047321414032709831,PASS\r\n"
-           "MMSE,mse,0.2249211594301522,0.22594019363074594,0.007617462020314044,PASS\r\n"
+           "MMSE,mse,0.22492115943015217,0.22594019363074594,0.007617462020314044,PASS\r\n"
            "SHRINK_PQ,bias,-0.078421185087552636,-0.079079067770761027,0.0047321414032709839,PASS\r\n"
            "SHRINK_PQ,mse,0.18031892207482544,0.18114472149233962,0.0083448877084640466,PASS\r\n",
-        2501: "UNBIASED,bias,-0.00025559721135152953,0,0.0061216068578144028,PASS\r\n"
-              "UNBIASED,mse,0.29146505827602587,0.29188984077409186,0.014408936522187412,PASS\r\n"
-              "MMSE,bias,-0.22613804115867323,-0.22594019363074594,0.0047384898190285154,PASS\r\n"
-              "MMSE,mse,0.2257750807204798,0.22594019363074594,0.0074483342371828532,PASS\r\n"
-              "SHRINK_PQ,bias,-0.079276915298688327,-0.079079067770761027,0.0047384898190285163,PASS\r\n"
-              "SHRINK_PQ,mse,0.18092149636067348,0.18114472149233962,0.0081744765908040497,PASS\r\n",
+        2501: "UNBIASED,bias,-0.00025559721135152953,0,0.0061216068578144036,PASS\r\n"
+              "UNBIASED,mse,0.29146505827602592,0.29188984077409186,0.014408936522187412,PASS\r\n"
+              "MMSE,bias,-0.2261380411586732,-0.22594019363074594,0.0047384898190285154,PASS\r\n"
+              "MMSE,mse,0.2257750807204798,0.22594019363074594,0.0074483342371828541,PASS\r\n"
+              "SHRINK_PQ,bias,-0.079276915298688341,-0.079079067770761027,0.0047384898190285163,PASS\r\n"
+              "SHRINK_PQ,mse,0.18092149636067351,0.18114472149233962,0.008174476590804048,PASS\r\n",
     },
     _VERIFY_PAIR: {
         3: "UNBIASED,bias,0.00084991195485815279,0,0.0061134054039922387,PASS\r\n"
            "UNBIASED,mse,0.29068525505580933,0.29188984077409186,0.014691746015383865,PASS\r\n"
            "MMSE,bias,-0.22528231094753751,-0.22594019363074594,0.0047321414032709831,PASS\r\n"
-           "MMSE,mse,0.2249211594301522,0.22594019363074594,0.007617462020314044,PASS\r\n"
-           "SHRINK_PQ,bias,-0.089718194769089918,-0.090376077452298295,0.0047321414032709831,PASS\r\n"
-           "SHRINK_PQ,mse,0.18221839427691358,0.18305905790851082,0.0082829213878284277,PASS\r\n"
+           "MMSE,mse,0.22492115943015217,0.22594019363074594,0.007617462020314044,PASS\r\n"
+           "SHRINK_PQ,bias,-0.089718194769089918,-0.090376077452298295,0.0047321414032709839,PASS\r\n"
+           "SHRINK_PQ,mse,0.18221839427691361,0.18305905790851082,0.0082829213878284277,PASS\r\n"
            "SHRINK_PQ_MODIFIED,bias,-0.031932796904520132,-0.032081850070606821,0.0029140116492319627,PASS\r\n"
            "SHRINK_PQ_MODIFIED,mse,0.067064422677053204,0.067279915211267971,0.0011498768107542838,PASS\r\n",
-        2501: "UNBIASED,bias,-0.00025559721135152953,0,0.0061216068578144028,PASS\r\n"
-              "UNBIASED,mse,0.29146505827602587,0.29188984077409186,0.014408936522187412,PASS\r\n"
-              "MMSE,bias,-0.22613804115867323,-0.22594019363074594,0.0047384898190285154,PASS\r\n"
-              "MMSE,mse,0.2257750807204798,0.22594019363074594,0.0074483342371828532,PASS\r\n"
+        2501: "UNBIASED,bias,-0.00025559721135152953,0,0.0061216068578144036,PASS\r\n"
+              "UNBIASED,mse,0.29146505827602592,0.29188984077409186,0.014408936522187412,PASS\r\n"
+              "MMSE,bias,-0.2261380411586732,-0.22594019363074594,0.0047384898190285154,PASS\r\n"
+              "MMSE,mse,0.2257750807204798,0.22594019363074594,0.0074483342371828541,PASS\r\n"
               "SHRINK_PQ,bias,-0.090573924980225609,-0.090376077452298295,0.0047384898190285163,PASS\r\n"
               "SHRINK_PQ,mse,0.18284030294772161,0.18305905790851082,0.0081124519416841696,PASS\r\n"
               "SHRINK_PQ_MODIFIED,bias,-0.032044953465821979,-0.032081850070606821,0.0029241415753924072,PASS\r\n"

@@ -26,7 +26,9 @@ processes per tree run in A, B, B, A order, each timed from spawn to its
 `ready` line as bench/run.py times its own probes; the summary records each
 tree's median and quartiles and the median of the paired change/parent
 ratios as `setup_probes_interleaved`, a reading of `setup_s` that host drift
-between the two trees' runs does not enter. The summary's provenance also
+between the two trees' runs does not enter. Last, `scripts/output_identity.py`
+runs every one of its argvs in both trees, and its record goes into the
+summary as `output_identity`. The summary's provenance also
 records the interpreter variables the runs inherited from this script's
 environment (`inherited_environment`), null where unset: `bench/` hands them
 on to every `cli` op, so they decide whether an op's stdout is buffered and
@@ -36,6 +38,7 @@ whether it writes byte-code caches.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import shutil
@@ -129,6 +132,16 @@ def interleaved_setup_probes(trees: dict, workload: str, seed: int,
         "change": _spread(times["change"]),
         "median_paired_ratio": statistics.median(ratios),
     }
+
+
+def output_identity(parent: Path, change: Path) -> dict:
+    """`scripts/output_identity.py`'s record of the two trees: each argv's
+    exit code, stdout and stderr, compared."""
+    spec = importlib.util.spec_from_file_location(
+        "output_identity", Path(__file__).with_name("output_identity.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.identity_record(parent, change)
 
 
 def _spread(values: list) -> dict:
@@ -229,8 +242,11 @@ def main(argv=None) -> int:
     print(f"setup probes: {SETUP_PROBES} per tree, interleaved", file=sys.stderr, flush=True)
     probes = interleaved_setup_probes({"parent": args.parent, "change": args.change},
                                       args.workload, args.seeds[0])
+    print("output identity: every argv in both trees", file=sys.stderr, flush=True)
+    identity = output_identity(args.parent, args.change)
     summary = {"workload": args.workload, "seconds": seconds,
-               **summarise(pairs, bench["end_to_end"]), "setup_probes_interleaved": probes}
+               **summarise(pairs, bench["end_to_end"]), "setup_probes_interleaved": probes,
+               "output_identity": identity}
     # every run inherits this process's environment unchanged
     summary["provenance"]["environment"] = inherited_environment(os.environ)
     args.out.write_text(json.dumps(summary, indent=1) + "\n")
@@ -246,6 +262,7 @@ def main(argv=None) -> int:
     print(f"setup probes parent {probes['parent']['median']:.6g}  change "
           f"{probes['change']['median']:.6g} s  median paired ratio "
           f"{probes['median_paired_ratio']:.4f}")
+    print(f"output identity {identity['identical']}/{identity['argvs']} argvs identical")
     return 0
 
 

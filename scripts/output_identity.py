@@ -182,14 +182,20 @@ def compare(parent: list, change: list) -> dict:
     }
 
 
+def identity_record(parent: Path, change: Path) -> dict:
+    """The identity record of every argv, the workload ops, `SEEDED_MC`,
+    `PAGES_AND_REFUSALS` and `EVERY_FORMAT`, run in both trees."""
+    jobs = [*range(OPS), *SEEDED_MC, *PAGES_AND_REFUSALS, *EVERY_FORMAT]
+    return compare(tree_records(parent, jobs), tree_records(change, jobs))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent commit's tree")
     parser.add_argument("--change", type=Path, required=True, help="changed tree")
     parser.add_argument("--out", type=Path, required=True, help="record JSON to write")
     args = parser.parse_args(argv)
-    jobs = [*range(OPS), *SEEDED_MC, *PAGES_AND_REFUSALS, *EVERY_FORMAT]
-    record = compare(tree_records(args.parent, jobs), tree_records(args.change, jobs))
+    record = identity_record(args.parent, args.change)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     kinds = sorted({d["kind"] for d in record["different"]})
     print(f"{record['identical']}/{record['argvs']} argvs identical; different kinds: {kinds}")

@@ -26,7 +26,7 @@ from weibull_shrink.model import (
     WeibullParams,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "CensoredSample",

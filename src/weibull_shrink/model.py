@@ -110,8 +110,8 @@ class InadmissibleParameterError(ValueError):
 
 
 class GridValidationError(ValueError):
-    """Invalid table grid (``tables.GridSpec``); the message carries one line
-    per offending entry."""
+    """Invalid table grid (``tables.GridSpec``); the message is one line
+    that lists every offending entry, separated by semicolons."""
 
 
 #: Degrees of freedom h of the pivotal statistic t for n = 20, keyed by (n, m):

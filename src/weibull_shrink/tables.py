@@ -127,9 +127,7 @@ class GridSpec(Frozen):
         for i, (d1, d2) in enumerate(delta_rows):
             passes(f"delta row {i}", _require_interval, "delta1", d1, "delta2", d2)
         if problems:
-            raise GridValidationError(
-                "invalid grid:\n  " + "\n  ".join(problems)
-            )
+            raise GridValidationError("invalid grid: " + "; ".join(problems))
         _set(self, "h_values", tuple(designs))
 
     @classmethod

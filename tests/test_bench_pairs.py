@@ -1,7 +1,8 @@
 """scripts/bench_pairs.py: the summariser, on hand-made result dicts, the
 interpreter environment its summary records, the host probe before each run
-and the interleaved setup probes, each with a stubbed probe, and the removal
-of both trees' byte-code caches, on a temporary tree."""
+and the interleaved setup probes, each with a stubbed probe, the output
+identity record of two stub trees, and the removal of both trees' byte-code
+caches, on a temporary tree."""
 
 import importlib.util
 import json
@@ -31,6 +32,10 @@ def _result(seed, commit, attempted, host_probe_s=0.05, **values):
         "provenance": {"seed": seed, "git_commit": commit, "python": "3.11"},
         "host_probe_s": host_probe_s,
     }
+
+
+def _no_identity(parent, change):
+    return {"argvs": 0, "identical": 0, "different": []}
 
 
 def test_summarise_one_pair():
@@ -101,6 +106,7 @@ def test_summary_records_the_environment_the_runs_inherited(tmp_path, monkeypatc
     monkeypatch.setattr(bench_pairs, "run_one", fake_run)
     monkeypatch.setattr(bench_pairs, "setup_probe", lambda tree, workload, seed: 0.1)
     monkeypatch.setattr(bench_pairs, "host_probe", lambda: 0.05)
+    monkeypatch.setattr(bench_pairs, "output_identity", _no_identity)
     monkeypatch.setenv("PYTHONUNBUFFERED", "1")
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     monkeypatch.setenv("PYTHONHASHSEED", "0")
@@ -137,6 +143,7 @@ def test_setup_probes_run_after_the_pairs_in_a_b_b_a_order(tmp_path, monkeypatch
     monkeypatch.setattr(bench_pairs, "run_one", fake_run)
     monkeypatch.setattr(bench_pairs, "setup_probe", fake_probe)
     monkeypatch.setattr(bench_pairs, "host_probe", lambda: 0.05)
+    monkeypatch.setattr(bench_pairs, "output_identity", _no_identity)
     out = tmp_path / "summary.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
                              "--change", str(tmp_path / "change"), "--workload", "cli",
@@ -178,6 +185,7 @@ def test_host_probe_runs_before_each_run_and_flags_a_moved_host(tmp_path, monkey
     monkeypatch.setattr(bench_pairs, "compile_trees", lambda trees: None)
     monkeypatch.setattr(bench_pairs, "run_one", fake_run)
     monkeypatch.setattr(bench_pairs, "host_probe", fake_host_probe)
+    monkeypatch.setattr(bench_pairs, "output_identity", _no_identity)
     monkeypatch.setattr(bench_pairs, "setup_probe", lambda tree, workload, seed: 0.1)
     out = tmp_path / "summary.json"
     assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
@@ -195,6 +203,67 @@ def test_host_probe_runs_before_each_run_and_flags_a_moved_host(tmp_path, monkey
     assert [r["change"]["host_probe_s"] for r in summary["runs"]] == [0.046] * 3
     moved = {name: m["host_moved_beyond_bound"] for name, m in summary["metrics"].items()}
     assert moved == {"op_p90_s": False, "peak_rss_mb": True, "rate": True}
+
+
+# a stub `bench/workloads.py`: each run prints its argv, and the top-level
+# help page also the tree's MARK, so two trees whose MARKs differ differ there
+# alone
+_STUB_WORKLOADS = """
+import subprocess
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+KINDS = {kinds!r}
+MARK = {mark!r}
+
+
+class Cli:
+    def __init__(self, seed):
+        self.seed = seed
+
+    def kind_of(self, i):
+        return KINDS[i % len(KINDS)]
+
+    def op_input(self, i):
+        return self.kind_of(i), ["op", str(i), "--format", "text"]
+
+    def run(self, inp):
+        argv = inp[1]
+        out = " ".join(argv) + (MARK if argv == ["--help"] else "")
+        return subprocess.CompletedProcess(argv, 0, out.encode(), b"")
+"""
+
+
+def test_summary_embeds_the_output_identity_of_the_two_trees(tmp_path, monkeypatch):
+    # the real scripts/output_identity.py runs every argv in two stub trees
+    spec = importlib.util.spec_from_file_location("output_identity",
+                                                  _PATH.with_name("output_identity.py"))
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    kinds = sorted({kind for _, kind, _ in identity.EVERY_FORMAT})
+    for tree, mark in (("parent", ""), ("change", " moved")):
+        (tmp_path / tree / "bench").mkdir(parents=True)
+        (tmp_path / tree / "bench" / "workloads.py").write_text(
+            _STUB_WORKLOADS.format(kinds=kinds, mark=mark))
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 1, "end_to_end": METRICS}))
+    monkeypatch.setattr(bench_pairs, "compile_trees", lambda trees: None)
+    monkeypatch.setattr(bench_pairs, "run_one", lambda tree, workload, seed, seconds: _result(
+        seed, tree.name, 10, op_p90_s=0.05, peak_rss_mb=30.0, rate=1.0))
+    monkeypatch.setattr(bench_pairs, "setup_probe", lambda tree, workload, seed: 0.1)
+    monkeypatch.setattr(bench_pairs, "host_probe", lambda: 0.05)
+    out = tmp_path / "summary.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--workload", "cli",
+                             "--seeds", "1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())["output_identity"]
+    argvs = (identity.OPS + len(identity.SEEDED_MC) + len(identity.PAGES_AND_REFUSALS)
+             + len(identity.EVERY_FORMAT))
+    assert (record["argvs"], record["identical"]) == (argvs, argvs - 1)
+    [moved] = record["different"]
+    assert [moved["i"], moved["kind"], moved["argv"]] == identity.PAGES_AND_REFUSALS[0]
+    assert moved["exit_code"] == [0, 0] and moved["numbers_only"] is False
+    assert record["what"].startswith("bench/workloads.py Cli(7)")
 
 
 def test_host_probe_times_fresh_interpreters():

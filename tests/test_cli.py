@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -1257,6 +1258,90 @@ def test_estimate_reports_the_first_bad_input_in_risk_order(tmp_path, capsys, co
     assert err.startswith(first), err
 
 
+# flag values for the fuzz below: each float edge, a hex literal that float()
+# and int() both refuse, and plain values that let the other flags decide
+_FUZZ_NUMBERS = ("nan", "inf", "-inf", "1e400", "-1e400", "0", "-0", "-1", "-0.5", "0x10",
+                 "1e-320", "0.25", "0.5", "1", "2")
+_FUZZ_INTS = ("1", "2", "3", "6", "12", "20", "0", "-1", "0x10", _HUGE_N)
+_FUZZ_H = ("nan", "inf", "1e400", "0", "-1", "2", "3.9", "4", "4.5", "10.8519", "1e5", "0x10")
+
+
+def _fuzz_table(rng) -> list:
+    argv = ["table", rng.choice(("31", "51"))] + (["--diff"] if rng.random() < 0.3 else [])
+    for _ in range(rng.randint(0, 4)):
+        flag = rng.choice(("--m", "--p", "--q", "--design", "--rows"))
+        if flag == "--m":
+            value = rng.choice(_FUZZ_INTS)
+        elif flag == "--design":
+            value = f"{rng.choice(_FUZZ_INTS)}:{rng.choice(_FUZZ_H)}"
+        elif flag == "--rows":
+            value = f"{rng.choice(_FUZZ_NUMBERS)}:{rng.choice(_FUZZ_NUMBERS)}"
+        else:
+            value = rng.choice(_FUZZ_NUMBERS)
+        argv += [flag, value]
+    return argv
+
+
+def _fuzz_data(rng) -> bytes:
+    """A failure-time file: sorted times, then one way of breaking it."""
+    lines = sorted(repr(rng.uniform(0.05, 5.0)) for _ in range(rng.randint(2, 24)))
+    how = rng.choice(("plain", "empty", "one", "bad", "unsorted", "zero", "many", "tiny",
+                      "huge"))
+    if how == "empty":
+        lines = []
+    elif how == "one":
+        lines = lines[:1]
+    elif how == "bad":
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(("nan", "1e400", "inf", "0x10")))
+    elif how == "unsorted":
+        rng.shuffle(lines)
+    elif how == "zero":
+        lines.insert(0, rng.choice(("0", "-0", "-1.5")))
+    elif how == "many":
+        lines = sorted(lines * 3, key=float)  # more lines than most --n
+    elif how in ("tiny", "huge"):
+        lines = [f"{line}e{-300 if how == 'tiny' else 300}" for line in lines]
+    newline = rng.choice(("\n", "\r\n"))
+    data = (newline.join(lines) + newline * rng.randint(0, 1)).encode()
+    return b"\xef\xbb\xbf" + data if rng.random() < 0.2 else data
+
+
+def test_fuzzed_table_and_estimate_data_end_in_a_documented_code(tmp_path, capsys):
+    # seeded random `table 31/51` selections and `estimate --data` files: every
+    # run ends in 0, 2, 3 or 5 with no exception, a success writes nothing to
+    # stderr, and a refusal writes one stderr line (an argparse refusal: its
+    # usage, then one error line)
+    rng = random.Random(3405)
+    failures = []
+    for i in range(400):
+        if i % 2 == 0:
+            argv = _fuzz_table(rng)
+        else:
+            path = tmp_path / f"fuzz{i % 4}.dat"
+            path.write_bytes(_fuzz_data(rng))
+            flags = {"--n": "25", "--beta1": "0.5", "--beta2": "3", "--p": "1", "--q": "0.5"}
+            if rng.random() < 0.4:  # at most one bad flag, so most runs reach the file
+                flag = rng.choice(list(flags))
+                flags[flag] = rng.choice(_FUZZ_INTS if flag == "--n" else _FUZZ_NUMBERS)
+            argv = ["estimate", "--data", str(path), *itertools.chain(*flags.items())]
+        argv += ["--format", rng.choice(("text", "csv", "json"))]
+        if rng.random() < 0.02:
+            argv += ["--out", str(tmp_path / "no-such-dir" / "out.txt")]
+        try:
+            code, out, err = run(capsys, *argv)
+        except Exception as exc:  # what would end the CLI in a traceback
+            failures.append((argv, repr(exc)))
+            continue
+        # an argparse refusal prints its usage lines before its one error line
+        usage = err.startswith("usage:")
+        lines = [line for line in err.splitlines()
+                 if not (usage and line.startswith(("usage:", " ")))]
+        one_line = len(lines) == 1 and err.endswith("\n") and out == ""
+        if code not in (0, 2, 3, 5) or (err != "" if code == 0 else not one_line):
+            failures.append((argv, code, err))
+    assert failures == []
+
+
 # --- the script path: run() flushes, then ends the process with os._exit ------
 
 _RISK = ("risk", "--h", H6, "--p", "-2", "--q", "0.25", "--delta", "4.0",
@@ -1410,28 +1495,55 @@ def test_run_flushes_then_ends_the_process_with_mains_code(monkeypatch):
     monkeypatch.setattr(sys, "argv", ["weibull-shrink", *_DOM])
     monkeypatch.setattr(sys, "stdout", Stream("stdout"))
     monkeypatch.setattr(sys, "stderr", Stream("stderr"))
-    # the stub records the call and leaves the test process's collector on
-    monkeypatch.setattr(gc, "disable", lambda: events.append(("gc.disable",)))
+    # the stub records the call and leaves the test process's collector as it is
+    monkeypatch.setattr(gc, "set_threshold", lambda *t: events.append(("gc.set_threshold", *t)))
     monkeypatch.setattr(cli, "main", lambda: events.append(("main",)) or 3)
     monkeypatch.setattr(os, "_exit", fake_exit)
     with pytest.raises(Exit):
         cli.run()
-    assert events == [("gc.disable",), ("main",), ("flush", "stdout"), ("flush", "stderr"),
-                      ("exit", 3)]
+    assert events == [("gc.set_threshold", cli._GC_THRESHOLD), ("main",), ("flush", "stdout"),
+                      ("flush", "stderr"), ("exit", 3)]
+
+
+def test_run_keeps_the_collector_on_at_a_raised_first_threshold(monkeypatch):
+    # the script path reclaims numpy's import garbage: main runs with the
+    # collector on, only its first-generation threshold raised
+    from weibull_shrink import cli
+
+    class Exit(BaseException):
+        pass
+
+    def fake_exit(code):
+        raise Exit
+
+    seen = []
+    was, threshold = gc.isenabled(), gc.get_threshold()
+    monkeypatch.setattr(cli, "main", lambda: seen.append((gc.isenabled(), gc.get_threshold())))
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    gc.enable()
+    try:
+        with pytest.raises(Exit):
+            cli.run()
+    finally:
+        gc.set_threshold(*threshold)
+        (gc.enable if was else gc.disable)()
+    assert seen == [(True, (cli._GC_THRESHOLD, *threshold[1:]))]
+    assert cli._GC_THRESHOLD > threshold[0]
 
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_in_process_leaves_the_collector_as_it_found_it(capsys, enabled):
-    # only the script entry turns the cyclic collector off, and never back on
+    # only the script entry raises the collector's threshold; main neither
+    # switches the collector nor changes its thresholds
     argvs = [_DOM, ("mc", "estimate-k", "--n", "20", "--m", "6", "--reps", "1000"),
              ("mc", "verify", "--h", H6, "--p", "1", "--q", "0.5", "--delta", "1",
               "--reps", "10"), ("risk", "--h", H6)]
-    was = gc.isenabled()
+    was, threshold = gc.isenabled(), gc.get_threshold()
     (gc.enable if enabled else gc.disable)()
     try:
         for argv in argvs:
             main(list(argv))
-            assert gc.isenabled() is enabled, argv
+            assert (gc.isenabled(), gc.get_threshold()) == (enabled, threshold), argv
     finally:
         (gc.enable if was else gc.disable)()
     capsys.readouterr()

@@ -299,11 +299,12 @@ def test_n_below_m_has_one_message(call):
 
 
 def test_grid_labels_each_rule_message():
-    # the grid lists every problem under its entry's label, in the rule's words
+    # the grid lists every problem after its entry's label, in the rule's
+    # words, on the one line that the CLI prints
     message = _message(lambda: _grid(h=4.0, p=0.0, row=(2.0, 1.0)))
-    assert message.splitlines() == [
-        "invalid grid:",
-        "  design (m=6, h=4.0): need a finite h > 4, got 4.0",
-        "  p=0.0: p must be nonzero, got 0.0",
-        "  delta row 0: delta1 must not exceed delta2, got (2.0, 1.0)",
-    ]
+    assert message == (
+        "invalid grid: "
+        "design (m=6, h=4.0): need a finite h > 4, got 4.0; "
+        "p=0.0: p must be nonzero, got 0.0; "
+        "delta row 0: delta1 must not exceed delta2, got (2.0, 1.0)"
+    )
